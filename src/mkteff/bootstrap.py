@@ -201,7 +201,9 @@ def bootstrap_bands(
         with ProcessPoolExecutor(
             max_workers=n_jobs, initializer=_init_worker, initargs=(payload,)
         ) as pool:
-            for b, z, f in pool.map(_run_replication, range(1, B + 1), chunksize=64):
+            # about four chunks per worker, so the last ones even out the load
+            chunksize = max(1, min(64, -(-B // (4 * n_jobs))))
+            for b, z, f in pool.map(_run_replication, range(1, B + 1), chunksize=chunksize):
                 zstar[b - 1] = z
                 flags[b - 1] = f
     else:
@@ -217,6 +219,10 @@ def bootstrap_bands(
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN dates stay NaN
         lower = np.nanquantile(zmasked, lo_q, axis=0)
         upper = np.nanquantile(zmasked, hi_q, axis=0)
+    flagged_counts = (~np.isfinite(zmasked)).sum(axis=0)
+    if S and np.all(flagged_counts == B):
+        msg = f"all {B} bootstrap replications failed or were flagged at every date; the bands are empty"
+        warnings.warn(msg, RuntimeWarning, stacklevel=2)
     if dump_dir is not None:
         _dump_chunks(dump_dir, fit.dates, zmasked, chunk_size)
     return BandPath(
@@ -225,5 +231,5 @@ def bootstrap_bands(
         upper=upper,
         coverage=boot_config.coverage,
         replications=B,
-        flagged_counts=(~np.isfinite(zmasked)).sum(axis=0),
+        flagged_counts=flagged_counts,
     )

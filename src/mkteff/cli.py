@@ -383,6 +383,7 @@ def _cmd_efficiency(cfg: PipelineConfig) -> int:
         )
         fit = fit_tv_var(returns, tv_config)
         path = efficiency_path(fit)
+        health = {"singular_dates": int(path.singular.sum())}
         if cfg.replications > 0:
             bands = bootstrap_bands(
                 returns,
@@ -397,6 +398,8 @@ def _cmd_efficiency(cfg: PipelineConfig) -> int:
                 dump_dir=os.path.join(cfg.output_dir, "replications") if cfg.dump_replications else None,
             )
             path = path.with_bands(bands.lower, bands.upper)
+            health["bootstrap_flagged_cells"] = int(bands.flagged_counts.sum())
+            health["bootstrap_flagged_max_per_date"] = int(bands.flagged_counts.max(initial=0))
         out_csv = os.path.join(cfg.output_dir, "efficiency.csv")
         path.write_csv(out_csv)
         written.append(out_csv)
@@ -421,6 +424,7 @@ def _cmd_efficiency(cfg: PipelineConfig) -> int:
                 "ridge_jitter": fit.metadata["ridge_jitter"],
                 "seeds": {"master_seed": cfg.master_seed},
                 "bands": cfg.replications > 0,
+                **health,
             },
             written,
         )

@@ -82,60 +82,62 @@ class EfficiencyPath:
                 fh.close()
 
 
+def _guarded_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack (S, n, n), flagged where kappa_2 exceeds the limit or is undefined.
+
+    ||M||_F ||M^-1||_F lies in [kappa_2, n kappa_2], so only dates it puts over half the
+    limit (the half absorbs rounding in the inverse) get the exact ``np.linalg.cond``.
+    The inverses of flagged dates are void.
+    """
+    try:
+        phi = np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # an exactly singular date stops the batched LU
+        phi = np.full(M.shape, np.nan)
+    exact = ~(np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(phi, axis=(1, 2)) <= 0.5 * condition_limit)
+    singular = exact & ~np.isfinite(M).all(axis=(1, 2))
+    checked = exact & ~singular
+    singular[checked] = ~(np.linalg.cond(M[checked]) <= condition_limit)
+    cleared = checked & ~singular
+    phi[cleared] = np.linalg.inv(M[cleared])
+    return phi, singular
+
+
+def _spectral_norm(D: np.ndarray) -> np.ndarray:
+    """Largest singular value of each D: the root of the top eigenvalue of D'D."""
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(np.swapaxes(D, -1, -2) @ D)[..., -1], 0.0))
+
+
+def _degrees(M: np.ndarray, condition_limit: float = CONDITION_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+    """Degree and singular flag per date of a stack M = I - sum_l A_l (S, n, n)."""
+    dev, singular = _guarded_inverse(M, condition_limit)
+    dev -= np.eye(M.shape[-1])
+    dev[singular] = 0.0  # keeps void inverses out of the eigensolver
+    zeta = _spectral_norm(dev)
+    zeta[singular] = np.nan
+    return zeta, singular
+
+
 def cumulative_multiplier(A: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Invert I minus the summed lag matrices; refuse near-singular systems."""
     A = np.asarray(A, dtype=float)
-    if A.ndim == 2:
-        A = A[None]
-    n = A.shape[-1]
-    M = np.eye(n) - A.sum(axis=0)
-    if np.linalg.cond(M) > CONDITION_LIMIT:
+    M = np.eye(A.shape[-1]) - (A if A.ndim == 2 else A.sum(axis=0))
+    phi, singular = _guarded_inverse(M[None], CONDITION_LIMIT)
+    if singular[0]:
         raise NumericalError("lag sum too close to a unit root; multiplier undefined")
-    return np.linalg.inv(M)
+    return phi[0]
 
 
-def joint_degree(phi1: np.ndarray, mode: str = "spectral") -> float:
-    """Deviation of the multiplier from identity.
-
-    ``"spectral"`` (default) is the largest singular value of phi1 - I, the
-    square root of the top eigenvalue of (phi1 - I)'(phi1 - I). The
-    ``"elementwise"`` alternative takes the largest entry of that product
-    instead; it is kept only for sensitivity analysis.
-    """
-    phi1 = np.asarray(phi1, dtype=float)
-    dev = phi1 - np.eye(phi1.shape[0])
-    if mode == "spectral":
-        return float(np.linalg.svd(dev, compute_uv=False)[0])
-    if mode == "elementwise":
-        return float(np.sqrt(np.max(dev.T @ dev)))
-    raise ValueError(f"unknown mode {mode!r}")
+def joint_degree(phi1: np.ndarray) -> float:
+    """Deviation of the multiplier from identity: the spectral norm of phi1 - I."""
+    return float(_spectral_norm(np.asarray(phi1, dtype=float) - np.eye(len(phi1))))
 
 
-def efficiency_path(
-    estimate: TvVarEstimate,
-    mode: str = "spectral",
-    condition_limit: float = CONDITION_LIMIT,
-) -> EfficiencyPath:
+def efficiency_path(estimate: TvVarEstimate, condition_limit: float = CONDITION_LIMIT) -> EfficiencyPath:
     """Per-date degree along a fitted coefficient path.
 
     Dates where the lag sum is within ``condition_limit`` of singular are
     flagged and carry NaN instead of a clipped value.
     """
-    A_sum = estimate.A_path.sum(axis=1)  # (S, n, n)
-    S, n, _ = A_sum.shape
-    M = np.eye(n)[None, :, :] - A_sum
-    conds = np.linalg.cond(M)
-    singular = ~(conds <= condition_limit)  # catches inf/nan too
-    zeta = np.full(S, np.nan)
-    good = ~singular
-    if np.any(good):
-        phi = np.linalg.inv(M[good])
-        dev = phi - np.eye(n)[None, :, :]
-        if mode == "spectral":
-            zeta[good] = np.linalg.svd(dev, compute_uv=False)[:, 0]
-        elif mode == "elementwise":
-            prod = np.einsum("sji,sjk->sik", dev, dev)
-            zeta[good] = np.sqrt(prod.reshape(prod.shape[0], -1).max(axis=1))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+    n = estimate.A_path.shape[-1]
+    zeta, singular = _degrees(np.eye(n) - estimate.A_path.sum(axis=1), condition_limit)
     return EfficiencyPath(dates=estimate.dates, zeta=zeta, singular=singular)

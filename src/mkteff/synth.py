@@ -14,7 +14,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .efficiency import CONDITION_LIMIT
+from .efficiency import _degrees
 from .errors import ConfigError
 from .market_data import AlignedPanel
 
@@ -142,17 +142,12 @@ class DgpTruth:
     zeta: np.ndarray  # (T,)
 
 
-def _truth_zeta(A_path: np.ndarray) -> np.ndarray:
-    T, q, n, _ = A_path.shape
-    M = np.eye(n)[None] - A_path.sum(axis=1)
-    out = np.full(T, np.nan)
-    conds = np.linalg.cond(M)
-    good = conds <= CONDITION_LIMIT
-    if np.any(good):
-        phi = np.linalg.inv(M[good])
-        dev = phi - np.eye(n)[None]
-        out[good] = np.linalg.svd(dev, compute_uv=False)[:, 0]
-    return out
+def _panel_and_truth(nu, values, A_path) -> tuple[AlignedPanel, DgpTruth]:
+    """Returns panel plus ground truth, with the degree implied by each lag stack."""
+    n = A_path.shape[-1]
+    zeta, _ = _degrees(np.eye(n) - A_path.sum(axis=1))
+    panel = AlignedPanel(synthetic_dates(values.shape[0]), values, _ids(n), "returns")
+    return panel, DgpTruth(nu=nu, A_path=A_path, zeta=zeta)
 
 
 def _recur(nu, A_path_full, eps, q):
@@ -177,10 +172,7 @@ def simulate(spec: DgpSpec) -> tuple[AlignedPanel, DgpTruth]:
     if spec.kind == "random-walk":
         steps = rng.normal(0.0, spec.innovation_sd, size=(T, n)) + nu
         values = np.cumsum(steps, axis=0)
-        A_path = np.zeros((T, q, n, n))
-        truth = DgpTruth(nu=nu, A_path=A_path, zeta=_truth_zeta(A_path))
-        panel = AlignedPanel(synthetic_dates(T), values, _ids(n), "returns")
-        return panel, truth
+        return _panel_and_truth(nu, values, np.zeros((T, q, n, n)))
 
     total = BURN_IN + T
     eps = rng.normal(0.0, spec.innovation_sd, size=(total, n))
@@ -213,11 +205,7 @@ def simulate(spec: DgpSpec) -> tuple[AlignedPanel, DgpTruth]:
             A_full[t] = cur
 
     x = _recur(nu, A_full, eps, q)
-    values = x[BURN_IN:]
-    A_path = A_full[BURN_IN:]
-    truth = DgpTruth(nu=nu, A_path=A_path, zeta=_truth_zeta(A_path))
-    panel = AlignedPanel(synthetic_dates(T), values, _ids(n), "returns")
-    return panel, truth
+    return _panel_and_truth(nu, x[BURN_IN:], A_full[BURN_IN:])
 
 
 def _ids(n: int) -> tuple[str, ...]:

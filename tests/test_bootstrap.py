@@ -11,7 +11,7 @@ from mkteff import (
     DgpSpec,
 )
 from mkteff.bootstrap import replication_seed
-from mkteff.errors import ConfigError
+from mkteff.errors import ConfigError, NumericalError
 
 
 def null_panel(seed=0, T=200, n=2):
@@ -68,11 +68,31 @@ class TestBands:
     def test_worker_count_invariance(self):
         panel = null_panel(seed=5, T=120)
         tv = TvVarConfig(q=1, lam=1.0)
-        cfg = BootstrapConfig(replications=100, coverage=0.9, master_seed=21)
-        serial = bootstrap_bands(panel, tv, cfg, n_jobs=1)
-        parallel = bootstrap_bands(panel, tv, cfg, n_jobs=2)
-        assert np.array_equal(serial.lower, parallel.lower)
-        assert np.array_equal(serial.upper, parallel.upper)
+        # 101 replications on 2 workers: chunks of 13, the last one short
+        for B in (100, 101):
+            cfg = BootstrapConfig(replications=B, coverage=0.9, master_seed=21)
+            serial = bootstrap_bands(panel, tv, cfg, n_jobs=1)
+            parallel = bootstrap_bands(panel, tv, cfg, n_jobs=2)
+            assert np.array_equal(serial.lower, parallel.lower)
+            assert np.array_equal(serial.upper, parallel.upper)
+            assert np.array_equal(serial.flagged_counts, parallel.flagged_counts)
+
+    def test_all_failed_replications_warn(self, monkeypatch):
+        import mkteff.bootstrap as boot_mod
+
+        panel = null_panel(seed=6, T=120)
+        tv = TvVarConfig(q=1, lam=1.0)
+        fit = fit_tv_var(panel, tv)
+
+        def fail(*args, **kwargs):
+            raise NumericalError("refit failed")
+
+        monkeypatch.setattr(boot_mod, "fit_tv_var", fail)
+        cfg = BootstrapConfig(replications=100, coverage=0.95, master_seed=3)
+        with pytest.warns(RuntimeWarning, match="all 100 bootstrap replications"):
+            bands = bootstrap_bands(panel, tv, cfg, estimate=fit)
+        assert np.all(np.isnan(bands.lower)) and np.all(np.isnan(bands.upper))
+        assert np.all(bands.flagged_counts == 100)
 
     def test_quantile_nesting(self):
         panel = null_panel(seed=2, T=150)

@@ -111,6 +111,8 @@ class TestEfficiency:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["bands"] is False
         assert manifest["lambda_effective"] == 1.0
+        assert manifest["singular_dates"] == 0
+        assert "bootstrap_flagged_cells" not in manifest
 
     def test_bands_and_event_marker(self, tmp_path, market_files):
         cfg = config_file(
@@ -131,9 +133,14 @@ class TestEfficiency:
         assert (out / "coefficients.csv").read_text().startswith("date,lag,row,col,value")
         dumps = list((out / "replications").iterdir())
         assert dumps and all(p.name.startswith("replications_") for p in dumps)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["bands"] is True
+        assert manifest["singular_dates"] == 0
+        assert manifest["bootstrap_flagged_cells"] == 0
+        assert manifest["bootstrap_flagged_max_per_date"] == 0
 
     def test_byte_identical_reruns_and_worker_counts(self, tmp_path, market_files):
-        outputs = []
+        outputs, manifests = [], []
         for run, jobs in ((1, 1), (2, 1), (3, 2)):
             out_dir = str(tmp_path / f"out{run}")
             cfg = config_file(
@@ -143,7 +150,10 @@ class TestEfficiency:
             )
             assert main(["efficiency", "--config", cfg]) == EXIT_OK
             outputs.append((tmp_path / f"out{run}" / "efficiency.csv").read_bytes())
+            manifest = json.loads((tmp_path / f"out{run}" / "manifest.json").read_text())
+            manifests.append({k: v for k, v in manifest.items() if k != "config"})
         assert outputs[0] == outputs[1] == outputs[2]
+        assert manifests[0] == manifests[1] == manifests[2]  # flag counts included
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, market_files, monkeypatch):
         import mkteff.cli as cli_mod

@@ -12,7 +12,7 @@ from mkteff import (
     fit_tv_var,
     joint_degree,
 )
-from mkteff.efficiency import EfficiencyPath
+from mkteff.efficiency import CONDITION_LIMIT, EfficiencyPath, _degrees
 from mkteff.errors import NumericalError
 
 from conftest import make_dates, make_panel
@@ -94,14 +94,6 @@ class TestJointDegree:
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         assert joint_degree(Q @ phi @ Q.T) == pytest.approx(joint_degree(phi), abs=1e-10)
 
-    def test_elementwise_mode(self):
-        phi = np.eye(2) + np.array([[0.0, 3.0], [0.0, 4.0]])
-        dev = phi - np.eye(2)
-        expected = float(np.sqrt((dev.T @ dev).max()))
-        assert joint_degree(phi, mode="elementwise") == pytest.approx(expected, rel=1e-12)
-        with pytest.raises(ValueError):
-            joint_degree(phi, mode="max")
-
 
 class TestPath:
     def test_zero_path(self):
@@ -153,3 +145,83 @@ class TestPath:
                 band_low=np.array([0.5, 0.5]),
                 band_high=np.array([0.1, 0.6]),
             )
+
+
+def svd_oracle(M):
+    """Degree and flags the way the kernel replaces: exact cond, then an SVD."""
+    S, n, _ = M.shape
+    singular = ~(np.linalg.cond(M) <= CONDITION_LIMIT)
+    zeta = np.full(S, np.nan)
+    good = ~singular
+    if good.any():
+        zeta[good] = np.linalg.svd(np.linalg.inv(M[good]) - np.eye(n), compute_uv=False)[:, 0]
+    return zeta, singular
+
+
+def stack_with_condition(rng, S, n, kappas):
+    """Random (S, n, n) stack whose date s has 2-norm condition number kappas[s]."""
+    M = np.empty((S, n, n))
+    for s in range(S):
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        sv = np.geomspace(1.0, 1.0 / kappas[s], n) * rng.uniform(0.2, 3.0)
+        M[s] = (U * sv) @ V.T
+    return M
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=6),
+        S=st.integers(min_value=1, max_value=40),
+        exact_zero=st.booleans(),
+    )
+    def test_matches_cond_and_svd(self, seed, n, S, exact_zero):
+        rng = np.random.default_rng(seed)
+        # conditions from benign to numerically singular, most well inside the guard
+        kappas = 10.0 ** rng.uniform(0.0, 17.0, S) if n > 1 else np.ones(S)
+        M = stack_with_condition(rng, S, n, kappas)
+        if exact_zero:
+            M[rng.integers(S)] = 0.0  # stops the batched LU
+        zeta, singular = _degrees(M)
+        want_zeta, want_singular = svd_oracle(M)
+        np.testing.assert_array_equal(singular, want_singular)
+        np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
+
+    def test_guard_boundary_is_exact_two_norm(self):
+        under = np.diag([1.0, 1.0, 1.0 / 0.9e12])
+        over = np.diag([1.0, 1.0, 1.0 / 1.1e12])
+        frobenius = np.linalg.norm(under) * np.linalg.norm(np.linalg.inv(under))
+        assert frobenius > CONDITION_LIMIT  # the screen alone would flag it
+        zeta, singular = _degrees(np.stack([under, over]))
+        assert singular.tolist() == [False, True]
+        assert zeta[0] == pytest.approx(0.9e12 - 1.0, rel=1e-12)
+        assert np.isnan(zeta[1])
+
+    def test_rounding_at_the_limit_follows_cond(self):
+        # kappa_2 within rounding of the limit: the computed Frobenius bound lands
+        # just under it, np.linalg.cond just over it
+        M = np.array([[0.46496026515031164, 0.2997095266784889], [0.7001977356422369, 0.4513416471488002]])
+        _, singular = _degrees(M[None])
+        assert singular[0] == (not np.linalg.cond(M) <= CONDITION_LIMIT)
+
+    def test_exactly_singular_date_in_long_batch(self, rng):
+        M = stack_with_condition(rng, 500, 3, 10.0 ** rng.uniform(0.0, 3.0, 500))
+        M[250] = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(M)
+        zeta, singular = _degrees(M)
+        assert singular.tolist() == [s == 250 for s in range(500)]
+        assert np.isnan(zeta[250])
+        rest = np.delete(np.arange(500), 250)
+        alone, _ = _degrees(M[rest])
+        np.testing.assert_array_equal(zeta[rest], alone)
+
+    def test_nan_lag_sum_is_flagged(self):
+        A = np.full((4, 1, 2, 2), 0.1)
+        A[2, 0, 0, 1] = np.nan
+        path = efficiency_path(make_estimate(A))
+        assert path.singular.tolist() == [False, False, True, False]
+        assert np.isnan(path.zeta[2])
+        assert np.all(np.isfinite(path.zeta[[0, 1, 3]]))
