@@ -26,16 +26,13 @@ from .var_base import (
     VarEstimate,
     fit_var_ols,
     granger_causality,
-    granger_causality_pairwise,
     hansen_lc,
     newey_west_cov,
     select_lag_bic,
 )
 from .tv_var import (
-    StackedSystem,
     TvVarConfig,
     TvVarEstimate,
-    build_stacked_system,
     export_coefficient_paths,
     fit_smooth_coefficients,
     fit_tv_var,
@@ -61,9 +58,9 @@ __all__ = [
     "AdfGlsResult", "gls_detrend", "adf_gls_test",
     "VarEstimate", "GrangerResult", "HansenLcResult",
     "fit_var_ols", "select_lag_bic", "newey_west_cov",
-    "granger_causality", "granger_causality_pairwise", "hansen_lc",
-    "TvVarConfig", "TvVarEstimate", "StackedSystem",
-    "build_stacked_system", "fit_tv_var", "fit_smooth_coefficients",
+    "granger_causality", "hansen_lc",
+    "TvVarConfig", "TvVarEstimate",
+    "fit_tv_var", "fit_smooth_coefficients",
     "smoothing_profile", "penalized_objective", "export_coefficient_paths",
     "EfficiencyPath", "cumulative_multiplier", "joint_degree", "efficiency_path",
     "BootstrapConfig", "BandPath", "resample_null_panel", "bootstrap_bands",

@@ -19,13 +19,14 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .market_data import AlignedPanel
 from .efficiency import efficiency_path
+from .synth import synthetic_dates
 from .tv_var import TvVarConfig, TvVarEstimate, fit_tv_var
 
 __all__ = [
@@ -44,13 +45,10 @@ class BootstrapConfig:
     replications: int = 10_000
     coverage: float = 0.95
     master_seed: int = 0
-    resample_mode: str = "iid-rows"
 
     def __post_init__(self):
         if not 0.0 < self.coverage < 1.0:
             raise ConfigError("coverage must be strictly between 0 and 1")
-        if self.resample_mode != "iid-rows":
-            raise ConfigError(f"unknown resample_mode {self.resample_mode!r}")
         if self.replications < 0:
             raise ConfigError("replications must be non-negative")
 
@@ -65,6 +63,7 @@ class BandPath:
     coverage: float
     replications: int
     flagged_counts: np.ndarray  # singular/failed replications excluded per date
+    dump_files: tuple[str, ...] = ()  # replication-level files written, if any
 
     def __post_init__(self):
         both = np.isfinite(self.lower) & np.isfinite(self.upper)
@@ -101,7 +100,7 @@ def resample_null_panel(
     draws = rng.integers(0, centered.shape[0], size=T)
     values = nu[None, :] + centered[draws]
     if dates is None:
-        dates = tuple(date(2000, 1, 1) + timedelta(days=t) for t in range(T))
+        dates = synthetic_dates(T)
     if asset_ids is None:
         asset_ids = tuple(f"asset{i}" for i in range(resid.shape[1]))
     return AlignedPanel(dates=dates, values=values, asset_ids=asset_ids, kind="returns")
@@ -134,12 +133,14 @@ def _run_replication(b: int, work: dict | None = None) -> tuple[int, np.ndarray,
         return b, np.full(S, np.nan), np.ones(S, dtype=bool)
 
 
-def _dump_chunks(dump_dir: str, dates, zstar: np.ndarray, chunk_size: int) -> None:
+def _dump_chunks(dump_dir: str, dates, zstar: np.ndarray, chunk_size: int) -> tuple[str, ...]:
     os.makedirs(dump_dir, exist_ok=True)
     B = zstar.shape[0]
+    names = []
     for start in range(0, B, chunk_size):
         stop = min(start + chunk_size, B)
         name = os.path.join(dump_dir, f"replications_{start + 1:06d}_{stop:06d}.csv")
+        names.append(name)
         with open(name, "w", encoding="utf-8") as fh:
             fh.write("replication,date,zeta\n")
             for b in range(start, stop):
@@ -147,6 +148,7 @@ def _dump_chunks(dump_dir: str, dates, zstar: np.ndarray, chunk_size: int) -> No
                     z = zstar[b, s]
                     cell = repr(float(z)) if np.isfinite(z) else ""
                     fh.write(f"{b + 1},{d.isoformat()},{cell}\n")
+    return tuple(names)
 
 
 def bootstrap_bands(
@@ -173,7 +175,8 @@ def bootstrap_bands(
         Worker processes. Output is identical for any value.
     dump_dir : str, optional
         If set, replication-level degree paths are written there in chunks of
-        ``chunk_size`` replications for audit.
+        ``chunk_size`` replications for audit and listed in
+        ``BandPath.dump_files``.
 
     Returns
     -------
@@ -223,8 +226,7 @@ def bootstrap_bands(
     if S and np.all(flagged_counts == B):
         msg = f"all {B} bootstrap replications failed or were flagged at every date; the bands are empty"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    if dump_dir is not None:
-        _dump_chunks(dump_dir, fit.dates, zmasked, chunk_size)
+    dump_files = _dump_chunks(dump_dir, fit.dates, zmasked, chunk_size) if dump_dir is not None else ()
     return BandPath(
         dates=fit.dates,
         lower=lower,
@@ -232,4 +234,5 @@ def bootstrap_bands(
         coverage=boot_config.coverage,
         replications=B,
         flagged_counts=flagged_counts,
+        dump_files=dump_files,
     )

@@ -1,10 +1,12 @@
 """Command-line pipeline: describe, var, efficiency, simulate, all.
 
 Configuration lives in one JSON file; command-line flags override single
-values. Every run writes a manifest with the effective configuration and
-seeds, sufficient to reproduce its outputs exactly (nothing time-stamped, so
-reruns are byte-identical). Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numerical failure.
+values. Each pipeline command loads the returns panel once and runs its stages
+(describe, var, efficiency; ``all`` runs the three) against it, then writes one
+manifest with the effective configuration, seeds and every stage's fields,
+sufficient to reproduce its outputs exactly (nothing time-stamped, so reruns
+are byte-identical). Exit codes: 0 success, 2 configuration error, 3 data
+error, 4 numerical failure; on an error every file the run wrote is removed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .market_data import (
 )
 from .svg import render_line_plot
 from .synth import DgpSpec, simulate
-from .tv_var import TvVarConfig, export_coefficient_paths, fit_tv_var
+from .tv_var import SOLVER_BANDED, TvVarConfig, export_coefficient_paths, fit_tv_var
 from .unit_root import DETREND_CONSTANT, DETREND_TREND, adf_gls_test
 from .var_base import fit_var_ols, granger_causality, hansen_lc, select_lag_bic
 
@@ -56,7 +58,6 @@ class PipelineConfig:
     tv_q: int | None = None
     lam: float = 1.0
     lambda_mode: str = "fixed"
-    solver: str = "banded-cholesky"
     replications: int = 10_000
     coverage: float = 0.95
     master_seed: int = 0
@@ -83,12 +84,7 @@ class PipelineConfig:
             },
             "var": {"p_max": self.p_max},
             "unit_root": {"max_lag": self.unit_root_max_lag, "model": self.unit_root_model},
-            "tv": {
-                "q": self.tv_q,
-                "lambda": self.lam,
-                "lambda_mode": self.lambda_mode,
-                "solver": self.solver,
-            },
+            "tv": {"q": self.tv_q, "lambda": self.lam, "lambda_mode": self.lambda_mode},
             "bootstrap": {
                 "replications": self.replications,
                 "coverage": self.coverage,
@@ -174,7 +170,11 @@ def build_config(doc: dict, args: argparse.Namespace) -> PipelineConfig:
         cfg.tv_q = int(tv["q"])
     cfg.lam = float(tv.get("lambda", cfg.lam))
     cfg.lambda_mode = tv.get("lambda_mode", cfg.lambda_mode)
-    cfg.solver = tv.get("solver", cfg.solver)
+    if tv.get("solver", SOLVER_BANDED) != SOLVER_BANDED:
+        raise ConfigError(
+            f"tv.solver must be {SOLVER_BANDED!r}, got {tv['solver']!r}; "
+            "the dense reference solver is a test oracle (tests/oracles.py)"
+        )
     b = doc.get("bootstrap", {})
     cfg.replications = int(b.get("replications", cfg.replications))
     cfg.coverage = float(b.get("coverage", cfg.coverage))
@@ -194,7 +194,7 @@ def build_config(doc: dict, args: argparse.Namespace) -> PipelineConfig:
             cfg.inputs.append((path, asset))
     for flag, attr in (
         ("output_dir", "output_dir"), ("p_max", "p_max"), ("q", "tv_q"),
-        ("lam", "lam"), ("lambda_mode", "lambda_mode"), ("solver", "solver"),
+        ("lam", "lam"), ("lambda_mode", "lambda_mode"),
         ("replications", "replications"), ("coverage", "coverage"),
         ("master_seed", "master_seed"), ("n_jobs", "n_jobs"),
     ):
@@ -242,25 +242,13 @@ def load_returns_panel(cfg: PipelineConfig) -> AlignedPanel:
     return log_returns(prices)
 
 
-def _write(path: str, text: str, written: list) -> None:
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    written.append(path)
-
-
-def _write_manifest(cfg: PipelineConfig, command: str, extra: dict, written: list) -> None:
-    doc = {
-        "tool": "mkteff",
-        "version": __version__,
-        "command": command,
-        "config": cfg.echo(),
-    }
-    doc.update(extra)
-    _write(
-        os.path.join(cfg.output_dir, "manifest.json"),
-        json.dumps(doc, indent=2, sort_keys=True) + "\n",
-        written,
-    )
 
 
 def _stars(p_value: float) -> str:
@@ -315,21 +303,44 @@ def var_table_text(est, granger_results, lc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_describe(cfg: PipelineConfig) -> int:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    written: list = []
-    returns = load_returns_panel(cfg)
+@dataclass
+class PipelineRun:
+    """State one run hands from stage to stage.
+
+    The returns panel is loaded once; ``var_order`` is the BIC order once the
+    var stage has selected it; ``manifest`` collects every stage's fields and
+    ``written`` every file the run wrote.
+    """
+
+    cfg: PipelineConfig
+    returns: AlignedPanel
+    written: list
+    manifest: dict = field(default_factory=dict)
+    var_order: int | None = None
+
+    def output(self, name: str) -> str:
+        """Path of an output file, recorded as written before it is opened."""
+        path = os.path.join(self.cfg.output_dir, name)
+        self.written.append(path)
+        return path
+
+    def write(self, name: str, text: str) -> None:
+        _write(self.output(name), text)
+
+
+def _describe_stage(run: PipelineRun) -> int:
+    cfg, returns = run.cfg, run.returns
     stats = describe(returns)
     adf_results = {
         asset: adf_gls_test(returns.column(asset), cfg.unit_root_max_lag, cfg.unit_root_model)
         for asset in returns.asset_ids
     }
-    _write(os.path.join(cfg.output_dir, "summary.txt"), summary_table_text(stats, adf_results), written)
+    run.write("summary.txt", summary_table_text(stats, adf_results))
     doc = stats.to_dict()
     doc["unit_root"] = {a: r.to_dict() for a, r in adf_results.items()}
-    _write(os.path.join(cfg.output_dir, "summary.json"), json.dumps(doc, indent=2, sort_keys=True) + "\n", written)
-    _write(os.path.join(cfg.output_dir, "summary.csv"), stats.to_csv_text(), written)
-    _write_manifest(cfg, "describe", {"n_obs": stats.n_obs}, written)
+    run.write("summary.json", _json_text(doc))
+    run.write("summary.csv", stats.to_csv_text())
+    run.manifest["n_obs"] = stats.n_obs
     failing = [a for a, r in adf_results.items() if not r.rejects_at(0.01)]
     if failing:
         msg = f"stationarity gate failed at 1% for: {', '.join(failing)}"
@@ -341,21 +352,15 @@ def _cmd_describe(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_var(cfg: PipelineConfig) -> int:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    written: list = []
-    returns = load_returns_panel(cfg)
-    p = select_lag_bic(returns, cfg.p_max)
+def _var_stage(run: PipelineRun) -> int:
+    returns = run.returns
+    p = run.var_order = select_lag_bic(returns, run.cfg.p_max)
     est = fit_var_ols(returns, p)
     granger_results = {
         a: granger_causality(returns, p, a, estimate=est) for a in returns.asset_ids
     }
     lc = hansen_lc(returns, p, estimate=est)
-    _write(
-        os.path.join(cfg.output_dir, "var_report.txt"),
-        f"selected lag order: {p}\n\n" + var_table_text(est, granger_results, lc),
-        written,
-    )
+    run.write("var_report.txt", f"selected lag order: {p}\n\n" + var_table_text(est, granger_results, lc))
     doc = {
         "selected_p": p,
         "intercept": [float(v) for v in est.nu],
@@ -367,67 +372,81 @@ def _cmd_var(cfg: PipelineConfig) -> int:
         "hansen_lc": lc.to_dict(),
         "n_obs": est.nobs,
     }
-    _write(os.path.join(cfg.output_dir, "var_report.json"), json.dumps(doc, indent=2, sort_keys=True) + "\n", written)
-    _write_manifest(cfg, "var", {"selected_var_order": p}, written)
+    run.write("var_report.json", _json_text(doc))
+    run.manifest["selected_var_order"] = p
     return EXIT_OK
 
 
-def _cmd_efficiency(cfg: PipelineConfig) -> int:
+def _efficiency_stage(run: PipelineRun) -> int:
+    cfg, returns = run.cfg, run.returns
+    q = cfg.tv_q
+    if q is None:
+        q = run.var_order if run.var_order is not None else select_lag_bic(returns, cfg.p_max)
+    tv_config = TvVarConfig(q=q, lam=cfg.lam, lambda_mode=cfg.lambda_mode)
+    fit = fit_tv_var(returns, tv_config)
+    path = efficiency_path(fit)
+    run.manifest.update(
+        tv_order=q,
+        lambda_effective=fit.lambda_effective,
+        solver=fit.metadata["solver"],
+        ridge_jitter=fit.metadata["ridge_jitter"],
+        seeds={"master_seed": cfg.master_seed},
+        bands=cfg.replications > 0,
+        singular_dates=int(path.singular.sum()),
+    )
+    if cfg.replications > 0:
+        bands = bootstrap_bands(
+            returns,
+            tv_config,
+            BootstrapConfig(
+                replications=cfg.replications,
+                coverage=cfg.coverage,
+                master_seed=cfg.master_seed,
+            ),
+            estimate=fit,
+            n_jobs=cfg.n_jobs,
+            dump_dir=os.path.join(cfg.output_dir, "replications") if cfg.dump_replications else None,
+        )
+        run.written.extend(bands.dump_files)
+        path = path.with_bands(bands.lower, bands.upper)
+        run.manifest["bootstrap_flagged_cells"] = int(bands.flagged_counts.sum())
+        run.manifest["bootstrap_flagged_max_per_date"] = int(bands.flagged_counts.max(initial=0))
+    path.write_csv(run.output("efficiency.csv"))
+    run.write(
+        "efficiency.svg",
+        render_line_plot(path.dates, path.zeta, path.band_low, path.band_high, cfg.event_date),
+    )
+    if cfg.export_coefficients:
+        export_coefficient_paths(fit, run.output("coefficients.csv"))
+    return EXIT_OK
+
+
+STAGES = {
+    "describe": (_describe_stage,),
+    "var": (_var_stage,),
+    "efficiency": (_efficiency_stage,),
+    "all": (_describe_stage, _var_stage, _efficiency_stage),
+}
+
+
+def run_pipeline(cfg: PipelineConfig, command: str) -> int:
+    """Run one pipeline command: load the returns once, run its stages, write one manifest.
+
+    A failed stationarity gate ends the run after the describe stage with
+    ``EXIT_DATA``, its summary and the manifest left in place. On a
+    ``MktEffError`` every file the run wrote is removed before it propagates.
+    """
     os.makedirs(cfg.output_dir, exist_ok=True)
     written: list = []
+    code = EXIT_OK
     try:
-        returns = load_returns_panel(cfg)
-        q = cfg.tv_q if cfg.tv_q is not None else select_lag_bic(returns, cfg.p_max)
-        tv_config = TvVarConfig(
-            q=q, lam=cfg.lam, lambda_mode=cfg.lambda_mode, solver=cfg.solver
-        )
-        fit = fit_tv_var(returns, tv_config)
-        path = efficiency_path(fit)
-        health = {"singular_dates": int(path.singular.sum())}
-        if cfg.replications > 0:
-            bands = bootstrap_bands(
-                returns,
-                tv_config,
-                BootstrapConfig(
-                    replications=cfg.replications,
-                    coverage=cfg.coverage,
-                    master_seed=cfg.master_seed,
-                ),
-                estimate=fit,
-                n_jobs=cfg.n_jobs,
-                dump_dir=os.path.join(cfg.output_dir, "replications") if cfg.dump_replications else None,
-            )
-            path = path.with_bands(bands.lower, bands.upper)
-            health["bootstrap_flagged_cells"] = int(bands.flagged_counts.sum())
-            health["bootstrap_flagged_max_per_date"] = int(bands.flagged_counts.max(initial=0))
-        out_csv = os.path.join(cfg.output_dir, "efficiency.csv")
-        path.write_csv(out_csv)
-        written.append(out_csv)
-        _write(
-            os.path.join(cfg.output_dir, "efficiency.svg"),
-            render_line_plot(
-                path.dates, path.zeta, path.band_low, path.band_high, cfg.event_date
-            ),
-            written,
-        )
-        if cfg.export_coefficients:
-            coef_csv = os.path.join(cfg.output_dir, "coefficients.csv")
-            export_coefficient_paths(fit, coef_csv)
-            written.append(coef_csv)
-        _write_manifest(
-            cfg,
-            "efficiency",
-            {
-                "tv_order": q,
-                "lambda_effective": fit.lambda_effective,
-                "solver": fit.metadata["solver"],
-                "ridge_jitter": fit.metadata["ridge_jitter"],
-                "seeds": {"master_seed": cfg.master_seed},
-                "bands": cfg.replications > 0,
-                **health,
-            },
-            written,
-        )
+        run = PipelineRun(cfg, load_returns_panel(cfg), written)
+        for stage in STAGES[command]:
+            code = stage(run)
+            if code != EXIT_OK:
+                break
+        doc = {"tool": "mkteff", "version": __version__, "command": command, "config": cfg.echo()}
+        run.write("manifest.json", _json_text({**doc, **run.manifest}))
     except MktEffError:
         for f in written:  # no partial outputs on failure
             try:
@@ -435,7 +454,7 @@ def _cmd_efficiency(cfg: PipelineConfig) -> int:
             except OSError:
                 pass
         raise
-    return EXIT_OK
+    return code
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -444,11 +463,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = args.output_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
     panel, truth = simulate(spec)
-    written: list = []
     lines = ["date," + ",".join(panel.asset_ids)]
     for i, d in enumerate(panel.dates):
         lines.append(d.isoformat() + "," + ",".join(repr(float(v)) for v in panel.values[i]))
-    _write(os.path.join(out_dir, "panel.csv"), "\n".join(lines) + "\n", written)
+    _write(os.path.join(out_dir, "panel.csv"), "\n".join(lines) + "\n")
 
     q, n = spec.q, spec.n
     coef_names = [f"a{l + 1}_{i}_{j}" for l in range(q) for i in range(n) for j in range(n)]
@@ -458,7 +476,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         zcell = repr(float(z)) if np.isfinite(z) else ""
         flat = truth.A_path[t].ravel()
         lines.append(d.isoformat() + f",{zcell}," + ",".join(repr(float(v)) for v in flat))
-    _write(os.path.join(out_dir, "truth.csv"), "\n".join(lines) + "\n", written)
+    _write(os.path.join(out_dir, "truth.csv"), "\n".join(lines) + "\n")
 
     manifest = {
         "tool": "mkteff",
@@ -467,7 +485,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "spec": doc,
         "seeds": {"seed": spec.seed},
     }
-    _write(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n", written)
+    _write(os.path.join(out_dir, "manifest.json"), _json_text(manifest))
     return EXIT_OK
 
 
@@ -482,7 +500,6 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--q", dest="q", type=int)
     sp.add_argument("--lambda", dest="lam", type=float, help="smoothing ratio")
     sp.add_argument("--lambda-mode", dest="lambda_mode", choices=["fixed", "two-pass"])
-    sp.add_argument("--solver", dest="solver", choices=["banded-cholesky", "dense-reference"])
     sp.add_argument("--replications", dest="replications", type=int)
     sp.add_argument("--coverage", dest="coverage", type=float)
     sp.add_argument("--master-seed", dest="master_seed", type=int)
@@ -504,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("describe", "summary statistics and unit-root gate"),
         ("var", "constant VAR report: order selection, causality, constancy"),
         ("efficiency", "time-varying fit, degree path, bootstrap bands, plot"),
-        ("all", "describe + var + efficiency"),
+        ("all", "describe + var + efficiency in one pass, one manifest"),
     ):
         sp = sub.add_parser(name, help=help_text)
         _add_pipeline_flags(sp)
@@ -522,20 +539,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_simulate(args)
         doc = _load_json(args.config) if args.config else {}
         cfg = build_config(doc, args)
-        if args.command == "describe":
-            return _cmd_describe(cfg)
-        if args.command == "var":
-            return _cmd_var(cfg)
-        if args.command == "efficiency":
-            return _cmd_efficiency(cfg)
-        # all
-        code = _cmd_describe(cfg)
-        if code != EXIT_OK:
-            return code
-        code = _cmd_var(cfg)
-        if code != EXIT_OK:
-            return code
-        return _cmd_efficiency(cfg)
+        return run_pipeline(cfg, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

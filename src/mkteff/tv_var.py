@@ -15,20 +15,17 @@ With a scalar observation covariance the problem separates by equation: each
 equation shares the same banded normal-equation matrix (block tridiagonal in
 time, bandwidth n*q) plus a one-column border for its intercept. The banded
 solver factors that matrix once with a banded Cholesky and eliminates the
-border by a Schur complement, giving O(T) solve time. A dense solver that
-materializes the full stacked design and calls lstsq is kept as a reference
-oracle.
+border by a Schur complement, giving O(T) solve time. The test suite checks
+it against a dense lstsq solve of the full stacked design (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import date
 from typing import IO, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import ConfigError, DataError, NumericalError
@@ -37,9 +34,7 @@ from .market_data import AlignedPanel
 __all__ = [
     "TvVarConfig",
     "TvVarEstimate",
-    "StackedSystem",
     "SmoothingPoint",
-    "build_stacked_system",
     "fit_tv_var",
     "fit_smooth_coefficients",
     "smoothing_profile",
@@ -51,7 +46,6 @@ _RIDGE_JITTER = 1e-10
 _LAMBDA_FLOOR, _LAMBDA_CAP = 1e-8, 1e12
 
 SOLVER_BANDED = "banded-cholesky"
-SOLVER_DENSE = "dense-reference"
 
 
 @dataclass(frozen=True)
@@ -68,8 +62,6 @@ class TvVarConfig:
     q: int = 1
     lam: float = 1.0
     lambda_mode: str = "fixed"  # "fixed" or "two-pass"
-    intercept_mode: str = "fixed"
-    solver: str = SOLVER_BANDED
 
     def __post_init__(self):
         if self.q < 1:
@@ -78,10 +70,6 @@ class TvVarConfig:
             raise ConfigError("lam must be positive")
         if self.lambda_mode not in ("fixed", "two-pass"):
             raise ConfigError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if self.intercept_mode != "fixed":
-            raise ConfigError("only the fixed-over-time intercept is supported")
-        if self.solver not in (SOLVER_BANDED, SOLVER_DENSE):
-            raise ConfigError(f"unknown solver {self.solver!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,27 +95,6 @@ class TvVarEstimate:
     @property
     def n_assets(self) -> int:
         return len(self.asset_ids)
-
-
-@dataclass(frozen=True, eq=False)
-class StackedSystem:
-    """Sparse design of the stacked observation-plus-smoothness regression.
-
-    Column layout: the n intercepts first, then per period s, per equation i,
-    the n*q lag coefficients (lag-major, then source asset). Observation rows
-    come first (period-major, equation-minor), then the scaled smoothness rows.
-    """
-
-    design: sp.csr_matrix
-    rhs: np.ndarray
-    n_obs_rows: int
-    n_smooth_rows: int
-    n_unknowns: int
-    n_intercepts: int
-    lam: float
-    n: int
-    q: int
-    periods: int
 
 
 @dataclass(frozen=True)
@@ -244,85 +211,11 @@ def fit_smooth_coefficients(
     return 0.0, a.reshape(S, m)
 
 
-def build_stacked_system(panel: AlignedPanel, config: TvVarConfig) -> StackedSystem:
-    """Materialize the full sparse design: observation rows plus sqrt(lam)-scaled
-    smoothness rows, over the intercepts and every per-period coefficient."""
-    _check_panel(panel, config.q)
-    values = panel.values
-    T, n = values.shape
-    q = config.q
-    Y, Z = _lagged_design(values, q)
-    S = Y.shape[0]
-    m = n * q
-    n_obs = S * n
-    n_smooth = m * n * (S - 1)
-    ncols = n + S * n * m
-    sq = math.sqrt(config.lam)
-
-    # observation rows: row (s, i) has 1 in the intercept column i and Z[s]
-    # in that equation's coefficient block
-    obs_rows = np.arange(n_obs)
-    s_idx = obs_rows // n
-    i_idx = obs_rows % n
-    icols = i_idx
-    base = n + s_idx * n * m + i_idx * m
-    ccols = base[:, None] + np.arange(m)[None, :]
-    rows = np.concatenate([obs_rows, np.repeat(obs_rows, m)])
-    cols = np.concatenate([icols, ccols.ravel()])
-    vals = np.concatenate([np.ones(n_obs), Z[s_idx].ravel()])
-
-    # smoothness rows: +sqrt(lam) on period s, -sqrt(lam) on period s-1
-    if S > 1:
-        k = n * m
-        sm_rows = n_obs + np.arange(n_smooth)
-        s_sm = np.repeat(np.arange(1, S), k)
-        k_sm = np.tile(np.arange(k), S - 1)
-        cur = n + s_sm * k + k_sm
-        prev = cur - k
-        rows = np.concatenate([rows, sm_rows, sm_rows])
-        cols = np.concatenate([cols, cur, prev])
-        vals = np.concatenate([vals, np.full(n_smooth, sq), np.full(n_smooth, -sq)])
-
-    design = sp.csr_matrix((vals, (rows, cols)), shape=(n_obs + n_smooth, ncols))
-    rhs = np.concatenate([Y.ravel(), np.zeros(n_smooth)])
-    return StackedSystem(
-        design=design,
-        rhs=rhs,
-        n_obs_rows=n_obs,
-        n_smooth_rows=n_smooth,
-        n_unknowns=ncols,
-        n_intercepts=n,
-        lam=config.lam,
-        n=n,
-        q=q,
-        periods=S,
-    )
-
-
 def _check_panel(panel: AlignedPanel, q: int) -> None:
     if panel.kind != "returns":
         raise DataError("time-varying fit expects a returns panel")
     if panel.n_periods - q < 3:
         raise DataError(f"need at least q + 3 = {q + 3} rows, got {panel.n_periods}")
-
-
-def _solve_dense(panel: AlignedPanel, config: TvVarConfig, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    cfg = TvVarConfig(
-        q=config.q, lam=lam, lambda_mode="fixed",
-        intercept_mode=config.intercept_mode, solver=config.solver,
-    )
-    system = build_stacked_system(panel, cfg)
-    cells = system.design.shape[0] * system.design.shape[1]
-    if cells > 50_000_000:  # the reference solver materializes the full design
-        raise ConfigError(
-            "dense-reference solver is an oracle for small instances; "
-            "use banded-cholesky at this size"
-        )
-    sol, _, _, _ = np.linalg.lstsq(system.design.toarray(), system.rhs, rcond=None)
-    n, q, S = system.n, system.q, system.periods
-    nu = sol[: n]
-    paths = sol[n:].reshape(S, n, n * q)
-    return nu, paths
 
 
 def _paths_to_A(paths: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -344,7 +237,7 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
     panel : AlignedPanel
         Returns panel with at least q + 3 rows.
     config : TvVarConfig
-        Lag order, smoothing ratio, solver choice.
+        Lag order and smoothing ratio.
 
     Returns
     -------
@@ -359,14 +252,8 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
     q = config.q
     Y, Z = _lagged_design(values, q)
 
-    def solve(lam: float) -> tuple[np.ndarray, np.ndarray, float]:
-        if config.solver == SOLVER_BANDED:
-            return _solve_equations(Y, Z, lam)
-        nu, paths = _solve_dense(panel, config, lam)
-        return nu, paths, 0.0
-
     lam_eff = config.lam
-    nu, paths, jitter = solve(lam_eff)
+    nu, paths, jitter = _solve_equations(Y, Z, lam_eff)
     if config.lambda_mode == "two-pass":
         resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
         sigma_e2 = float((resid**2).mean())
@@ -376,7 +263,7 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
             lam_eff = min(max(sigma_e2 / sigma_v2, _LAMBDA_FLOOR), _LAMBDA_CAP)
         else:
             lam_eff = _LAMBDA_CAP
-        nu, paths, jitter = solve(lam_eff)
+        nu, paths, jitter = _solve_equations(Y, Z, lam_eff)
 
     resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
     return TvVarEstimate(
@@ -389,7 +276,7 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
         effective_obs=Y.shape[0],
         lambda_effective=lam_eff,
         metadata={
-            "solver": config.solver,
+            "solver": SOLVER_BANDED,
             "lambda_mode": config.lambda_mode,
             "lambda_effective": lam_eff,
             "ridge_jitter": jitter,

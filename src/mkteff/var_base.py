@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import fdtrc
 
 from .errors import DataError, NumericalError
 from .market_data import AlignedPanel
@@ -27,7 +27,6 @@ __all__ = [
     "select_lag_bic",
     "newey_west_cov",
     "granger_causality",
-    "granger_causality_pairwise",
     "hansen_lc",
 ]
 
@@ -156,32 +155,19 @@ def _auto_bandwidth(T: int) -> int:
     return int(math.floor(4.0 * (T / 100.0) ** (2.0 / 9.0)))
 
 
-def fit_var_ols(panel: AlignedPanel, p: int, sample_start: int | None = None) -> VarEstimate:
-    """Fit a VAR(p) with intercepts by per-equation OLS.
+def _ols(
+    values: np.ndarray, p: int, start: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """OLS core shared by the fit and order selection.
 
-    Parameters
-    ----------
-    panel : AlignedPanel
-        Returns panel, T x n.
-    p : int
-        Lag order, at least 1.
-    sample_start : int, optional
-        First target row. Defaults to ``p``; order selection passes the common
-        ``p_max`` so candidate fits share a sample.
-
-    Returns
-    -------
-    VarEstimate
-        With residuals, ML residual covariance, BIC, adjusted R-squared, and
-        HAC standard errors at the automatic bandwidth.
+    Returns targets, regressors, coefficients, residuals, the ML residual
+    covariance and BIC, for targets starting at row ``start``.
     """
     if p < 1:
         raise DataError("lag order must be at least 1")
-    values = panel.values
-    T, n = values.shape
-    start = p if sample_start is None else sample_start
     if start < p:
         raise DataError("sample_start cannot be smaller than p")
+    T, n = values.shape
     k = 1 + n * p
     if T - start <= k:
         raise DataError(f"too few rows: need more than {k + start}, got {T}")
@@ -194,6 +180,32 @@ def fit_var_ols(panel: AlignedPanel, p: int, sample_start: int | None = None) ->
     sigma = resid.T @ resid / teff
     sign, logdet = np.linalg.slogdet(sigma)
     bic = (logdet if sign > 0 else -np.inf) + (n * k) * math.log(teff) / teff
+    return Y, X, beta, resid, sigma, float(bic)
+
+
+def fit_var_ols(panel: AlignedPanel, p: int, sample_start: int | None = None) -> VarEstimate:
+    """Fit a VAR(p) with intercepts by per-equation OLS.
+
+    Parameters
+    ----------
+    panel : AlignedPanel
+        Returns panel, T x n.
+    p : int
+        Lag order, at least 1.
+    sample_start : int, optional
+        First target row. Defaults to ``p``; order selection uses the common
+        ``p_max`` so candidate fits share a sample.
+
+    Returns
+    -------
+    VarEstimate
+        With residuals, ML residual covariance, BIC, adjusted R-squared, and
+        HAC standard errors at the automatic bandwidth.
+    """
+    start = p if sample_start is None else sample_start
+    Y, X, beta, resid, sigma, bic = _ols(panel.values, p, start)
+    teff, k = X.shape
+    n = panel.n_assets
     tss = ((Y - Y.mean(axis=0)) ** 2).sum(axis=0)
     rss = (resid**2).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -211,7 +223,7 @@ def fit_var_ols(panel: AlignedPanel, p: int, sample_start: int | None = None) ->
         regressors=X,
         sigma=sigma,
         robust_se=robust_se,
-        bic=float(bic),
+        bic=bic,
         adj_r2=np.asarray(adj_r2, dtype=float),
         nobs=teff,
     )
@@ -223,9 +235,9 @@ def select_lag_bic(panel: AlignedPanel, p_max: int) -> int:
         raise DataError("p_max must be at least 1")
     best_p, best_bic = 1, np.inf
     for p in range(1, p_max + 1):
-        est = fit_var_ols(panel, p, sample_start=p_max)
-        if est.bic < best_bic:
-            best_p, best_bic = p, est.bic
+        bic = _ols(panel.values, p, p_max)[5]
+        if bic < best_bic:
+            best_p, best_bic = p, bic
     return best_p
 
 
@@ -267,16 +279,14 @@ def granger_causality(
     panel: AlignedPanel,
     p: int,
     source,
-    method: str = "rss",
     estimate: VarEstimate | None = None,
 ) -> GrangerResult:
     """Test whether the source asset's lags predict all other equations jointly.
 
     The unrestricted model stacks the n OLS equations into one block-diagonal
     system; the restriction zeroes the source's lag coefficients in every other
-    equation (p*(n-1) restrictions). ``method="rss"`` computes the classical
-    F from restricted/unrestricted residual sums; ``method="wald"`` computes
-    the algebraically identical restriction-matrix form, kept as a cross-check.
+    equation (p*(n-1) restrictions). The classical F comes from the restricted
+    and unrestricted residual sums.
     """
     est = estimate if estimate is not None else fit_var_ols(panel, p)
     n = est.n_assets
@@ -285,63 +295,23 @@ def granger_causality(
     src_cols = [1 + l * n + src for l in range(p)]
     others = [i for i in range(n) if i != src]
     r = p * (n - 1)
-    teff = est.nobs
-    df_den = n * teff - n * k
+    df_den = n * est.nobs - n * k
     Y = est.regressors @ est.coefficients + est.residuals
-    X = est.regressors
     rss_u = float((est.residuals**2).sum())
-    if method == "rss":
-        rss_r = _stacked_rss(Y, X, {i: src_cols for i in others})
-        f_stat = ((rss_r - rss_u) / r) / (rss_u / df_den)
-    elif method == "wald":
-        s2 = rss_u / df_den
-        xtx_inv = np.linalg.inv(X.T @ X)
-        sub = xtx_inv[np.ix_(src_cols, src_cols)]
-        wald = 0.0
-        for i in others:
-            b = est.coefficients[src_cols, i]
-            wald += float(b @ np.linalg.solve(sub, b)) / s2
-        f_stat = wald / r
-    else:
-        raise DataError(f"unknown method {method!r}")
+    rss_r = _stacked_rss(Y, est.regressors, {i: src_cols for i in others})
+    f_stat = ((rss_r - rss_u) / r) / (rss_u / df_den)
     return GrangerResult(
         source_asset=panel.asset_ids[src],
         f_statistic=float(f_stat),
         df_num=r,
         df_den=df_den,
-        p_value=float(stats.f.sf(f_stat, r, df_den)),
+        p_value=_f_pvalue(f_stat, r, df_den),
     )
 
 
-def granger_causality_pairwise(
-    panel: AlignedPanel,
-    p: int,
-    source,
-    target,
-    estimate: VarEstimate | None = None,
-) -> GrangerResult:
-    """Single-equation variant: source lags tested in one target equation only."""
-    est = estimate if estimate is not None else fit_var_ols(panel, p)
-    n = est.n_assets
-    src = _source_index(panel, source)
-    tgt = _source_index(panel, target)
-    if src == tgt:
-        raise DataError("source and target must differ")
-    src_cols = [1 + l * n + src for l in range(p)]
-    Y = est.regressors @ est.coefficients + est.residuals
-    X = est.regressors
-    k = X.shape[1]
-    rss_u = float((est.residuals[:, tgt] ** 2).sum())
-    rss_r = _stacked_rss(Y[:, [tgt]], X, {0: src_cols})
-    df_den = est.nobs - k
-    f_stat = ((rss_r - rss_u) / p) / (rss_u / df_den)
-    return GrangerResult(
-        source_asset=panel.asset_ids[src],
-        f_statistic=float(f_stat),
-        df_num=p,
-        df_den=df_den,
-        p_value=float(stats.f.sf(f_stat, p, df_den)),
-    )
+def _f_pvalue(f_stat: float, df_num: int, df_den: int) -> float:
+    """Upper tail of the F(df_num, df_den) law; 1 for a negative statistic."""
+    return float(fdtrc(df_num, df_den, max(f_stat, 0.0)))
 
 
 def hansen_lc(panel: AlignedPanel, p: int, estimate: VarEstimate | None = None) -> HansenLcResult:

@@ -1,0 +1,136 @@
+"""Independent reference computations the test suite checks the package against.
+
+None of these run in the pipeline. The dense time-varying solver materializes
+the full stacked design and calls lstsq (the banded Cholesky must agree with
+it); the Wald form of the Granger F is the restriction-matrix counterpart of
+the package's residual-sum form; the pairwise Granger test restricts a single
+target equation.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
+from scipy import stats
+
+from mkteff.errors import DataError
+from mkteff.market_data import AlignedPanel
+from mkteff.tv_var import _check_panel, _lagged_design, _paths_to_A
+from mkteff.var_base import GrangerResult, VarEstimate, _source_index, _stacked_rss, fit_var_ols
+
+
+@dataclass(frozen=True, eq=False)
+class StackedSystem:
+    """Sparse design of the stacked observation-plus-smoothness regression.
+
+    Column layout: the n intercepts first, then per period s, per equation i,
+    the n*q lag coefficients (lag-major, then source asset). Observation rows
+    come first (period-major, equation-minor), then the scaled smoothness rows.
+    """
+
+    design: sp.csr_matrix
+    rhs: np.ndarray
+    n_obs_rows: int
+    n_smooth_rows: int
+    n_unknowns: int
+    n_intercepts: int
+    lam: float
+    n: int
+    q: int
+    periods: int
+
+
+def build_stacked_system(panel: AlignedPanel, q: int, lam: float) -> StackedSystem:
+    """Materialize the full sparse design: observation rows plus sqrt(lam)-scaled
+    smoothness rows, over the intercepts and every per-period coefficient."""
+    _check_panel(panel, q)
+    n = panel.n_assets
+    Y, Z = _lagged_design(panel.values, q)
+    S = Y.shape[0]
+    m = n * q
+    n_obs = S * n
+    n_smooth = m * n * (S - 1)
+    ncols = n + S * n * m
+    sq = math.sqrt(lam)
+
+    # observation rows: row (s, i) has 1 in the intercept column i and Z[s]
+    # in that equation's coefficient block
+    obs_rows = np.arange(n_obs)
+    s_idx = obs_rows // n
+    i_idx = obs_rows % n
+    base = n + s_idx * n * m + i_idx * m
+    ccols = base[:, None] + np.arange(m)[None, :]
+    rows = np.concatenate([obs_rows, np.repeat(obs_rows, m)])
+    cols = np.concatenate([i_idx, ccols.ravel()])
+    vals = np.concatenate([np.ones(n_obs), Z[s_idx].ravel()])
+
+    # smoothness rows: +sqrt(lam) on period s, -sqrt(lam) on period s-1
+    if S > 1:
+        k = n * m
+        sm_rows = n_obs + np.arange(n_smooth)
+        cur = n + np.repeat(np.arange(1, S), k) * k + np.tile(np.arange(k), S - 1)
+        rows = np.concatenate([rows, sm_rows, sm_rows])
+        cols = np.concatenate([cols, cur, cur - k])
+        vals = np.concatenate([vals, np.full(n_smooth, sq), np.full(n_smooth, -sq)])
+
+    design = sp.csr_matrix((vals, (rows, cols)), shape=(n_obs + n_smooth, ncols))
+    rhs = np.concatenate([Y.ravel(), np.zeros(n_smooth)])
+    return StackedSystem(
+        design=design, rhs=rhs, n_obs_rows=n_obs, n_smooth_rows=n_smooth,
+        n_unknowns=ncols, n_intercepts=n, lam=lam, n=n, q=q, periods=S,
+    )
+
+
+def solve_dense(panel: AlignedPanel, q: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts (n,) and lag matrices (S, q, n, n) from a dense lstsq solve."""
+    system = build_stacked_system(panel, q, lam)
+    sol = np.linalg.lstsq(system.design.toarray(), system.rhs, rcond=None)[0]
+    n, S = system.n, system.periods
+    return sol[:n], _paths_to_A(sol[n:].reshape(S, n, n * q), n, q)
+
+
+def granger_wald_f(panel: AlignedPanel, p: int, source, estimate: VarEstimate | None = None) -> float:
+    """Restriction-matrix form of ``granger_causality``'s F statistic."""
+    est = estimate if estimate is not None else fit_var_ols(panel, p)
+    n = est.n_assets
+    k = est.coefficients.shape[0]
+    src = _source_index(panel, source)
+    src_cols = [1 + l * n + src for l in range(p)]
+    s2 = float((est.residuals**2).sum()) / (n * est.nobs - n * k)
+    X = est.regressors
+    sub = np.linalg.inv(X.T @ X)[np.ix_(src_cols, src_cols)]
+    wald = 0.0
+    for i in range(n):
+        if i != src:
+            b = est.coefficients[src_cols, i]
+            wald += float(b @ np.linalg.solve(sub, b)) / s2
+    return wald / (p * (n - 1))
+
+
+def granger_causality_pairwise(
+    panel: AlignedPanel, p: int, source, target, estimate: VarEstimate | None = None
+) -> GrangerResult:
+    """Single-equation variant: source lags tested in one target equation only."""
+    est = estimate if estimate is not None else fit_var_ols(panel, p)
+    n = est.n_assets
+    src = _source_index(panel, source)
+    tgt = _source_index(panel, target)
+    if src == tgt:
+        raise DataError("source and target must differ")
+    src_cols = [1 + l * n + src for l in range(p)]
+    Y = est.regressors @ est.coefficients + est.residuals
+    k = est.regressors.shape[1]
+    rss_u = float((est.residuals[:, tgt] ** 2).sum())
+    rss_r = _stacked_rss(Y[:, [tgt]], est.regressors, {0: src_cols})
+    df_den = est.nobs - k
+    f_stat = ((rss_r - rss_u) / p) / (rss_u / df_den)
+    return GrangerResult(
+        source_asset=panel.asset_ids[src],
+        f_statistic=float(f_stat),
+        df_num=p,
+        df_den=df_den,
+        p_value=float(stats.f.sf(f_stat, p, df_den)),
+    )

@@ -140,8 +140,6 @@ class TestBands:
         with pytest.raises(ConfigError):
             BootstrapConfig(coverage=1.2)
         with pytest.raises(ConfigError):
-            BootstrapConfig(resample_mode="block")
-        with pytest.raises(ConfigError):
             BootstrapConfig(replications=-1)
 
 

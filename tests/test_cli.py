@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -234,3 +237,90 @@ class TestErrors:
         out = tmp_path / "out"
         for name in ("summary.txt", "var_report.txt", "efficiency.csv", "efficiency.svg"):
             assert (out / name).exists()
+
+    def test_solver_accepts_only_banded(self, tmp_path, market_files, capsys):
+        cfg = config_file(tmp_path, market_files, tv={"q": 1, "solver": "banded-cholesky"})
+        assert main(["efficiency", "--config", cfg]) == EXIT_OK
+        cfg = config_file(tmp_path, market_files, tv={"q": 1, "solver": "dense-reference"})
+        assert main(["efficiency", "--config", cfg]) == EXIT_CONFIG
+        assert "test oracle" in capsys.readouterr().err
+
+
+class TestAll:
+    def test_import_loads_no_heavy_scipy_modules(self):
+        import mkteff
+
+        src = os.path.dirname(os.path.dirname(mkteff.__file__))
+        code = (
+            "import sys, mkteff.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'sparse'], ['scipy', 'optimize'])))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_loads_and_selects_once(self, tmp_path, market_files, monkeypatch):
+        import mkteff.cli as cli_mod
+
+        calls = {"load_returns_panel": 0, "select_lag_bic": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(cli_mod, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli_mod, name, counted)
+        cfg = config_file(tmp_path, market_files, tv={"q": None, "lambda": 1.0})
+        assert main(["all", "--config", cfg]) == EXIT_OK
+        assert calls == {"load_returns_panel": 1, "select_lag_bic": 1}
+
+    def test_same_bytes_as_the_three_stages(self, tmp_path, market_files):
+        tv = {"q": None, "lambda": 1.0}
+        bootstrap = {"replications": 100, "master_seed": 5}
+        one = config_file(tmp_path, market_files, tv=tv, bootstrap=bootstrap, output_dir=str(tmp_path / "one"))
+        assert main(["all", "--config", one]) == EXIT_OK
+        three = config_file(tmp_path, market_files, tv=tv, bootstrap=bootstrap, output_dir=str(tmp_path / "three"))
+        for command in ("describe", "var", "efficiency"):
+            assert main([command, "--config", three]) == EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "three").iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes(), name
+        manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
+        report = json.loads((tmp_path / "one" / "var_report.json").read_text())
+        assert manifest["command"] == "all"
+        assert manifest["n_obs"] == 160
+        assert manifest["selected_var_order"] == report["selected_p"] == manifest["tv_order"]
+        assert manifest["bands"] is True and "bootstrap_flagged_cells" in manifest
+
+    def test_plot_failure_leaves_no_outputs(self, tmp_path, market_files, monkeypatch):
+        import mkteff.cli as cli_mod
+        from mkteff.errors import NumericalError
+
+        def boom(*args, **kwargs):
+            raise NumericalError("plot stage failure")
+
+        monkeypatch.setattr(cli_mod, "render_line_plot", boom)
+        cfg = config_file(tmp_path, market_files, bootstrap={"replications": 100, "master_seed": 1})
+        assert main(["all", "--config", cfg, "--dump-replications", "--export-coefficients"]) == 4
+        out = tmp_path / "out"
+        left = [p.name for p in out.rglob("*") if p.is_file()]
+        assert left == []
+
+    def test_stationarity_gate_stops_after_describe(self, tmp_path):
+        rng = np.random.default_rng(5)
+        steps = np.cumsum(rng.normal(0, 0.002, 200))
+        files = []
+        for name in ("one", "two"):
+            p = tmp_path / f"{name}.csv"
+            write_price_csv(p, 50.0, steps)
+            files.append((str(p), name))
+        cfg = config_file(tmp_path, files)
+        assert main(["all", "--config", cfg]) == EXIT_DATA
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "summary.csv", "summary.json", "summary.txt",
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "all" and manifest["n_obs"] == 200

@@ -5,7 +5,6 @@ import pytest
 
 from mkteff import (
     TvVarConfig,
-    build_stacked_system,
     export_coefficient_paths,
     fit_smooth_coefficients,
     fit_tv_var,
@@ -16,13 +15,14 @@ from mkteff import (
 from mkteff.errors import ConfigError, DataError
 
 from conftest import make_panel
+from oracles import build_stacked_system, solve_dense
 from test_var_base import simulate_var
 
 
 class TestStackedSystem:
     def test_dimensions_at_scale(self, rng):
         panel = make_panel(rng.standard_normal((1685, 3)))
-        system = build_stacked_system(panel, TvVarConfig(q=1))
+        system = build_stacked_system(panel, 1, 1.0)
         assert system.n_unknowns - system.n_intercepts == 15_156
         assert system.n_intercepts == 3
         assert system.n_obs_rows == 5_052
@@ -31,7 +31,7 @@ class TestStackedSystem:
 
     def test_smallest_case_by_hand(self, rng):
         panel = make_panel(rng.standard_normal((4, 1)))
-        system = build_stacked_system(panel, TvVarConfig(q=1))
+        system = build_stacked_system(panel, 1, 1.0)
         assert system.n_unknowns == 1 + 3
         assert system.n_obs_rows == 3
         assert system.n_smooth_rows == 2
@@ -39,7 +39,7 @@ class TestStackedSystem:
     def test_rhs_layout(self, rng):
         values = rng.standard_normal((6, 2))
         panel = make_panel(values)
-        system = build_stacked_system(panel, TvVarConfig(q=1))
+        system = build_stacked_system(panel, 1, 1.0)
         np.testing.assert_array_equal(system.rhs[: system.n_obs_rows], values[1:].ravel())
         assert np.all(system.rhs[system.n_obs_rows :] == 0.0)
 
@@ -74,9 +74,9 @@ class TestFit:
             lam = float(10 ** rng.uniform(-1, 1))
             panel = make_panel(rng.standard_normal((T, n)))
             banded = fit_tv_var(panel, TvVarConfig(q=q, lam=lam))
-            dense = fit_tv_var(panel, TvVarConfig(q=q, lam=lam, solver="dense-reference"))
-            np.testing.assert_allclose(banded.A_path, dense.A_path, atol=1e-8)
-            np.testing.assert_allclose(banded.nu, dense.nu, atol=1e-8)
+            dense_nu, dense_A = solve_dense(panel, q, lam)
+            np.testing.assert_allclose(banded.A_path, dense_A, atol=1e-8)
+            np.testing.assert_allclose(banded.nu, dense_nu, atol=1e-8)
 
     def test_constant_coefficient_recovery(self):
         # returns-scale data; at this scale the default smoothing is strong
@@ -158,10 +158,6 @@ class TestConfig:
             TvVarConfig(lam=0.0)
         with pytest.raises(ConfigError):
             TvVarConfig(lambda_mode="adaptive")
-        with pytest.raises(ConfigError):
-            TvVarConfig(solver="gpu")
-        with pytest.raises(ConfigError):
-            TvVarConfig(intercept_mode="drifting")
 
 
 class TestSmoothingProfile:

@@ -4,15 +4,15 @@ import pytest
 from mkteff import (
     fit_var_ols,
     granger_causality,
-    granger_causality_pairwise,
     hansen_lc,
     newey_west_cov,
     select_lag_bic,
 )
 from mkteff.errors import DataError
-from mkteff.var_base import HANSEN_LC_CRITICAL, _auto_bandwidth
+from mkteff.var_base import HANSEN_LC_CRITICAL, _auto_bandwidth, _f_pvalue
 
 from conftest import make_panel
+from oracles import granger_causality_pairwise, granger_wald_f
 
 
 def simulate_var(rng, A, T, sd=1.0, nu=None, burn=200):
@@ -108,6 +108,15 @@ class TestLagSelection:
             votes += select_lag_bic(panel, 4) == 2
         assert votes >= 12
 
+    def test_equals_argmin_of_full_fits(self, rng):
+        A = np.zeros((2, 3, 3))
+        A[0] = 0.2 * np.eye(3)
+        A[1] = 0.3 * np.eye(3)
+        for panel in (simulate_var(rng, A, 300), simulate_var(rng, np.zeros((3, 3)), 300)):
+            p_max = 5
+            bics = [fit_var_ols(panel, p, sample_start=p_max).bic for p in range(1, p_max + 1)]
+            assert select_lag_bic(panel, p_max) == 1 + int(np.argmin(bics))
+
     def test_invalid_p_max(self):
         with pytest.raises(DataError):
             select_lag_bic(make_panel(np.ones((50, 2))), 0)
@@ -154,9 +163,9 @@ class TestGranger:
             rng = np.random.default_rng(seed)
             panel = simulate_var(rng, 0.2 * np.eye(3), 180)
             for src in range(3):
-                f_rss = granger_causality(panel, 1, src, method="rss")
-                f_wald = granger_causality(panel, 1, src, method="wald")
-                assert f_rss.f_statistic == pytest.approx(f_wald.f_statistic, abs=1e-8)
+                f_rss = granger_causality(panel, 1, src)
+                f_wald = granger_wald_f(panel, 1, src)
+                assert f_rss.f_statistic == pytest.approx(f_wald, abs=1e-8)
 
     def test_detects_feedback(self):
         rng = np.random.default_rng(3)
@@ -167,6 +176,18 @@ class TestGranger:
         assert res.df_num == 1
         quiet = granger_causality(panel, 1, 1)
         assert quiet.p_value > res.p_value
+
+    def test_p_value_is_the_f_upper_tail(self, rng):
+        from scipy import stats
+
+        panel = simulate_var(rng, 0.2 * np.eye(3), 200)
+        for p in (1, 2):
+            for src in range(3):
+                res = granger_causality(panel, p, src)
+                assert res.p_value == stats.f.sf(res.f_statistic, res.df_num, res.df_den)
+        for f in (-1e-12, -3.0, 0.0, 0.7, 40.0):
+            assert _f_pvalue(f, 2, 150) == stats.f.sf(f, 2, 150)
+        assert _f_pvalue(-1e-12, 2, 150) == 1.0
 
     def test_source_by_label(self, rng):
         panel = simulate_var(rng, 0.1 * np.eye(2), 200)
