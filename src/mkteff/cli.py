@@ -377,6 +377,11 @@ def _var_stage(run: PipelineRun) -> int:
     return EXIT_OK
 
 
+def _dump_dir(cfg: PipelineConfig) -> str:
+    """Directory of the ``--dump-replications`` chunks."""
+    return os.path.join(cfg.output_dir, "replications")
+
+
 def _efficiency_stage(run: PipelineRun) -> int:
     cfg, returns = run.cfg, run.returns
     q = cfg.tv_q
@@ -405,7 +410,7 @@ def _efficiency_stage(run: PipelineRun) -> int:
             ),
             estimate=fit,
             n_jobs=cfg.n_jobs,
-            dump_dir=os.path.join(cfg.output_dir, "replications") if cfg.dump_replications else None,
+            dump_dir=_dump_dir(cfg) if cfg.dump_replications else None,
         )
         run.written.extend(bands.dump_files)
         path = path.with_bands(bands.lower, bands.upper)
@@ -434,9 +439,11 @@ def run_pipeline(cfg: PipelineConfig, command: str) -> int:
 
     A failed stationarity gate ends the run after the describe stage with
     ``EXIT_DATA``, its summary and the manifest left in place. On a
-    ``MktEffError`` every file the run wrote is removed before it propagates.
+    ``MktEffError`` every file the run wrote, and the dump directory if the run
+    made it, is removed before it propagates.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
+    dump_dir_existed = os.path.isdir(_dump_dir(cfg))
     written: list = []
     code = EXIT_OK
     try:
@@ -452,6 +459,11 @@ def run_pipeline(cfg: PipelineConfig, command: str) -> int:
             try:
                 os.unlink(f)
             except OSError:
+                pass
+        if not dump_dir_existed:
+            try:
+                os.rmdir(_dump_dir(cfg))
+            except OSError:  # never made, or not empty
                 pass
         raise
     return code

@@ -82,18 +82,26 @@ class EfficiencyPath:
                 fh.close()
 
 
-def _guarded_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a stack (S, n, n), flagged where kappa_2 exceeds the limit or is undefined.
+# Frobenius bound up to which a block of order <= 3 keeps its cofactor inverse;
+# at this conditioning it agrees with LU to about 1e-14
+COFACTOR_BOUND = 1e2
+# 1 + r below this marks a near-double top eigenvalue, where the cubic's root is ill-conditioned
+DOUBLE_TOP_GAP = 1e-4
 
-    ||M||_F ||M^-1||_F lies in [kappa_2, n kappa_2], so only dates it puts over half the
-    limit (the half absorbs rounding in the inverse) get the exact ``np.linalg.cond``.
-    The inverses of flagged dates are void.
-    """
+
+def _frobenius_bound(M: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """||M||_F ||M^-1||_F per date: between kappa_2 and n kappa_2 (NaN or inf if phi is void)."""
+    return np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(phi, axis=(1, 2))
+
+
+def _lapack_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Batched LU inverses; only dates the Frobenius bound puts over half the limit
+    (the half absorbs rounding in the inverse) get the exact ``np.linalg.cond``."""
     try:
         phi = np.linalg.inv(M)
     except np.linalg.LinAlgError:  # an exactly singular date stops the batched LU
         phi = np.full(M.shape, np.nan)
-    exact = ~(np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(phi, axis=(1, 2)) <= 0.5 * condition_limit)
+    exact = ~(_frobenius_bound(M, phi) <= 0.5 * condition_limit)
     singular = exact & ~np.isfinite(M).all(axis=(1, 2))
     checked = exact & ~singular
     singular[checked] = ~(np.linalg.cond(M[checked]) <= condition_limit)
@@ -102,9 +110,85 @@ def _guarded_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray,
     return phi, singular
 
 
+def _cofactor_inverse(M: np.ndarray) -> np.ndarray:
+    """Adjugate over determinant of each block of a stack (S, n, n), n <= 3; void where det = 0."""
+    n = M.shape[-1]
+    m = M.transpose(1, 2, 0)  # m[i, j] is entry (i, j) across the stack
+    adj = np.empty(m.shape)  # adj[j, i] is the (i, j) cofactor; entry-major like m's view
+    if n == 1:
+        adj[0, 0] = 1.0
+    elif n == 2:
+        adj[0, 0], adj[0, 1], adj[1, 0], adj[1, 1] = m[1, 1], -m[0, 1], -m[1, 0], m[0, 0]
+    else:
+        for i in range(3):  # cyclic indices carry the cofactor sign
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                adj[j, i] = m[i1, j1] * m[i2, j2] - m[i1, j2] * m[i2, j1]
+    adj /= (m[0] * adj[:, 0]).sum(axis=0)  # determinant along the first row
+    return adj.transpose(2, 0, 1)
+
+
+def _guarded_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack (S, n, n), flagged where kappa_2 exceeds the limit or is undefined.
+
+    For n <= 3 dates whose Frobenius bound is at most ``COFACTOR_BOUND`` (or half a
+    smaller limit, so the screen never clears a date the guard would flag) keep the
+    cofactor inverse; every other date, and every date for n > 3, takes the LAPACK
+    route. The inverses of flagged dates are void.
+    """
+    if M.shape[-1] > 3:
+        return _lapack_inverse(M, condition_limit)
+    with np.errstate(all="ignore"):  # det = 0 and non-finite entries void the bound
+        phi = _cofactor_inverse(M)
+        rest = ~(_frobenius_bound(M, phi) <= min(COFACTOR_BOUND, 0.5 * condition_limit))
+    singular = np.zeros(M.shape[0], dtype=bool)
+    if rest.any():
+        phi[rest], singular[rest] = _lapack_inverse(M[rest], condition_limit)
+    return phi, singular
+
+
+def _top_eigenvalue_gram(D: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of D'D for each block of a stack (S, n, n), from LAPACK."""
+    return np.linalg.eigvalsh(np.swapaxes(D, -1, -2) @ D)[:, -1]
+
+
+def _top_eigenvalue_gram3(D: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of G = D'D for a stack (S, 3, 3), by Smith's trigonometric root
+    of the characteristic cubic: lam = q + 2p cos(arccos(r) / 3) with q = tr G / 3,
+    p^2 = ||G - qI||_F^2 / 6 and r = det(G - qI) / (2 p^3). Where the top two
+    eigenvalues nearly coincide (r near -1) the root is ill-conditioned; those
+    dates, and any whose r is undefined, go to ``np.linalg.eigvalsh``."""
+    d = D.transpose(1, 2, 0)
+    g = {(j, k): (d[:, j] * d[:, k]).sum(axis=0) for j in range(3) for k in range(j, 3)}
+    q = (g[0, 0] + g[1, 1] + g[2, 2]) / 3
+    b00, b11, b22 = g[0, 0] - q, g[1, 1] - q, g[2, 2] - q
+    b01, b02, b12 = g[0, 1], g[0, 2], g[1, 2]
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6)
+    det = b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(p > 0, det / (2 * p * p * p), 1.0)
+    r = np.clip(r, -1.0, 1.0)
+    lam = q + 2 * p * np.cos(np.arccos(r) / 3)
+    close = ~(1.0 + r >= DOUBLE_TOP_GAP)
+    if close.any():
+        lam[close] = _top_eigenvalue_gram(D[close])
+    return lam
+
+
 def _spectral_norm(D: np.ndarray) -> np.ndarray:
-    """Largest singular value of each D: the root of the top eigenvalue of D'D."""
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(np.swapaxes(D, -1, -2) @ D)[..., -1], 0.0))
+    """Largest singular value of each block of a stack (S, n, n).
+
+    Closed forms for n <= 3; for larger n the root of the top eigenvalue of D'D.
+    """
+    n = D.shape[-1]
+    if n == 1:
+        return np.abs(D[:, 0, 0])
+    if n == 2:
+        a, b, c, d = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
+        return 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+    lam = _top_eigenvalue_gram3(D) if n == 3 else _top_eigenvalue_gram(D)
+    return np.sqrt(np.maximum(lam, 0.0))
 
 
 def _degrees(M: np.ndarray, condition_limit: float = CONDITION_LIMIT) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +213,7 @@ def cumulative_multiplier(A: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
 
 def joint_degree(phi1: np.ndarray) -> float:
     """Deviation of the multiplier from identity: the spectral norm of phi1 - I."""
-    return float(_spectral_norm(np.asarray(phi1, dtype=float) - np.eye(len(phi1))))
+    return float(_spectral_norm(np.asarray(phi1, dtype=float)[None] - np.eye(len(phi1)))[0])
 
 
 def efficiency_path(estimate: TvVarEstimate, condition_limit: float = CONDITION_LIMIT) -> EfficiencyPath:

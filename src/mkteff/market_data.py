@@ -9,9 +9,10 @@ forward-filling would fabricate zero returns on non-trading days.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -208,26 +209,24 @@ class DescriptiveStats:
         return "\n".join(lines) + "\n"
 
 
-def _open_text(source) -> IO[str]:
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8")
-        return source
-    # Fall back to treating it as a path.
-    return open(source, "r", encoding="utf-8")
+@contextmanager
+def _text_stream(source) -> Iterator[IO[str]]:
+    """Text view of ``source``: a path is opened and closed here; a byte stream is
+    wrapped and detached afterwards, so the caller's stream stays open."""
+    if not hasattr(source, "read"):
+        with open(source, "r", encoding="utf-8") as fh:
+            yield fh
+    elif isinstance(source.read(0), bytes):
+        wrapper = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()
+    else:
+        yield source
 
 
-def load_price_series(source, asset_id: str, format_options: CsvFormat | None = None) -> PriceSeries:
-    """Parse one asset's (date, price) file into a validated PriceSeries.
-
-    ``source`` is a readable text or byte stream (or a path). The first line is
-    treated as a header and skipped. Malformed rows abort with their line number
-    unless ``format_options.skip_bad_rows`` is set; duplicate dates and
-    non-positive prices always abort.
-    """
-    fmt = format_options or CsvFormat()
-    stream = _open_text(source)
+def _parse_rows(stream: IO[str], asset_id: str, fmt: CsvFormat) -> tuple[list[date], list[float]]:
     dates: list[date] = []
     prices: list[float] = []
     seen: set[date] = set()
@@ -266,6 +265,20 @@ def load_price_series(source, asset_id: str, format_options: CsvFormat | None = 
         seen.add(d)
         dates.append(d)
         prices.append(p)
+    return dates, prices
+
+
+def load_price_series(source, asset_id: str, format_options: CsvFormat | None = None) -> PriceSeries:
+    """Parse one asset's (date, price) file into a validated PriceSeries.
+
+    ``source`` is a readable text or byte stream (or a path). The first line is
+    treated as a header and skipped. Malformed rows abort with their line number
+    unless ``format_options.skip_bad_rows`` is set; duplicate dates and
+    non-positive prices always abort. A path is closed after reading; a stream
+    passed in is left open.
+    """
+    with _text_stream(source) as stream:
+        dates, prices = _parse_rows(stream, asset_id, format_options or CsvFormat())
     if not dates:
         raise EmptyInputError(f"{asset_id}: no data rows")
     order = sorted(range(len(dates)), key=dates.__getitem__)

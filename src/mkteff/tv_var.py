@@ -186,29 +186,20 @@ def _solve_equations(Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarr
     return nu, paths, jitter
 
 
-def fit_smooth_coefficients(
-    y: np.ndarray, Z: np.ndarray, lam: float, intercept: bool = True
-) -> tuple[float, np.ndarray]:
+def fit_smooth_coefficients(y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
     """Penalized coefficient path for a single equation.
 
     Minimizes sum_s (y_s - c - Z[s] @ a_s)^2 + lam * sum_s ||a_s - a_{s-1}||^2
-    and returns (c, a) with a of shape (S, m). With ``intercept=False`` the
-    constant c is fixed at zero. The observation sequence is the unit of time:
-    reversing (y, Z) jointly yields the reversed path.
+    and returns (c, a) with a of shape (S, m). The observation sequence is the
+    unit of time: reversing (y, Z) jointly yields the reversed path and the
+    same constant.
     """
     y = np.asarray(y, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if not lam > 0:
         raise ConfigError("lam must be positive")
-    if intercept:
-        nu, paths, _ = _solve_equations(y[:, None], Z, lam)
-        return float(nu[0]), paths[:, 0, :]
-    S, m = Z.shape
-    ab = _assemble_banded(Z, lam, 0.0)
-    cb, _ = _factor_banded(ab, lam)
-    r = (Z * y[:, None]).ravel()
-    a = cho_solve_banded((cb, False), r)
-    return 0.0, a.reshape(S, m)
+    nu, paths, _ = _solve_equations(y[:, None], Z, lam)
+    return float(nu[0]), paths[:, 0, :]
 
 
 def _check_panel(panel: AlignedPanel, q: int) -> None:

@@ -305,8 +305,7 @@ class TestAll:
         cfg = config_file(tmp_path, market_files, bootstrap={"replications": 100, "master_seed": 1})
         assert main(["all", "--config", cfg, "--dump-replications", "--export-coefficients"]) == 4
         out = tmp_path / "out"
-        left = [p.name for p in out.rglob("*") if p.is_file()]
-        assert left == []
+        assert list(out.rglob("*")) == []
 
     def test_stationarity_gate_stops_after_describe(self, tmp_path):
         rng = np.random.default_rng(5)

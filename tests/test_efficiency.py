@@ -12,7 +12,16 @@ from mkteff import (
     fit_tv_var,
     joint_degree,
 )
-from mkteff.efficiency import CONDITION_LIMIT, EfficiencyPath, _degrees
+from mkteff.efficiency import (
+    COFACTOR_BOUND,
+    CONDITION_LIMIT,
+    EfficiencyPath,
+    _cofactor_inverse,
+    _degrees,
+    _frobenius_bound,
+    _guarded_inverse,
+    _spectral_norm,
+)
 from mkteff.errors import NumericalError
 
 from conftest import make_dates, make_panel
@@ -169,6 +178,28 @@ def stack_with_condition(rng, S, n, kappas):
     return M
 
 
+def stack_with_double_top(rng, S, gaps):
+    """(S, 3, 3) lag-sum stack whose date s has Phi - I with its top two singular
+    values a relative gaps[s] apart (0 for an exact double)."""
+    D = np.empty((S, 3, 3))
+    for s in range(S):
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        top = rng.uniform(0.2, 3.0)
+        D[s] = (U * [top, top * (1.0 - gaps[s]), top * rng.uniform(0.0, 0.9)]) @ V.T
+    return np.linalg.inv(D + np.eye(3))
+
+
+def matrix_with_frobenius_bound(rng, target):
+    """3x3 matrix whose ||M||_F ||M^-1||_F is mathematically ``target``: singular
+    values 1, 1/2 and t, with t^2 the small root of 5u^2 - (target^2 - 7.25)u + 1.25."""
+    c = target**2 - 7.25
+    t = np.sqrt((c - np.sqrt(c * c - 25.0)) / 10.0)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return (U * [1.0, 0.5, t]) @ V.T
+
+
 class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -189,6 +220,39 @@ class TestKernel:
         np.testing.assert_array_equal(singular, want_singular)
         np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        S=st.integers(min_value=1, max_value=40),
+    )
+    def test_near_double_top_matches_svd(self, seed, S):
+        # the cubic's root is ill-conditioned where the top two eigenvalues of
+        # (Phi - I)'(Phi - I) meet; these dates must still match the SVD
+        rng = np.random.default_rng(seed)
+        gaps = np.where(rng.random(S) < 0.2, 0.0, 10.0 ** rng.uniform(-12.0, -2.0, S))
+        M = stack_with_double_top(rng, S, gaps)
+        zeta, singular = _degrees(M)
+        want_zeta, want_singular = svd_oracle(M)
+        np.testing.assert_array_equal(singular, want_singular)
+        np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
+
+    def test_frobenius_bound_splits_cofactor_and_lapack_routes(self):
+        rng = np.random.default_rng(3)
+        under = matrix_with_frobenius_bound(rng, COFACTOR_BOUND * (1.0 - 1e-9))
+        over = matrix_with_frobenius_bound(rng, COFACTOR_BOUND * (1.0 + 1e-9))
+        M = np.stack([under, over])
+        cofactor = _cofactor_inverse(M)
+        lapack = np.linalg.inv(M)
+        bound = _frobenius_bound(M, cofactor)
+        assert bound[0] <= COFACTOR_BOUND < bound[1]
+        assert not np.array_equal(cofactor[1], lapack[1])  # the routes are told apart
+        phi, singular = _guarded_inverse(M, CONDITION_LIMIT)
+        assert not singular.any()
+        np.testing.assert_array_equal(phi[0], cofactor[0])
+        np.testing.assert_array_equal(phi[1], lapack[1])
+        zeta, _ = _degrees(M)
+        assert zeta[1] == _spectral_norm(lapack[1:] - np.eye(3))[0]
+
     def test_guard_boundary_is_exact_two_norm(self):
         under = np.diag([1.0, 1.0, 1.0 / 0.9e12])
         over = np.diag([1.0, 1.0, 1.0 / 1.1e12])
@@ -198,6 +262,12 @@ class TestKernel:
         assert singular.tolist() == [False, True]
         assert zeta[0] == pytest.approx(0.9e12 - 1.0, rel=1e-12)
         assert np.isnan(zeta[1])
+
+    def test_limit_below_cofactor_bound_still_flags(self):
+        # a caller's limit under COFACTOR_BOUND caps the cofactor screen too
+        M = np.diag([1.0, 1.0, 1.0 / 20.0])
+        _, singular = _degrees(M[None], condition_limit=10.0)
+        assert singular[0]
 
     def test_rounding_at_the_limit_follows_cond(self):
         # kappa_2 within rounding of the limit: the computed Frobenius bound lands

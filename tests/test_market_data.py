@@ -1,5 +1,7 @@
+import gc
 import io
 import math
+import warnings
 from datetime import date
 
 import numpy as np
@@ -34,6 +36,24 @@ class TestLoad:
     def test_byte_stream(self):
         s = load_price_series(io.BytesIO(b"date,price\n2020-01-01,10\n"), "X")
         assert s.prices.tolist() == [10.0]
+
+    def test_byte_stream_stays_open(self):
+        buf = io.BytesIO(b"date,price\n2020-01-01,10\n")
+        load_price_series(buf, "X")
+        gc.collect()  # a wrapper left attached would close buf when collected
+        assert not buf.closed
+        buf.seek(0)
+        assert buf.read(4) == b"date"
+
+    def test_path_is_closed(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("date,price\n2020-01-01,10\n2020-01-02,11\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            s = load_price_series(str(path), "X")
+            gc.collect()
+        assert s.prices.tolist() == [10.0, 11.0]
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_duplicate_date_names_the_date(self):
         with pytest.raises(DuplicateDateError, match="2014-09-17"):

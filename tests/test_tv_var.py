@@ -125,13 +125,15 @@ class TestFit:
 
     def test_time_reversal_of_observation_sequence(self, rng):
         # the penalty is symmetric in the observation index: reversing the
-        # (target, regressor) pairs jointly reverses the fitted path
+        # (target, regressor) pairs jointly reverses the fitted path and keeps
+        # the constant
         S = 60
         Z = rng.standard_normal((S, 1))
-        y = 0.5 * Z[:, 0] + 0.1 * rng.standard_normal(S)
-        _, path = fit_smooth_coefficients(y, Z, lam=1.0, intercept=False)
-        _, path_rev = fit_smooth_coefficients(y[::-1], Z[::-1], lam=1.0, intercept=False)
+        y = 0.2 + 0.5 * Z[:, 0] + 0.1 * rng.standard_normal(S)
+        c, path = fit_smooth_coefficients(y, Z, lam=1.0)
+        c_rev, path_rev = fit_smooth_coefficients(y[::-1], Z[::-1], lam=1.0)
         np.testing.assert_allclose(path_rev, path[::-1], atol=1e-6)
+        assert c_rev == pytest.approx(c, abs=1e-6)
 
     def test_two_pass_mode_records_lambda(self, rng):
         panel = simulate_var(rng, 0.3 * np.eye(2), 200, sd=0.01)
