@@ -82,9 +82,13 @@ class EfficiencyPath:
                 fh.close()
 
 
-# Frobenius bound up to which a block of order <= 3 keeps its cofactor inverse;
-# at this conditioning it agrees with LU to about 1e-14
+# Frobenius bound up to which a 3x3 block keeps its cofactor inverse; at this
+# conditioning it agrees with LU to about 1e-14
 COFACTOR_BOUND = 1e2
+# A 3x3 block within the bound has |det| >= ||M||_F^3 / (3 sqrt(3) COFACTOR_BOUND^2),
+# about 1.9e-5 ||M||_F^3. A determinant under this floor times ||M||_F^3 is rounding
+# noise (a numerically rank-1 block), whose noise cofactors can fake a small bound.
+DET_FLOOR = 1e-6
 # 1 + r below this marks a near-double top eigenvalue, where the cubic's root is ill-conditioned
 DOUBLE_TOP_GAP = 1e-4
 
@@ -110,38 +114,38 @@ def _lapack_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray, 
     return phi, singular
 
 
-def _cofactor_inverse(M: np.ndarray) -> np.ndarray:
-    """Adjugate over determinant of each block of a stack (S, n, n), n <= 3; void where det = 0."""
-    n = M.shape[-1]
+def _cofactor_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugate over determinant of each block of a stack (S, 3, 3), and the
+    determinants; the inverse is void where det = 0."""
     m = M.transpose(1, 2, 0)  # m[i, j] is entry (i, j) across the stack
     adj = np.empty(m.shape)  # adj[j, i] is the (i, j) cofactor; entry-major like m's view
-    if n == 1:
-        adj[0, 0] = 1.0
-    elif n == 2:
-        adj[0, 0], adj[0, 1], adj[1, 0], adj[1, 1] = m[1, 1], -m[0, 1], -m[1, 0], m[0, 0]
-    else:
-        for i in range(3):  # cyclic indices carry the cofactor sign
-            i1, i2 = (i + 1) % 3, (i + 2) % 3
-            for j in range(3):
-                j1, j2 = (j + 1) % 3, (j + 2) % 3
-                adj[j, i] = m[i1, j1] * m[i2, j2] - m[i1, j2] * m[i2, j1]
-    adj /= (m[0] * adj[:, 0]).sum(axis=0)  # determinant along the first row
-    return adj.transpose(2, 0, 1)
+    for i in range(3):  # cyclic indices carry the cofactor sign
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[j, i] = m[i1, j1] * m[i2, j2] - m[i1, j2] * m[i2, j1]
+    det = (m[0] * adj[:, 0]).sum(axis=0)  # along the first row
+    adj /= det
+    return adj.transpose(2, 0, 1), det
 
 
 def _guarded_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a stack (S, n, n), flagged where kappa_2 exceeds the limit or is undefined.
 
-    For n <= 3 dates whose Frobenius bound is at most ``COFACTOR_BOUND`` (or half a
-    smaller limit, so the screen never clears a date the guard would flag) keep the
-    cofactor inverse; every other date, and every date for n > 3, takes the LAPACK
-    route. The inverses of flagged dates are void.
+    For n = 3 dates whose Frobenius bound is at most ``COFACTOR_BOUND`` (or half a
+    smaller limit, so the screen never clears a date the guard would flag) and whose
+    determinant clears ``DET_FLOOR`` keep the cofactor inverse; every other date,
+    and every date for n != 3, takes the LAPACK route. The inverses of flagged
+    dates are void.
     """
-    if M.shape[-1] > 3:
+    if M.shape[-1] != 3:
         return _lapack_inverse(M, condition_limit)
     with np.errstate(all="ignore"):  # det = 0 and non-finite entries void the bound
-        phi = _cofactor_inverse(M)
-        rest = ~(_frobenius_bound(M, phi) <= min(COFACTOR_BOUND, 0.5 * condition_limit))
+        phi, det = _cofactor_inverse(M)
+        size = np.linalg.norm(M, axis=(1, 2))
+        keep = size * np.linalg.norm(phi, axis=(1, 2)) <= min(COFACTOR_BOUND, 0.5 * condition_limit)
+        keep &= np.abs(det) >= DET_FLOOR * size**3
+    rest = ~keep
     singular = np.zeros(M.shape[0], dtype=bool)
     if rest.any():
         phi[rest], singular[rest] = _lapack_inverse(M[rest], condition_limit)
@@ -177,17 +181,9 @@ def _top_eigenvalue_gram3(D: np.ndarray) -> np.ndarray:
 
 
 def _spectral_norm(D: np.ndarray) -> np.ndarray:
-    """Largest singular value of each block of a stack (S, n, n).
-
-    Closed forms for n <= 3; for larger n the root of the top eigenvalue of D'D.
-    """
-    n = D.shape[-1]
-    if n == 1:
-        return np.abs(D[:, 0, 0])
-    if n == 2:
-        a, b, c, d = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
-        return 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
-    lam = _top_eigenvalue_gram3(D) if n == 3 else _top_eigenvalue_gram(D)
+    """Largest singular value of each block of a stack (S, n, n): the root of the
+    top eigenvalue of D'D, in closed form for n = 3."""
+    lam = _top_eigenvalue_gram3(D) if D.shape[-1] == 3 else _top_eigenvalue_gram(D)
     return np.sqrt(np.maximum(lam, 0.0))
 
 

@@ -226,48 +226,6 @@ def _text_stream(source) -> Iterator[IO[str]]:
         yield source
 
 
-def _parse_rows(stream: IO[str], asset_id: str, fmt: CsvFormat) -> tuple[list[date], list[float]]:
-    dates: list[date] = []
-    prices: list[float] = []
-    seen: set[date] = set()
-    ncol = max(fmt.date_column, fmt.price_column) + 1
-    for lineno, raw in enumerate(stream, start=1):
-        if lineno == 1:
-            continue  # header
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(fmt.delimiter)
-        if len(parts) < ncol:
-            if fmt.skip_bad_rows:
-                continue
-            raise RowParseError(lineno, f"expected at least {ncol} columns, got {len(parts)}")
-        try:
-            d = fmt.parse_date(parts[fmt.date_column])
-        except ValueError as exc:
-            if fmt.skip_bad_rows:
-                continue
-            raise RowParseError(lineno, f"bad date {parts[fmt.date_column]!r}: {exc}") from exc
-        try:
-            p = float(parts[fmt.price_column])
-        except ValueError as exc:
-            if fmt.skip_bad_rows:
-                continue
-            raise RowParseError(lineno, f"bad price {parts[fmt.price_column]!r}") from exc
-        if not np.isfinite(p):
-            if fmt.skip_bad_rows:
-                continue
-            raise RowParseError(lineno, f"non-finite price {parts[fmt.price_column]!r}")
-        if p <= 0:
-            raise NonPositivePriceError(f"{asset_id}: non-positive price {p} on {d} (line {lineno})")
-        if d in seen:
-            raise DuplicateDateError(f"{asset_id}: duplicate date {d} (line {lineno})")
-        seen.add(d)
-        dates.append(d)
-        prices.append(p)
-    return dates, prices
-
-
 def load_price_series(source, asset_id: str, format_options: CsvFormat | None = None) -> PriceSeries:
     """Parse one asset's (date, price) file into a validated PriceSeries.
 
@@ -277,8 +235,46 @@ def load_price_series(source, asset_id: str, format_options: CsvFormat | None = 
     non-positive prices always abort. A path is closed after reading; a stream
     passed in is left open.
     """
+    fmt = format_options or CsvFormat()
+    dates: list[date] = []
+    prices: list[float] = []
+    seen: set[date] = set()
+    ncol = max(fmt.date_column, fmt.price_column) + 1
     with _text_stream(source) as stream:
-        dates, prices = _parse_rows(stream, asset_id, format_options or CsvFormat())
+        for lineno, raw in enumerate(stream, start=1):
+            if lineno == 1:
+                continue  # header
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(fmt.delimiter)
+            if len(parts) < ncol:
+                if fmt.skip_bad_rows:
+                    continue
+                raise RowParseError(lineno, f"expected at least {ncol} columns, got {len(parts)}")
+            try:
+                d = fmt.parse_date(parts[fmt.date_column])
+            except ValueError as exc:
+                if fmt.skip_bad_rows:
+                    continue
+                raise RowParseError(lineno, f"bad date {parts[fmt.date_column]!r}: {exc}") from exc
+            try:
+                p = float(parts[fmt.price_column])
+            except ValueError as exc:
+                if fmt.skip_bad_rows:
+                    continue
+                raise RowParseError(lineno, f"bad price {parts[fmt.price_column]!r}") from exc
+            if not np.isfinite(p):
+                if fmt.skip_bad_rows:
+                    continue
+                raise RowParseError(lineno, f"non-finite price {parts[fmt.price_column]!r}")
+            if p <= 0:
+                raise NonPositivePriceError(f"{asset_id}: non-positive price {p} on {d} (line {lineno})")
+            if d in seen:
+                raise DuplicateDateError(f"{asset_id}: duplicate date {d} (line {lineno})")
+            seen.add(d)
+            dates.append(d)
+            prices.append(p)
     if not dates:
         raise EmptyInputError(f"{asset_id}: no data rows")
     order = sorted(range(len(dates)), key=dates.__getitem__)

@@ -236,12 +236,40 @@ class TestKernel:
         np.testing.assert_array_equal(singular, want_singular)
         np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        S=st.integers(min_value=1, max_value=40),
+    )
+    def test_numerically_rank_one_dates_match_svd(self, seed, S):
+        # two unit roots at once: the cofactors and the determinant are rounding
+        # noise, and their ratio can fake a small Frobenius bound
+        rng = np.random.default_rng(seed)
+        M = stack_with_condition(rng, S, 3, 10.0 ** rng.uniform(0.0, 2.0, S))
+        for s in np.flatnonzero(rng.random(S) < 0.5):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            if rng.random() < 0.5:
+                Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+                M[s] = (Q * [scale, 0.0, 0.0]) @ Q.T
+            else:
+                M[s] = scale * np.outer(rng.standard_normal(3), rng.standard_normal(3))
+        zeta, singular = _degrees(M)
+        want_zeta, want_singular = svd_oracle(M)
+        np.testing.assert_array_equal(singular, want_singular)
+        np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
+
+    def test_rank_one_lag_sum_has_no_multiplier(self, rng):
+        for _ in range(20):
+            u, v = rng.standard_normal(3), rng.standard_normal(3)
+            with pytest.raises(NumericalError):
+                cumulative_multiplier(np.eye(3) - np.outer(u, v))
+
     def test_frobenius_bound_splits_cofactor_and_lapack_routes(self):
         rng = np.random.default_rng(3)
         under = matrix_with_frobenius_bound(rng, COFACTOR_BOUND * (1.0 - 1e-9))
         over = matrix_with_frobenius_bound(rng, COFACTOR_BOUND * (1.0 + 1e-9))
         M = np.stack([under, over])
-        cofactor = _cofactor_inverse(M)
+        cofactor, _ = _cofactor_inverse(M)
         lapack = np.linalg.inv(M)
         bound = _frobenius_bound(M, cofactor)
         assert bound[0] <= COFACTOR_BOUND < bound[1]
