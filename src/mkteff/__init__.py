@@ -34,10 +34,7 @@ from .tv_var import (
     TvVarConfig,
     TvVarEstimate,
     export_coefficient_paths,
-    fit_smooth_coefficients,
     fit_tv_var,
-    penalized_objective,
-    smoothing_profile,
 )
 from .efficiency import (
     EfficiencyPath,
@@ -60,8 +57,7 @@ __all__ = [
     "fit_var_ols", "select_lag_bic", "newey_west_cov",
     "granger_causality", "hansen_lc",
     "TvVarConfig", "TvVarEstimate",
-    "fit_tv_var", "fit_smooth_coefficients",
-    "smoothing_profile", "penalized_objective", "export_coefficient_paths",
+    "fit_tv_var", "export_coefficient_paths",
     "EfficiencyPath", "cumulative_multiplier", "joint_degree", "efficiency_path",
     "BootstrapConfig", "BandPath", "resample_null_panel", "bootstrap_bands",
     "DgpSpec", "DgpTruth", "simulate",

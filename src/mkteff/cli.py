@@ -214,6 +214,12 @@ def build_config(doc: dict, args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "dump_replications", False):
         cfg.dump_replications = True
 
+    if not isinstance(cfg.csv.delimiter, str) or not cfg.csv.delimiter:
+        raise ConfigError(f"csv.delimiter must be a non-empty string, got {cfg.csv.delimiter!r}")
+    if cfg.csv.date_column < 0 or cfg.csv.price_column < 0:
+        raise ConfigError("csv.date_column and csv.price_column must be non-negative")
+    if cfg.unit_root_max_lag is not None and cfg.unit_root_max_lag < 0:
+        raise ConfigError("unit_root.max_lag must be non-negative")
     if cfg.unit_root_model not in (DETREND_CONSTANT, DETREND_TREND):
         raise ConfigError(f"unknown unit-root model {cfg.unit_root_model!r}")
     if cfg.p_max < 1:
@@ -393,8 +399,8 @@ def _efficiency_stage(run: PipelineRun) -> int:
     run.manifest.update(
         tv_order=q,
         lambda_effective=fit.lambda_effective,
-        solver=fit.metadata["solver"],
-        ridge_jitter=fit.metadata["ridge_jitter"],
+        solver=SOLVER_BANDED,
+        ridge_jitter=fit.ridge_jitter,
         seeds={"master_seed": cfg.master_seed},
         bands=cfg.replications > 0,
         singular_dates=int(path.singular.sum()),

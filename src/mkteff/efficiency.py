@@ -93,9 +93,14 @@ DET_FLOOR = 1e-6
 DOUBLE_TOP_GAP = 1e-4
 
 
+def _frobenius_norm(x: np.ndarray) -> np.ndarray:
+    """||x||_F per block of a stack (S, n, n), with no full-size temporaries."""
+    return np.sqrt(np.einsum("sij,sij->s", x, x))
+
+
 def _frobenius_bound(M: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """||M||_F ||M^-1||_F per date: between kappa_2 and n kappa_2 (NaN or inf if phi is void)."""
-    return np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(phi, axis=(1, 2))
+    return _frobenius_norm(M) * _frobenius_norm(phi)
 
 
 def _lapack_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +147,8 @@ def _guarded_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray,
         return _lapack_inverse(M, condition_limit)
     with np.errstate(all="ignore"):  # det = 0 and non-finite entries void the bound
         phi, det = _cofactor_inverse(M)
-        size = np.linalg.norm(M, axis=(1, 2))
-        keep = size * np.linalg.norm(phi, axis=(1, 2)) <= min(COFACTOR_BOUND, 0.5 * condition_limit)
+        size = _frobenius_norm(M)
+        keep = size * _frobenius_norm(phi) <= min(COFACTOR_BOUND, 0.5 * condition_limit)
         keep &= np.abs(det) >= DET_FLOOR * size**3
     rest = ~keep
     singular = np.zeros(M.shape[0], dtype=bool)

@@ -9,6 +9,7 @@ forward-filling would fabricate zero returns on non-trading days.
 from __future__ import annotations
 
 import io
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -264,7 +265,7 @@ def load_price_series(source, asset_id: str, format_options: CsvFormat | None = 
                 if fmt.skip_bad_rows:
                     continue
                 raise RowParseError(lineno, f"bad price {parts[fmt.price_column]!r}") from exc
-            if not np.isfinite(p):
+            if not math.isfinite(p):
                 if fmt.skip_bad_rows:
                     continue
                 raise RowParseError(lineno, f"non-finite price {parts[fmt.price_column]!r}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -34,11 +34,7 @@ from .market_data import AlignedPanel
 __all__ = [
     "TvVarConfig",
     "TvVarEstimate",
-    "SmoothingPoint",
     "fit_tv_var",
-    "fit_smooth_coefficients",
-    "smoothing_profile",
-    "penalized_objective",
     "export_coefficient_paths",
 ]
 
@@ -77,9 +73,9 @@ class TvVarEstimate:
     """Fitted per-period coefficients.
 
     ``A_path[s, l-1]`` is the lag-l matrix for the (q+1+s)-th panel row, whose
-    date is ``dates[s]``. ``metadata`` records the solver, the effective
-    smoothing ratio actually used, and any ridge jitter applied to a
-    degenerate system.
+    date is ``dates[s]``. ``lambda_effective`` is the smoothing ratio actually
+    used and ``ridge_jitter`` the ridge added to a degenerate system (0.0 when
+    none was needed).
     """
 
     dates: tuple[date, ...]
@@ -90,21 +86,7 @@ class TvVarEstimate:
     config: TvVarConfig
     effective_obs: int
     lambda_effective: float
-    metadata: dict
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.asset_ids)
-
-
-@dataclass(frozen=True)
-class SmoothingPoint:
-    """Fit diagnostics for one smoothing value."""
-
-    lam: float
-    rss: float
-    roughness: float
-    edof: float
+    ridge_jitter: float
 
 
 def _lagged_design(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,20 +97,18 @@ def _lagged_design(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return Y, Z
 
 
-def _assemble_banded(Z: np.ndarray, lam: float, jitter: float) -> np.ndarray:
+def _assemble_banded(Z: np.ndarray, lam: float) -> np.ndarray:
     """Upper-form banded normal equations for one equation's coefficient path."""
     S, m = Z.shape
     N = S * m
-    G = Z[:, :, None] * Z[:, None, :]  # per-period outer products (S, m, m)
     ab = np.zeros((m + 1, N))
     pen = np.full(S, 2.0 * lam)
     pen[0] -= lam
     pen[-1] -= lam
-    ab[m] = (G[:, np.arange(m), np.arange(m)] + pen[:, None] + jitter).ravel()
+    ab[m] = (Z * Z + pen[:, None]).ravel()
+    # row m-d holds the d-th superdiagonal of each period's outer product Z[s] Z[s]'
     for d in range(1, m):
-        block = np.zeros((S, m))
-        block[:, d:] = np.diagonal(G, offset=d, axis1=1, axis2=2)
-        ab[m - d] = block.ravel()
+        ab[m - d].reshape(S, m)[:, d:] = Z[:, : m - d] * Z[:, d:]
     if N > m:
         ab[0, m:] = -lam  # coupling between consecutive periods, same coefficient
     return ab
@@ -161,7 +141,7 @@ def _solve_equations(Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarr
     """
     S, n = Y.shape
     m = Z.shape[1]
-    ab = _assemble_banded(Z, lam, 0.0)
+    ab = _assemble_banded(Z, lam)
     cb, jitter = _factor_banded(ab, lam)
     N = S * m
     B = np.empty((N, n + 1))
@@ -186,22 +166,6 @@ def _solve_equations(Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarr
     return nu, paths, jitter
 
 
-def fit_smooth_coefficients(y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
-    """Penalized coefficient path for a single equation.
-
-    Minimizes sum_s (y_s - c - Z[s] @ a_s)^2 + lam * sum_s ||a_s - a_{s-1}||^2
-    and returns (c, a) with a of shape (S, m). The observation sequence is the
-    unit of time: reversing (y, Z) jointly yields the reversed path and the
-    same constant.
-    """
-    y = np.asarray(y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if not lam > 0:
-        raise ConfigError("lam must be positive")
-    nu, paths, _ = _solve_equations(y[:, None], Z, lam)
-    return float(nu[0]), paths[:, 0, :]
-
-
 def _check_panel(panel: AlignedPanel, q: int) -> None:
     if panel.kind != "returns":
         raise DataError("time-varying fit expects a returns panel")
@@ -213,11 +177,6 @@ def _paths_to_A(paths: np.ndarray, n: int, q: int) -> np.ndarray:
     """(S, n, n*q) equation-major coefficients to (S, q, n, n) lag matrices."""
     S = paths.shape[0]
     return paths.reshape(S, n, q, n).transpose(0, 2, 1, 3).copy()
-
-
-def _A_to_paths(A_path: np.ndarray) -> np.ndarray:
-    S, q, n, _ = A_path.shape
-    return A_path.transpose(0, 2, 1, 3).reshape(S, n, q * n)
 
 
 def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarEstimate:
@@ -266,76 +225,8 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
         config=config,
         effective_obs=Y.shape[0],
         lambda_effective=lam_eff,
-        metadata={
-            "solver": SOLVER_BANDED,
-            "lambda_mode": config.lambda_mode,
-            "lambda_effective": lam_eff,
-            "ridge_jitter": jitter,
-        },
+        ridge_jitter=jitter,
     )
-
-
-def penalized_objective(
-    panel: AlignedPanel, q: int, lam: float, nu: np.ndarray, A_path: np.ndarray
-) -> float:
-    """Value of the fit-plus-smoothness objective at the given parameters."""
-    Y, Z = _lagged_design(panel.values, q)
-    paths = _A_to_paths(np.asarray(A_path, dtype=float))
-    resid = Y - np.asarray(nu, dtype=float)[None, :] - np.einsum("sic,sc->si", paths, Z)
-    rough = float((np.diff(paths, axis=0) ** 2).sum())
-    return float((resid**2).sum()) + lam * rough
-
-
-def _effective_dof(Z: np.ndarray, lam: float, chunk: int = 256) -> float:
-    """Trace of the hat matrix for one equation (shared across equations)."""
-    S, m = Z.shape
-    N = S * m
-    ab = _assemble_banded(Z, lam, 0.0)
-    cb, _ = _factor_banded(ab, lam)
-    border = Z.ravel()
-    u = cho_solve_banded((cb, False), border)
-    schur = S - border @ u
-    total = 0.0
-    for start in range(0, S, chunk):
-        idx = np.arange(start, min(start + chunk, S))
-        B = np.zeros((N, len(idx)))
-        for j, s in enumerate(idx):
-            B[s * m : (s + 1) * m, j] = Z[s]
-        K = cho_solve_banded((cb, False), B)
-        bk = border @ K
-        mu = (1.0 - bk) / schur
-        for j, s in enumerate(idx):
-            blk = slice(s * m, (s + 1) * m)
-            total += float(Z[s] @ (K[blk, j] - mu[j] * u[blk])) + mu[j]
-    return total
-
-
-def smoothing_profile(
-    panel: AlignedPanel, config: TvVarConfig, lambda_grid: Sequence[float]
-) -> list[SmoothingPoint]:
-    """Residual sum, path roughness, and effective degrees of freedom per lam."""
-    grid = [float(l) for l in lambda_grid]
-    if not grid:
-        raise ConfigError("lambda grid must be nonempty")
-    if any(not l > 0 for l in grid):
-        raise ConfigError("lambda grid values must be positive")
-    _check_panel(panel, config.q)
-    Y, Z = _lagged_design(panel.values, config.q)
-    n = Y.shape[1]
-    points = []
-    for lam in grid:
-        nu, paths, _ = _solve_equations(Y, Z, lam)
-        resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
-        rough = float((np.diff(paths, axis=0) ** 2).sum())
-        points.append(
-            SmoothingPoint(
-                lam=lam,
-                rss=float((resid**2).sum()),
-                roughness=rough,
-                edof=n * _effective_dof(Z, lam),
-            )
-        )
-    return points
 
 
 def export_coefficient_paths(estimate: TvVarEstimate, dest) -> None:

@@ -2,7 +2,8 @@
 
 None of these run in the pipeline. The dense time-varying solver materializes
 the full stacked design and calls lstsq (the banded Cholesky must agree with
-it); the Wald form of the Granger F is the restriction-matrix counterpart of
+it); the penalized objective evaluates the fit-plus-smoothness criterion at
+any parameters, so a fitted path can be checked for optimality; the Wald form of the Granger F is the restriction-matrix counterpart of
 the package's residual-sum form; the pairwise Granger test restricts a single
 target equation.
 """
@@ -90,6 +91,23 @@ def solve_dense(panel: AlignedPanel, q: int, lam: float) -> tuple[np.ndarray, np
     sol = np.linalg.lstsq(system.design.toarray(), system.rhs, rcond=None)[0]
     n, S = system.n, system.periods
     return sol[:n], _paths_to_A(sol[n:].reshape(S, n, n * q), n, q)
+
+
+def _A_to_paths(A_path: np.ndarray) -> np.ndarray:
+    """(S, q, n, n) lag matrices to (S, n, n*q) equation-major coefficients."""
+    S, q, n, _ = A_path.shape
+    return A_path.transpose(0, 2, 1, 3).reshape(S, n, q * n)
+
+
+def penalized_objective(
+    panel: AlignedPanel, q: int, lam: float, nu: np.ndarray, A_path: np.ndarray
+) -> float:
+    """Value of the fit-plus-smoothness objective at the given parameters."""
+    Y, Z = _lagged_design(panel.values, q)
+    paths = _A_to_paths(np.asarray(A_path, dtype=float))
+    resid = Y - np.asarray(nu, dtype=float)[None, :] - np.einsum("sic,sc->si", paths, Z)
+    rough = float((np.diff(paths, axis=0) ** 2).sum())
+    return float((resid**2).sum()) + lam * rough
 
 
 def granger_wald_f(panel: AlignedPanel, p: int, source, estimate: VarEstimate | None = None) -> float:

@@ -245,6 +245,26 @@ class TestErrors:
         assert main(["efficiency", "--config", cfg]) == EXIT_CONFIG
         assert "test oracle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"csv": {"delimiter": ""}},
+            {"csv": {"delimiter": 5}},
+            {"csv": {"date_column": -1}},
+            {"csv": {"price_column": -1}},
+            {"unit_root": {"max_lag": -1}},
+        ],
+        ids=[
+            "empty-delimiter", "non-string-delimiter", "negative-date-column",
+            "negative-price-column", "negative-max-lag",
+        ],
+    )
+    def test_invalid_value_is_config_error(self, tmp_path, market_files, extra):
+        cfg = config_file(tmp_path, market_files, **extra)
+        assert main(["all", "--config", cfg]) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert not out.exists() or list(out.rglob("*")) == []
+
 
 class TestAll:
     def test_import_loads_no_heavy_scipy_modules(self):

@@ -42,7 +42,7 @@ def make_estimate(A_path):
         config=TvVarConfig(q=q),
         effective_obs=S,
         lambda_effective=1.0,
-        metadata={},
+        ridge_jitter=0.0,
     )
 
 

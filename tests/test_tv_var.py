@@ -3,19 +3,12 @@ import io
 import numpy as np
 import pytest
 
-from mkteff import (
-    TvVarConfig,
-    export_coefficient_paths,
-    fit_smooth_coefficients,
-    fit_tv_var,
-    fit_var_ols,
-    penalized_objective,
-    smoothing_profile,
-)
+from mkteff import TvVarConfig, export_coefficient_paths, fit_tv_var, fit_var_ols
 from mkteff.errors import ConfigError, DataError
+from mkteff.tv_var import _solve_equations
 
 from conftest import make_panel
-from oracles import build_stacked_system, solve_dense
+from oracles import build_stacked_system, penalized_objective, solve_dense
 from test_var_base import simulate_var
 
 
@@ -93,7 +86,7 @@ class TestFit:
         fit = fit_tv_var(panel, TvVarConfig(q=1, lam=1.0))
         assert np.all(fit.A_path == 0.0)
         assert np.all(fit.nu == 0.0)
-        assert fit.metadata["ridge_jitter"] > 0.0
+        assert fit.ridge_jitter > 0.0
 
     def test_residual_internal_consistency(self, rng):
         panel = simulate_var(rng, 0.4 * np.eye(2), 120)
@@ -130,17 +123,16 @@ class TestFit:
         S = 60
         Z = rng.standard_normal((S, 1))
         y = 0.2 + 0.5 * Z[:, 0] + 0.1 * rng.standard_normal(S)
-        c, path = fit_smooth_coefficients(y, Z, lam=1.0)
-        c_rev, path_rev = fit_smooth_coefficients(y[::-1], Z[::-1], lam=1.0)
+        c, path, _ = _solve_equations(y[:, None], Z, 1.0)
+        c_rev, path_rev, _ = _solve_equations(y[::-1, None], Z[::-1], 1.0)
         np.testing.assert_allclose(path_rev, path[::-1], atol=1e-6)
-        assert c_rev == pytest.approx(c, abs=1e-6)
+        assert c_rev[0] == pytest.approx(c[0], abs=1e-6)
 
     def test_two_pass_mode_records_lambda(self, rng):
         panel = simulate_var(rng, 0.3 * np.eye(2), 200, sd=0.01)
         fit = fit_tv_var(panel, TvVarConfig(q=1, lam=1.0, lambda_mode="two-pass"))
         assert fit.lambda_effective != 1.0
-        assert fit.metadata["lambda_mode"] == "two-pass"
-        assert fit.metadata["lambda_effective"] == fit.lambda_effective
+        assert fit.config.lambda_mode == "two-pass"
 
     def test_rejects_price_panel(self, rng):
         panel = make_panel(np.abs(rng.standard_normal((30, 2))) + 1.0, kind="prices")
@@ -162,39 +154,27 @@ class TestConfig:
             TvVarConfig(lambda_mode="adaptive")
 
 
+def _rss_and_roughness(fit):
+    """Residual sum of squares and summed squared coefficient increments."""
+    return float((fit.residuals**2).sum()), float((np.diff(fit.A_path, axis=0) ** 2).sum())
+
+
 class TestSmoothingProfile:
     def test_rss_monotone_in_lambda(self, rng):
         panel = make_panel(rng.standard_normal((120, 2)))
-        pts = smoothing_profile(panel, TvVarConfig(q=1), [0.1, 1.0, 10.0])
-        assert pts[0].rss <= pts[1].rss <= pts[2].rss
+        fits = [fit_tv_var(panel, TvVarConfig(q=1, lam=lam)) for lam in (0.1, 1.0, 10.0)]
+        rss = [_rss_and_roughness(fit)[0] for fit in fits]
+        assert rss[0] <= rss[1] <= rss[2]
 
     def test_huge_lambda_flattens_path(self, rng):
         panel = make_panel(rng.standard_normal((80, 2)))
-        (pt,) = smoothing_profile(panel, TvVarConfig(q=1), [1e8])
-        assert pt.roughness < 1e-8
+        _, roughness = _rss_and_roughness(fit_tv_var(panel, TvVarConfig(q=1, lam=1e8)))
+        assert roughness < 1e-8
 
     def test_tiny_lambda_interpolates(self, rng):
         panel = make_panel(rng.standard_normal((25, 1)))
-        (pt,) = smoothing_profile(panel, TvVarConfig(q=1), [1e-6])
-        assert pt.rss < 1e-6  # interpolation regime; residuals shrink with lam
-
-    def test_edof_bounds(self, rng):
-        panel = make_panel(rng.standard_normal((60, 2)))
-        q = 1
-        pts = smoothing_profile(panel, TvVarConfig(q=q), [1e-6, 1.0, 1e8])
-        n = 2
-        k_const = n * (n * q + 1)
-        n_obs = n * (60 - q)
-        assert pts[0].edof > pts[1].edof > pts[2].edof
-        assert pts[2].edof == pytest.approx(k_const, rel=1e-3)
-        assert pts[0].edof <= n_obs + 1e-6
-
-    def test_bad_grid(self, rng):
-        panel = make_panel(rng.standard_normal((30, 1)))
-        with pytest.raises(ConfigError):
-            smoothing_profile(panel, TvVarConfig(), [])
-        with pytest.raises(ConfigError):
-            smoothing_profile(panel, TvVarConfig(), [0.0, 1.0])
+        rss, _ = _rss_and_roughness(fit_tv_var(panel, TvVarConfig(q=1, lam=1e-6)))
+        assert rss < 1e-6  # interpolation regime; residuals shrink with lam
 
 
 class TestExport:
