@@ -40,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Replication count, band coverage, and the master seed."""
+    """Replication count (0 for no bands, else at least 100), band coverage,
+    and the master seed."""
 
     replications: int = 10_000
     coverage: float = 0.95
@@ -49,8 +50,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if not 0.0 < self.coverage < 1.0:
             raise ConfigError("coverage must be strictly between 0 and 1")
-        if self.replications < 0:
-            raise ConfigError("replications must be non-negative")
+        if self.replications < 0 or 0 < self.replications < 100:
+            raise ConfigError(f"replications must be 0 or at least 100, got {self.replications}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,13 +17,15 @@ import os
 import sys
 from dataclasses import dataclass, field
 from datetime import date
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_bands
 from .efficiency import efficiency_path
-from .errors import ConfigError, DataError, MktEffError, NumericalError
+from .errors import ConfigError, DataError, MktEffError, NumericalError, typed
 from .market_data import (
     AlignedPanel,
     CsvFormat,
@@ -34,7 +36,7 @@ from .market_data import (
 )
 from .svg import render_line_plot
 from .synth import DgpSpec, simulate
-from .tv_var import SOLVER_BANDED, TvVarConfig, export_coefficient_paths, fit_tv_var
+from .tv_var import LAMBDA_MODES, SOLVER_BANDED, TvVarConfig, export_coefficient_paths, fit_tv_var
 from .unit_root import DETREND_CONSTANT, DETREND_TREND, adf_gls_test
 from .var_base import fit_var_ols, granger_causality, hansen_lc, select_lag_bic
 
@@ -44,66 +46,67 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-@dataclass
-class PipelineConfig:
-    """Effective settings for one run (config file merged with flag overrides)."""
+class Field(NamedTuple):
+    """One config value, a row of ``FIELDS``."""
 
-    inputs: list = field(default_factory=list)  # (path, asset_id) pairs
-    csv: CsvFormat = field(default_factory=CsvFormat)
-    date_start: date | None = None
-    date_end: date | None = None
-    p_max: int = 8
-    unit_root_max_lag: int | None = None
-    unit_root_model: str = DETREND_TREND
-    tv_q: int | None = None
-    lam: float = 1.0
-    lambda_mode: str = "fixed"
-    replications: int = 10_000
-    coverage: float = 0.95
-    master_seed: int = 0
-    n_jobs: int = 1
-    event_date: date | None = None
-    output_dir: str = "out"
-    allow_nonstationary: bool = False
-    export_coefficients: bool = False
-    dump_replications: bool = False
+    section: str | None  # None: a top-level key
+    key: str
+    attr: str | None  # the PipelineConfig attribute; None: retired, accepts only the default
+    kind: object  # see errors.typed; a field whose default is None also takes null
+    default: object
+    flag: str | None = None
+
+    @property
+    def name(self) -> str:
+        return f"{self.section}.{self.key}" if self.section else self.key
+
+
+# The config schema: it drives the JSON parse, the key checks, echo() and the
+# flags. The csv attributes are the fields of CsvFormat.
+FIELDS = (
+    Field("csv", "delimiter", "delimiter", str, ","),
+    Field("csv", "date_column", "date_column", int, 0),
+    Field("csv", "price_column", "price_column", int, 1),
+    Field("csv", "date_format", "date_format", str, "iso"),
+    Field("csv", "skip_bad_rows", "skip_bad_rows", bool, False),
+    Field("date_range", "start", "date_start", date, None, "--date-start"),
+    Field("date_range", "end", "date_end", date, None, "--date-end"),
+    Field("var", "p_max", "p_max", int, 8, "--p-max"),
+    Field("unit_root", "max_lag", "unit_root_max_lag", int, None),
+    Field("unit_root", "model", "unit_root_model", (DETREND_CONSTANT, DETREND_TREND), DETREND_TREND),
+    Field("tv", "q", "tv_q", int, None, "--q"),
+    Field("tv", "lambda", "lam", float, 1.0, "--lambda"),
+    Field("tv", "lambda_mode", "lambda_mode", LAMBDA_MODES, "fixed", "--lambda-mode"),
+    Field("tv", "solver", None, str, SOLVER_BANDED),
+    Field("bootstrap", "replications", "replications", int, 10_000, "--replications"),
+    Field("bootstrap", "coverage", "coverage", float, 0.95, "--coverage"),
+    Field("bootstrap", "master_seed", "master_seed", int, 0, "--master-seed"),
+    Field("bootstrap", "n_jobs", "n_jobs", int, 1, "--n-jobs"),
+    Field(None, "event_date", "event_date", date, None, "--event-date"),
+    Field(None, "output_dir", "output_dir", str, "out", "--output-dir"),
+    Field(None, "allow_nonstationary", "allow_nonstationary", bool, False, "--allow-nonstationary"),
+)
+SECTIONS = {f.section: {g.key for g in FIELDS if g.section == f.section} for f in FIELDS if f.section}
+
+
+class PipelineConfig(SimpleNamespace):
+    """Effective settings for one run (config file merged with flag overrides).
+
+    An attribute per ``FIELDS`` row; ``inputs``, the (path, asset_id) pairs;
+    the flag-only ``export_coefficients`` and ``dump_replications``; and
+    ``csv`` and ``bootstrap``, the library configs built from their sections.
+    """
 
     def echo(self) -> dict:
-        return {
-            "inputs": [{"path": p, "asset_id": a} for p, a in self.inputs],
-            "csv": {
-                "delimiter": self.csv.delimiter,
-                "date_column": self.csv.date_column,
-                "price_column": self.csv.price_column,
-                "date_format": self.csv.date_format,
-                "skip_bad_rows": self.csv.skip_bad_rows,
-            },
-            "date_range": {
-                "start": self.date_start.isoformat() if self.date_start else None,
-                "end": self.date_end.isoformat() if self.date_end else None,
-            },
-            "var": {"p_max": self.p_max},
-            "unit_root": {"max_lag": self.unit_root_max_lag, "model": self.unit_root_model},
-            "tv": {"q": self.tv_q, "lambda": self.lam, "lambda_mode": self.lambda_mode},
-            "bootstrap": {
-                "replications": self.replications,
-                "coverage": self.coverage,
-                "master_seed": self.master_seed,
-                "n_jobs": self.n_jobs,
-            },
-            "event_date": self.event_date.isoformat() if self.event_date else None,
-            "output_dir": self.output_dir,
-            "allow_nonstationary": self.allow_nonstationary,
-        }
-
-
-def _parse_date(text: str | None) -> date | None:
-    if text in (None, ""):
-        return None
-    try:
-        return date.fromisoformat(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad date {text!r}: {exc}") from exc
+        """The config document that reproduces this run, defaults filled in."""
+        doc = {"inputs": [{"path": p, "asset_id": a} for p, a in self.inputs]}
+        for f in FIELDS:
+            if f.attr:
+                value = getattr(self, f.attr)
+                if isinstance(value, date):
+                    value = value.isoformat()
+                (doc.setdefault(f.section, {}) if f.section else doc)[f.key] = value
+        return doc
 
 
 def _load_json(path: str) -> dict:
@@ -119,115 +122,71 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _inputs(doc: dict, args: argparse.Namespace) -> list:
+    """(path, asset_id) pairs: the ``--input`` flags if given, else the config's."""
+    pairs = []
+    if getattr(args, "input", None):
+        for spec in args.input:
+            path, _, asset = spec.rpartition(":")
+            if not path:
+                raise ConfigError(f"--input expects PATH:ASSET_ID, got {spec!r}")
+            pairs.append((path, asset))
+        return pairs
+    for item in typed(doc.get("inputs", []), list, "inputs"):
+        if not isinstance(item, dict) or not {"path", "asset_id"} <= set(item):
+            raise ConfigError(f"each input needs 'path' and 'asset_id', got {item!r}")
+        pairs.append((typed(item["path"], str, "inputs.path"),
+                      typed(item["asset_id"], str, "inputs.asset_id")))
+    return pairs
+
+
 def build_config(doc: dict, args: argparse.Namespace) -> PipelineConfig:
-    """Merge the JSON document with flag overrides; flags win."""
-    cfg = PipelineConfig()
-    known = {
-        "inputs": None,
-        "csv": {"delimiter", "date_column", "price_column", "date_format", "skip_bad_rows"},
-        "date_range": {"start", "end"},
-        "var": {"p_max"},
-        "unit_root": {"max_lag", "model"},
-        "tv": {"q", "lambda", "lambda_mode", "solver"},
-        "bootstrap": {"replications", "coverage", "master_seed", "n_jobs"},
-        "event_date": None,
-        "output_dir": None,
-        "allow_nonstationary": None,
-    }
-    unknown = set(doc) - set(known)
+    """Merge the JSON document with flag overrides (flags win) and check every value.
+
+    Any bad value raises ``ConfigError`` here, before a stage runs or a file
+    is written.
+    """
+    unknown = set(doc) - set(SECTIONS) - {f.key for f in FIELDS if not f.section} - {"inputs"}
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-    for section, keys in known.items():
-        if keys is not None and isinstance(doc.get(section), dict):
-            extra = set(doc[section]) - keys
-            if extra:
-                raise ConfigError(
-                    f"unknown key(s) in '{section}': {', '.join(sorted(extra))}"
-                )
-    for item in doc.get("inputs", []):
-        try:
-            cfg.inputs.append((item["path"], item["asset_id"]))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError("each input needs 'path' and 'asset_id'") from exc
-    c = doc.get("csv", {})
-    cfg.csv = CsvFormat(
-        delimiter=c.get("delimiter", ","),
-        date_column=int(c.get("date_column", 0)),
-        price_column=int(c.get("price_column", 1)),
-        date_format=c.get("date_format", "iso"),
-        skip_bad_rows=bool(c.get("skip_bad_rows", False)),
+    for section, keys in SECTIONS.items():
+        if not isinstance(doc.get(section, {}), dict):
+            raise ConfigError(f"{section} must be a JSON object, got {doc[section]!r}")
+        extra = set(doc.get(section, {})) - keys
+        if extra:
+            raise ConfigError(f"unknown key(s) in '{section}': {', '.join(sorted(extra))}")
+    values = {}
+    for f in FIELDS:
+        name = f.name
+        value = (doc.get(f.section, {}) if f.section else doc).get(f.key, f.default)
+        if f.flag and getattr(args, f.attr, None) is not None:
+            name, value = f.flag, getattr(args, f.attr)
+        if value is not None or f.default is not None:
+            value = typed(value, f.kind, name)
+        if f.attr:
+            values[f.attr] = value
+        elif value != f.default:  # tv.solver, the one retired key
+            raise ConfigError(
+                f"{name} must be {f.default!r}, got {value!r}; "
+                "the dense reference solver is a test oracle (tests/oracles.py)"
+            )
+    cfg = PipelineConfig(
+        inputs=_inputs(doc, args),
+        export_coefficients=bool(getattr(args, "export_coefficients", False)),
+        dump_replications=bool(getattr(args, "dump_replications", False)),
+        **values,
     )
-    dr = doc.get("date_range", {})
-    cfg.date_start = _parse_date(dr.get("start"))
-    cfg.date_end = _parse_date(dr.get("end"))
-    cfg.p_max = int(doc.get("var", {}).get("p_max", cfg.p_max))
-    ur = doc.get("unit_root", {})
-    if ur.get("max_lag") is not None:
-        cfg.unit_root_max_lag = int(ur["max_lag"])
-    cfg.unit_root_model = ur.get("model", cfg.unit_root_model)
-    tv = doc.get("tv", {})
-    if tv.get("q") is not None:
-        cfg.tv_q = int(tv["q"])
-    cfg.lam = float(tv.get("lambda", cfg.lam))
-    cfg.lambda_mode = tv.get("lambda_mode", cfg.lambda_mode)
-    if tv.get("solver", SOLVER_BANDED) != SOLVER_BANDED:
-        raise ConfigError(
-            f"tv.solver must be {SOLVER_BANDED!r}, got {tv['solver']!r}; "
-            "the dense reference solver is a test oracle (tests/oracles.py)"
-        )
-    b = doc.get("bootstrap", {})
-    cfg.replications = int(b.get("replications", cfg.replications))
-    cfg.coverage = float(b.get("coverage", cfg.coverage))
-    cfg.master_seed = int(b.get("master_seed", cfg.master_seed))
-    cfg.n_jobs = int(b.get("n_jobs", cfg.n_jobs))
-    cfg.event_date = _parse_date(doc.get("event_date"))
-    cfg.output_dir = doc.get("output_dir", cfg.output_dir)
-    cfg.allow_nonstationary = bool(doc.get("allow_nonstationary", False))
-
-    # flag overrides
-    if getattr(args, "input", None):
-        cfg.inputs = []
-        for spec in args.input:
-            path, sep, asset = spec.rpartition(":")
-            if not sep or not path:
-                raise ConfigError(f"--input expects PATH:ASSET_ID, got {spec!r}")
-            cfg.inputs.append((path, asset))
-    for flag, attr in (
-        ("output_dir", "output_dir"), ("p_max", "p_max"), ("q", "tv_q"),
-        ("lam", "lam"), ("lambda_mode", "lambda_mode"),
-        ("replications", "replications"), ("coverage", "coverage"),
-        ("master_seed", "master_seed"), ("n_jobs", "n_jobs"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    if getattr(args, "event_date", None) is not None:
-        cfg.event_date = _parse_date(args.event_date)
-    if getattr(args, "date_start", None) is not None:
-        cfg.date_start = _parse_date(args.date_start)
-    if getattr(args, "date_end", None) is not None:
-        cfg.date_end = _parse_date(args.date_end)
-    if getattr(args, "allow_nonstationary", False):
-        cfg.allow_nonstationary = True
-    if getattr(args, "export_coefficients", False):
-        cfg.export_coefficients = True
-    if getattr(args, "dump_replications", False):
-        cfg.dump_replications = True
-
-    if not isinstance(cfg.csv.delimiter, str) or not cfg.csv.delimiter:
-        raise ConfigError(f"csv.delimiter must be a non-empty string, got {cfg.csv.delimiter!r}")
-    if cfg.csv.date_column < 0 or cfg.csv.price_column < 0:
-        raise ConfigError("csv.date_column and csv.price_column must be non-negative")
+    # The library objects check their own ranges: build them before any stage
+    # runs. A null q is chosen later, so 1 stands in for it here.
+    cfg.csv = CsvFormat(**{f.attr: values[f.attr] for f in FIELDS if f.section == "csv"})
+    cfg.bootstrap = BootstrapConfig(cfg.replications, cfg.coverage, cfg.master_seed)
+    TvVarConfig(q=1 if cfg.tv_q is None else cfg.tv_q, lam=cfg.lam, lambda_mode=cfg.lambda_mode)
     if cfg.unit_root_max_lag is not None and cfg.unit_root_max_lag < 0:
         raise ConfigError("unit_root.max_lag must be non-negative")
-    if cfg.unit_root_model not in (DETREND_CONSTANT, DETREND_TREND):
-        raise ConfigError(f"unknown unit-root model {cfg.unit_root_model!r}")
     if cfg.p_max < 1:
-        raise ConfigError("p_max must be at least 1")
-    if cfg.replications < 0:
-        raise ConfigError("replications must be non-negative")
+        raise ConfigError("var.p_max must be at least 1")
     if cfg.n_jobs < 1:
-        raise ConfigError("n_jobs must be at least 1")
+        raise ConfigError("bootstrap.n_jobs must be at least 1")
     return cfg
 
 
@@ -409,11 +368,7 @@ def _efficiency_stage(run: PipelineRun) -> int:
         bands = bootstrap_bands(
             returns,
             tv_config,
-            BootstrapConfig(
-                replications=cfg.replications,
-                coverage=cfg.coverage,
-                master_seed=cfg.master_seed,
-            ),
+            cfg.bootstrap,
             estimate=fit,
             n_jobs=cfg.n_jobs,
             dump_dir=_dump_dir(cfg) if cfg.dump_replications else None,
@@ -511,19 +466,15 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON configuration file")
     sp.add_argument("--input", action="append", metavar="PATH:ASSET_ID",
                     help="price file and label; repeat per asset (overrides config inputs)")
-    sp.add_argument("--output-dir", dest="output_dir")
-    sp.add_argument("--date-start", dest="date_start")
-    sp.add_argument("--date-end", dest="date_end")
-    sp.add_argument("--p-max", dest="p_max", type=int)
-    sp.add_argument("--q", dest="q", type=int)
-    sp.add_argument("--lambda", dest="lam", type=float, help="smoothing ratio")
-    sp.add_argument("--lambda-mode", dest="lambda_mode", choices=["fixed", "two-pass"])
-    sp.add_argument("--replications", dest="replications", type=int)
-    sp.add_argument("--coverage", dest="coverage", type=float)
-    sp.add_argument("--master-seed", dest="master_seed", type=int)
-    sp.add_argument("--n-jobs", dest="n_jobs", type=int)
-    sp.add_argument("--event-date", dest="event_date")
-    sp.add_argument("--allow-nonstationary", action="store_true")
+    for f in FIELDS:
+        if f.flag is None:
+            continue
+        if f.kind is bool:
+            sp.add_argument(f.flag, dest=f.attr, action="store_true", default=None, help=f"sets {f.name}")
+        else:
+            sp.add_argument(f.flag, dest=f.attr, help=f"sets {f.name}",
+                            type=f.kind if f.kind in (int, float) else None,
+                            choices=f.kind if isinstance(f.kind, tuple) else None)
     sp.add_argument("--export-coefficients", action="store_true")
     sp.add_argument("--dump-replications", action="store_true")
 

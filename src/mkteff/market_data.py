@@ -17,7 +17,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "CsvFormat",
@@ -75,6 +75,12 @@ class CsvFormat:
     price_column: int = 1
     date_format: str = "iso"
     skip_bad_rows: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.delimiter, str) or not self.delimiter:
+            raise ConfigError(f"csv.delimiter must be a non-empty string, got {self.delimiter!r}")
+        if self.date_column < 0 or self.price_column < 0:
+            raise ConfigError("csv.date_column and csv.price_column must be non-negative")
 
     def parse_date(self, text: str) -> date:
         if self.date_format == "iso":

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, timedelta
+from typing import get_type_hints
 
 import numpy as np
 
 from .efficiency import _degrees
-from .errors import ConfigError
+from .errors import ConfigError, typed
 from .market_data import AlignedPanel
 
 __all__ = ["DGP_KINDS", "DgpSpec", "DgpTruth", "simulate", "synthetic_dates"]
@@ -113,19 +114,17 @@ class DgpSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DgpSpec":
-        known = {
-            "kind", "n", "T", "q", "seed", "intercept", "innovation_sd",
-            "coefficients", "coefficients_end", "coef_innovation_sd",
-        }
-        unknown = set(doc) - known
+        kinds = get_type_hints(cls)
+        unknown = set(doc) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown DGP spec field(s): {', '.join(sorted(unknown))}")
         if "kind" not in doc:
             raise ConfigError("DGP spec needs a 'kind' field")
-        doc = dict(doc)
-        if "intercept" in doc and doc["intercept"] is not None:
-            doc["intercept"] = tuple(doc["intercept"])
-        return cls(**doc)
+        args = {k: typed(v, kinds[k], k) if kinds[k] in (str, int, float) else v for k, v in doc.items()}
+        if args.get("intercept") is not None:
+            intercept = typed(args["intercept"], list, "intercept")
+            args["intercept"] = tuple(typed(v, float, "intercept") for v in intercept)
+        return cls(**args)
 
 
 @dataclass(frozen=True, eq=False)

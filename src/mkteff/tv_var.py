@@ -42,6 +42,7 @@ _RIDGE_JITTER = 1e-10
 _LAMBDA_FLOOR, _LAMBDA_CAP = 1e-8, 1e12
 
 SOLVER_BANDED = "banded-cholesky"
+LAMBDA_MODES = ("fixed", "two-pass")
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,14 @@ class TvVarConfig:
 
     q: int = 1
     lam: float = 1.0
-    lambda_mode: str = "fixed"  # "fixed" or "two-pass"
+    lambda_mode: str = "fixed"  # one of LAMBDA_MODES
 
     def __post_init__(self):
         if self.q < 1:
             raise ConfigError("q must be at least 1")
         if not self.lam > 0:
             raise ConfigError("lam must be positive")
-        if self.lambda_mode not in ("fixed", "two-pass"):
+        if self.lambda_mode not in LAMBDA_MODES:
             raise ConfigError(f"unknown lambda_mode {self.lambda_mode!r}")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mkteff.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from mkteff.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_config, main
 
 
 def write_price_csv(path, start_price, returns, start="2020-01-01"):
@@ -202,6 +203,16 @@ class TestSimulate:
         assert main(["simulate", "--spec", spec, "--output-dir", str(tmp_path / "s")]) == EXIT_CONFIG
         assert "kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", "2"), ("T", "40"), ("seed", "x"), ("n", 2.5), ("intercept", 5), ("innovation_sd", "a")],
+    )
+    def test_mistyped_field_is_config_error(self, tmp_path, capsys, field, value):
+        spec = self.spec_file(tmp_path, {"kind": "white-noise", "n": 1, "T": 40, field: value})
+        assert main(["simulate", "--spec", spec, "--output-dir", str(tmp_path / "s")]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         spec = self.spec_file(tmp_path, {"kind": "constant-var", "n": 1, "T": 30, "coefficients": 0.3, "seed": 12})
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -246,24 +257,57 @@ class TestErrors:
         assert "test oracle" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra",
+        "extra, name",
         [
-            {"csv": {"delimiter": ""}},
-            {"csv": {"delimiter": 5}},
-            {"csv": {"date_column": -1}},
-            {"csv": {"price_column": -1}},
-            {"unit_root": {"max_lag": -1}},
-        ],
-        ids=[
-            "empty-delimiter", "non-string-delimiter", "negative-date-column",
-            "negative-price-column", "negative-max-lag",
+            pytest.param({"csv": {"delimiter": ""}}, "csv.delimiter", id="empty-delimiter"),
+            pytest.param({"csv": {"delimiter": 5}}, "csv.delimiter", id="non-string-delimiter"),
+            pytest.param({"csv": {"date_column": -1}}, "csv.date_column", id="negative-date-column"),
+            pytest.param({"csv": {"price_column": -1}}, "csv.price_column", id="negative-price-column"),
+            pytest.param({"unit_root": {"max_lag": -1}}, "unit_root.max_lag", id="negative-max-lag"),
+            pytest.param({"var": {"p_max": "abc"}}, "var.p_max", id="string-p-max"),
+            pytest.param({"var": {"p_max": "3"}}, "var.p_max", id="numeric-string-p-max"),
+            pytest.param({"var": {"p_max": 2.9}}, "var.p_max", id="float-p-max"),
+            pytest.param({"var": {"p_max": True}}, "var.p_max", id="bool-p-max"),
+            pytest.param({"bootstrap": {"coverage": [1]}}, "bootstrap.coverage", id="list-coverage"),
+            pytest.param({"csv": []}, "csv", id="non-object-section"),
+            pytest.param({"tv": {"q": 1, "lambda": "x"}}, "tv.lambda", id="string-lambda"),
+            pytest.param({"unit_root": {"max_lag": "z"}}, "unit_root.max_lag", id="string-max-lag"),
+            pytest.param({"date_range": {"start": 20200101}}, "date_range.start", id="int-date"),
+            pytest.param({"event_date": 5}, "event_date", id="int-event-date"),
+            pytest.param({"output_dir": 5}, "output_dir", id="int-output-dir"),
+            pytest.param({"csv": {"date_format": 5}}, "csv.date_format", id="int-date-format"),
+            pytest.param({"allow_nonstationary": "false"}, "allow_nonstationary", id="string-bool"),
+            pytest.param({"csv": {"skip_bad_rows": "no"}}, "csv.skip_bad_rows", id="string-skip-bad-rows"),
         ],
     )
-    def test_invalid_value_is_config_error(self, tmp_path, market_files, extra):
+    def test_invalid_value_is_config_error(self, tmp_path, market_files, extra, name, capsys):
         cfg = config_file(tmp_path, market_files, **extra)
         assert main(["all", "--config", cfg]) == EXIT_CONFIG
         out = tmp_path / "out"
         assert not out.exists() or list(out.rglob("*")) == []
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--lambda", "-1"], ["--coverage", "7"], ["--replications", "50"]],
+        ids=["lambda", "coverage", "replications"],
+    )
+    def test_out_of_range_flag_is_config_error(self, tmp_path, market_files, flag):
+        cfg = config_file(tmp_path, market_files)
+        assert main(["describe", "--config", cfg, *flag]) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert not out.exists() or list(out.rglob("*")) == []
+
+    def test_readme_config_echoes_with_defaults(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        block = readme.split("`config.json`:\n\n```json\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(block)
+        expected = json.loads(block)
+        del expected["tv"]["solver"]
+        expected["csv"]["skip_bad_rows"] = False
+        expected["allow_nonstationary"] = False
+        assert build_config(doc, argparse.Namespace()).echo() == expected
 
 
 class TestAll:

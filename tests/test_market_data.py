@@ -17,7 +17,7 @@ from mkteff.market_data import (
     NonPositivePriceError,
     RowParseError,
 )
-from mkteff.errors import DataError
+from mkteff.errors import ConfigError, DataError
 
 from conftest import make_panel, make_series
 
@@ -82,6 +82,15 @@ class TestLoad:
         text = "price;date\n3.5;2020-01-01\n"
         s = load(text, fmt=CsvFormat(delimiter=";", date_column=1, price_column=0))
         assert s.prices.tolist() == [3.5]
+
+    @pytest.mark.parametrize(
+        "fmt, name",
+        [({"delimiter": ""}, "csv.delimiter"), ({"date_column": -1}, "csv.date_column")],
+        ids=["empty-delimiter", "negative-date-column"],
+    )
+    def test_invalid_format_is_config_error(self, fmt, name):
+        with pytest.raises(ConfigError, match=name):
+            load("date,price\n2020-01-01,1\n", fmt=CsvFormat(**fmt))
 
     def test_unsorted_input_is_sorted(self):
         s = load("date,price\n2020-01-02,2\n2020-01-01,1\n")

@@ -2,8 +2,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mkteff import TvVarConfig, export_coefficient_paths, fit_tv_var, fit_var_ols
+from mkteff import TvVarConfig, efficiency_path, export_coefficient_paths, fit_tv_var, fit_var_ols
 from mkteff.errors import ConfigError, DataError
 from mkteff.tv_var import _solve_equations
 
@@ -142,6 +144,33 @@ class TestFit:
     def test_too_short(self, rng):
         with pytest.raises(DataError):
             fit_tv_var(make_panel(rng.standard_normal((3, 2))), TvVarConfig(q=1))
+
+
+class TestInvariance:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        log_c=st.floats(-2.0, 2.0),
+        lam=st.floats(0.1, 100.0),
+    )
+    def test_scaling_returns_scales_lambda_by_c_squared(self, seed, log_c, lam):
+        # the data term scales by c^2, so the smoothness penalty must too
+        values = np.random.default_rng(seed).standard_normal((60, 2))
+        c = 10.0**log_c
+        base = fit_tv_var(make_panel(values), TvVarConfig(q=1, lam=lam))
+        scaled = fit_tv_var(make_panel(c * values), TvVarConfig(q=1, lam=lam * c**2))
+        assert np.abs(scaled.A_path - base.A_path).max() <= 1e-10 * np.abs(base.A_path).max()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), perm=st.permutations(range(3)), q=st.integers(1, 2))
+    def test_permuting_assets_conjugates_the_path(self, seed, perm, q):
+        values = np.random.default_rng(seed).standard_normal((60, 3))
+        base = fit_tv_var(make_panel(values), TvVarConfig(q=q, lam=1.0))
+        moved = fit_tv_var(make_panel(values[:, perm]), TvVarConfig(q=q, lam=1.0))
+        P = np.eye(3)[perm]  # P @ x == x[perm]
+        expected = P @ base.A_path @ P.T
+        assert np.abs(moved.A_path - expected).max() <= 1e-10 * np.abs(expected).max()
+        np.testing.assert_allclose(efficiency_path(moved).zeta, efficiency_path(base).zeta, rtol=1e-10, atol=0)
 
 
 class TestConfig:
