@@ -18,8 +18,10 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +38,9 @@ __all__ = [
     "replication_seed",
     "bootstrap_bands",
 ]
+
+# Replications per ``--dump-replications`` file
+DUMP_CHUNK = 1000
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,8 @@ def _init_worker(payload: dict) -> None:
     _WORK.update(payload)
 
 
-def _run_replication(b: int, work: dict | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+def _run_replication(b: int, work: dict | None = None) -> tuple[int, np.ndarray]:
+    """Replication b's degree path, all NaN if the refit fails; a pool worker reads ``_WORK``."""
     w = _WORK if work is None else work
     panel = resample_null_panel(
         w["residuals"],
@@ -126,29 +132,26 @@ def _run_replication(b: int, work: dict | None = None) -> tuple[int, np.ndarray,
         asset_ids=w["asset_ids"],
     )
     try:
-        fit = fit_tv_var(panel, w["tv_config"])
-        path = efficiency_path(fit)
-        return b, path.zeta, path.singular
+        return b, efficiency_path(fit_tv_var(panel, w["tv_config"])).zeta
     except NumericalError:
-        S = w["n_rows"] - w["tv_config"].q
-        return b, np.full(S, np.nan), np.ones(S, dtype=bool)
+        return b, np.full(w["n_rows"] - w["tv_config"].q, np.nan)
 
 
-def _dump_chunks(dump_dir: str, dates, zstar: np.ndarray, chunk_size: int) -> tuple[str, ...]:
+def _dump_chunks(dump_dir: str, dates, zstar: np.ndarray) -> tuple[str, ...]:
+    """Write ``zstar`` (NaN as a blank cell) in files of ``DUMP_CHUNK`` replications."""
     os.makedirs(dump_dir, exist_ok=True)
     B = zstar.shape[0]
+    days = [f",{d.isoformat()}," for d in dates]
     names = []
-    for start in range(0, B, chunk_size):
-        stop = min(start + chunk_size, B)
+    for start in range(0, B, DUMP_CHUNK):
+        stop = min(start + DUMP_CHUNK, B)
         name = os.path.join(dump_dir, f"replications_{start + 1:06d}_{stop:06d}.csv")
         names.append(name)
         with open(name, "w", encoding="utf-8") as fh:
             fh.write("replication,date,zeta\n")
             for b in range(start, stop):
-                for s, d in enumerate(dates):
-                    z = zstar[b, s]
-                    cell = repr(float(z)) if np.isfinite(z) else ""
-                    fh.write(f"{b + 1},{d.isoformat()},{cell}\n")
+                cells = [repr(z) if z == z else "" for z in zstar[b].tolist()]
+                fh.write("".join(f"{b + 1}{day}{cell}\n" for day, cell in zip(days, cells)))
     return tuple(names)
 
 
@@ -159,7 +162,6 @@ def bootstrap_bands(
     estimate: TvVarEstimate | None = None,
     n_jobs: int = 1,
     dump_dir: str | None = None,
-    chunk_size: int = 1000,
 ) -> BandPath:
     """Pointwise confidence bands for the degree under the null.
 
@@ -175,8 +177,8 @@ def bootstrap_bands(
     n_jobs : int
         Worker processes. Output is identical for any value.
     dump_dir : str, optional
-        If set, replication-level degree paths are written there in chunks of
-        ``chunk_size`` replications for audit and listed in
+        If set, replication-level degree paths are written there in files of
+        ``DUMP_CHUNK`` replications for audit and listed in
         ``BandPath.dump_files``.
 
     Returns
@@ -200,34 +202,26 @@ def bootstrap_bands(
         "tv_config": tv_config,
     }
     zstar = np.empty((B, S))
-    flags = np.empty((B, S), dtype=bool)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=n_jobs, initializer=_init_worker, initargs=(payload,)
-        ) as pool:
-            # about four chunks per worker, so the last ones even out the load
-            chunksize = max(1, min(64, -(-B // (4 * n_jobs))))
-            for b, z, f in pool.map(_run_replication, range(1, B + 1), chunksize=chunksize):
-                zstar[b - 1] = z
-                flags[b - 1] = f
-    else:
-        for b in range(1, B + 1):
-            _, z, f = _run_replication(b, payload)
+    reps = range(1, B + 1)
+    pool = ProcessPoolExecutor(n_jobs, initializer=_init_worker, initargs=(payload,)) if n_jobs > 1 else None
+    with pool or nullcontext():
+        if pool is None:
+            results = map(partial(_run_replication, work=payload), reps)
+        else:  # about four chunks per worker, so the last ones even out the load
+            results = pool.map(_run_replication, reps, chunksize=max(1, min(64, -(-B // (4 * n_jobs)))))
+        for b, z in results:
             zstar[b - 1] = z
-            flags[b - 1] = f
 
-    zmasked = np.where(flags | ~np.isfinite(zstar), np.nan, zstar)
+    zstar[~np.isfinite(zstar)] = np.nan  # any non-finite degree is a flagged cell
     lo_q = (1.0 - boot_config.coverage) / 2.0
-    hi_q = 1.0 - lo_q
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN dates stay NaN
-        lower = np.nanquantile(zmasked, lo_q, axis=0)
-        upper = np.nanquantile(zmasked, hi_q, axis=0)
-    flagged_counts = (~np.isfinite(zmasked)).sum(axis=0)
+        lower, upper = np.nanquantile(zstar, [lo_q, 1.0 - lo_q], axis=0)
+    flagged_counts = np.isnan(zstar).sum(axis=0)
     if S and np.all(flagged_counts == B):
         msg = f"all {B} bootstrap replications failed or were flagged at every date; the bands are empty"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    dump_files = _dump_chunks(dump_dir, fit.dates, zmasked, chunk_size) if dump_dir is not None else ()
+    dump_files = _dump_chunks(dump_dir, fit.dates, zstar) if dump_dir is not None else ()
     return BandPath(
         dates=fit.dates,
         lower=lower,

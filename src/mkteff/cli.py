@@ -187,6 +187,8 @@ def build_config(doc: dict, args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError("var.p_max must be at least 1")
     if cfg.n_jobs < 1:
         raise ConfigError("bootstrap.n_jobs must be at least 1")
+    if not cfg.output_dir:
+        raise ConfigError("output_dir must not be empty")
     return cfg
 
 

@@ -9,7 +9,7 @@ sum approaches a unit root (flagged, not dropped).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
 from typing import IO, Sequence
 
@@ -31,22 +31,21 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True, eq=False)
 class EfficiencyPath:
-    """Per-date degree with optional band values; NaN marks flagged dates."""
+    """Per-date degree with optional band values; a non-finite degree marks a flagged date."""
 
     dates: tuple[date, ...]
     zeta: np.ndarray
-    singular: np.ndarray  # bool per date
     band_low: np.ndarray | None = None
     band_high: np.ndarray | None = None
+    singular: np.ndarray = field(init=False)  # bool per date: zeta is not finite
 
     def __post_init__(self):
         zeta = np.asarray(self.zeta, dtype=float)
         object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "singular", np.asarray(self.singular, dtype=bool))
-        if len(self.dates) != zeta.shape[0] or zeta.shape[0] != self.singular.shape[0]:
-            raise ValueError("dates, zeta, and singular flags must align")
-        good = ~self.singular
-        if np.any(zeta[good] < 0):
+        object.__setattr__(self, "singular", ~np.isfinite(zeta))
+        if len(self.dates) != zeta.shape[0]:
+            raise ValueError("dates and zeta must align")
+        if np.any(zeta[~self.singular] < 0):
             raise ValueError("degree must be non-negative where defined")
         if self.band_low is not None and self.band_high is not None:
             both = np.isfinite(self.band_low) & np.isfinite(self.band_high)
@@ -192,14 +191,14 @@ def _spectral_norm(D: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-def _degrees(M: np.ndarray, condition_limit: float = CONDITION_LIMIT) -> tuple[np.ndarray, np.ndarray]:
-    """Degree and singular flag per date of a stack M = I - sum_l A_l (S, n, n)."""
+def _degrees(M: np.ndarray, condition_limit: float = CONDITION_LIMIT) -> np.ndarray:
+    """Degree per date of a stack M = I - sum_l A_l (S, n, n); NaN on flagged dates."""
     dev, singular = _guarded_inverse(M, condition_limit)
     dev -= np.eye(M.shape[-1])
     dev[singular] = 0.0  # keeps void inverses out of the eigensolver
     zeta = _spectral_norm(dev)
-    zeta[singular] = np.nan
-    return zeta, singular
+    zeta[singular | ~np.isfinite(zeta)] = np.nan
+    return zeta
 
 
 def cumulative_multiplier(A: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -224,5 +223,5 @@ def efficiency_path(estimate: TvVarEstimate, condition_limit: float = CONDITION_
     flagged and carry NaN instead of a clipped value.
     """
     n = estimate.A_path.shape[-1]
-    zeta, singular = _degrees(np.eye(n) - estimate.A_path.sum(axis=1), condition_limit)
-    return EfficiencyPath(dates=estimate.dates, zeta=zeta, singular=singular)
+    zeta = _degrees(np.eye(n) - estimate.A_path.sum(axis=1), condition_limit)
+    return EfficiencyPath(dates=estimate.dates, zeta=zeta)

@@ -121,6 +121,10 @@ class DgpSpec:
         if "kind" not in doc:
             raise ConfigError("DGP spec needs a 'kind' field")
         args = {k: typed(v, kinds[k], k) if kinds[k] in (str, int, float) else v for k, v in doc.items()}
+        for k in ("coefficients", "coefficients_end"):  # a number or a regular nested list of numbers
+            cells = np.asarray(args.get(k, 0.0), dtype=object).ravel()  # a ragged list keeps list cells
+            if args.get(k) is not None and not all(type(x) in (int, float) for x in cells):
+                raise ConfigError(f"{k} must be a number or a nested list of numbers, got {args[k]!r}")
         if args.get("intercept") is not None:
             intercept = typed(args["intercept"], list, "intercept")
             args["intercept"] = tuple(typed(v, float, "intercept") for v in intercept)
@@ -144,7 +148,7 @@ class DgpTruth:
 def _panel_and_truth(nu, values, A_path) -> tuple[AlignedPanel, DgpTruth]:
     """Returns panel plus ground truth, with the degree implied by each lag stack."""
     n = A_path.shape[-1]
-    zeta, _ = _degrees(np.eye(n) - A_path.sum(axis=1))
+    zeta = _degrees(np.eye(n) - A_path.sum(axis=1))
     panel = AlignedPanel(synthetic_dates(values.shape[0]), values, _ids(n), "returns")
     return panel, DgpTruth(nu=nu, A_path=A_path, zeta=zeta)
 

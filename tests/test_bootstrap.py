@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,25 +118,56 @@ class TestBands:
     def test_replication_floor(self):
         panel = null_panel(seed=1, T=120)
         with pytest.raises(ConfigError):
-            bootstrap_bands(panel, TvVarConfig(), BootstrapConfig(replications=50))
+            bootstrap_bands(panel, TvVarConfig(), BootstrapConfig(replications=0))
 
-    def test_dump_files(self, tmp_path):
+    def test_dump_files(self, tmp_path, monkeypatch):
+        # the dumped cells are exactly the replications the bands were taken over
+        import mkteff.bootstrap as boot_mod
+
         panel = null_panel(seed=3, T=120)
         tv = TvVarConfig(q=1, lam=1.0)
-        bootstrap_bands(
-            panel, tv,
-            BootstrapConfig(replications=100, coverage=0.95, master_seed=2),
-            dump_dir=str(tmp_path), chunk_size=40,
-        )
-        files = sorted(p.name for p in tmp_path.iterdir())
-        assert files == [
-            "replications_000001_000040.csv",
-            "replications_000041_000080.csv",
-            "replications_000081_000100.csv",
-        ]
-        first = (tmp_path / files[0]).read_text().splitlines()
-        assert first[0] == "replication,date,zeta"
-        assert len(first) == 1 + 40 * 119
+        fit = fit_tv_var(panel, tv)
+        monkeypatch.setattr(boot_mod, "DUMP_CHUNK", 40)
+        for refit in ("ok", "failed"):
+            if refit == "failed":  # every cell blank
+                def fail(*args, **kwargs):
+                    raise NumericalError("refit failed")
+
+                monkeypatch.setattr(boot_mod, "fit_tv_var", fail)
+            out = tmp_path / refit
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the all-failed case warns
+                bands = bootstrap_bands(
+                    panel, tv,
+                    BootstrapConfig(replications=100, coverage=0.95, master_seed=2),
+                    estimate=fit, dump_dir=str(out),
+                )
+            files = sorted(p.name for p in out.iterdir())
+            assert files == [
+                "replications_000001_000040.csv",
+                "replications_000041_000080.csv",
+                "replications_000081_000100.csv",
+            ]
+            assert bands.dump_files == tuple(str(out / f) for f in files)
+            position = {d.isoformat(): s for s, d in enumerate(bands.dates)}
+            zstar = np.full((100, 119), -1.0)
+            for name in files:
+                lines = (out / name).read_text().splitlines()
+                assert lines[0] == "replication,date,zeta"
+                for line in lines[1:]:
+                    rep, day, cell = line.split(",")
+                    zstar[int(rep) - 1, position[day]] = float(cell) if cell else np.nan
+            assert len((out / files[0]).read_text().splitlines()) == 1 + 40 * 119
+            assert np.all(zstar != -1.0)  # every (replication, date) cell was written
+            blank = np.isnan(zstar)
+            assert blank.all() if refit == "failed" else not blank.any()
+            np.testing.assert_array_equal(blank.sum(axis=0), bands.flagged_counts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN dates stay NaN
+                lo = (1.0 - 0.95) / 2.0  # the levels as bootstrap_bands computes them
+                lower, upper = np.nanquantile(zstar, [lo, 1.0 - lo], axis=0)
+            np.testing.assert_array_equal(lower, bands.lower)  # NaN matches NaN
+            np.testing.assert_array_equal(upper, bands.upper)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

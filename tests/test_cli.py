@@ -205,7 +205,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n", "2"), ("T", "40"), ("seed", "x"), ("n", 2.5), ("intercept", 5), ("innovation_sd", "a")],
+        [("n", "2"), ("T", "40"), ("seed", "x"), ("n", 2.5), ("intercept", 5), ("innovation_sd", "a"),
+         ("coefficients", "abc"), ("coefficients_end", [[1.0], [2.0, 3.0]])],
     )
     def test_mistyped_field_is_config_error(self, tmp_path, capsys, field, value):
         spec = self.spec_file(tmp_path, {"kind": "white-noise", "n": 1, "T": 40, field: value})
@@ -275,6 +276,7 @@ class TestErrors:
             pytest.param({"date_range": {"start": 20200101}}, "date_range.start", id="int-date"),
             pytest.param({"event_date": 5}, "event_date", id="int-event-date"),
             pytest.param({"output_dir": 5}, "output_dir", id="int-output-dir"),
+            pytest.param({"output_dir": ""}, "output_dir", id="empty-output-dir"),
             pytest.param({"csv": {"date_format": 5}}, "csv.date_format", id="int-date-format"),
             pytest.param({"allow_nonstationary": "false"}, "allow_nonstationary", id="string-bool"),
             pytest.param({"csv": {"skip_bad_rows": "no"}}, "csv.skip_bad_rows", id="string-skip-bad-rows"),
@@ -289,8 +291,8 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "flag",
-        [["--lambda", "-1"], ["--coverage", "7"], ["--replications", "50"]],
-        ids=["lambda", "coverage", "replications"],
+        [["--lambda", "-1"], ["--coverage", "7"], ["--replications", "50"], ["--output-dir", ""]],
+        ids=["lambda", "coverage", "replications", "output-dir"],
     )
     def test_out_of_range_flag_is_config_error(self, tmp_path, market_files, flag):
         cfg = config_file(tmp_path, market_files)

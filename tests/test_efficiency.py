@@ -145,12 +145,17 @@ class TestPath:
         assert lines[1].endswith(",0")
         assert lines[3].split(",")[2] == ""  # NaN band renders blank
 
+    def test_singular_is_derived_from_zeta(self):
+        path = EfficiencyPath(dates=make_dates(3), zeta=np.array([0.1, np.nan, np.inf]))
+        assert path.singular.tolist() == [False, True, True]
+        with pytest.raises(TypeError):
+            EfficiencyPath(dates=make_dates(1), zeta=np.zeros(1), singular=np.zeros(1, dtype=bool))
+
     def test_band_order_validated(self):
         with pytest.raises(ValueError):
             EfficiencyPath(
                 dates=make_dates(2),
                 zeta=np.array([0.1, 0.2]),
-                singular=np.zeros(2, dtype=bool),
                 band_low=np.array([0.5, 0.5]),
                 band_high=np.array([0.1, 0.6]),
             )
@@ -215,9 +220,9 @@ class TestKernel:
         M = stack_with_condition(rng, S, n, kappas)
         if exact_zero:
             M[rng.integers(S)] = 0.0  # stops the batched LU
-        zeta, singular = _degrees(M)
+        zeta = _degrees(M)
         want_zeta, want_singular = svd_oracle(M)
-        np.testing.assert_array_equal(singular, want_singular)
+        np.testing.assert_array_equal(np.isnan(zeta), want_singular)
         np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=60, deadline=None)
@@ -231,9 +236,9 @@ class TestKernel:
         rng = np.random.default_rng(seed)
         gaps = np.where(rng.random(S) < 0.2, 0.0, 10.0 ** rng.uniform(-12.0, -2.0, S))
         M = stack_with_double_top(rng, S, gaps)
-        zeta, singular = _degrees(M)
+        zeta = _degrees(M)
         want_zeta, want_singular = svd_oracle(M)
-        np.testing.assert_array_equal(singular, want_singular)
+        np.testing.assert_array_equal(np.isnan(zeta), want_singular)
         np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=60, deadline=None)
@@ -253,9 +258,9 @@ class TestKernel:
                 M[s] = (Q * [scale, 0.0, 0.0]) @ Q.T
             else:
                 M[s] = scale * np.outer(rng.standard_normal(3), rng.standard_normal(3))
-        zeta, singular = _degrees(M)
+        zeta = _degrees(M)
         want_zeta, want_singular = svd_oracle(M)
-        np.testing.assert_array_equal(singular, want_singular)
+        np.testing.assert_array_equal(np.isnan(zeta), want_singular)
         np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
 
     def test_rank_one_lag_sum_has_no_multiplier(self, rng):
@@ -278,7 +283,7 @@ class TestKernel:
         assert not singular.any()
         np.testing.assert_array_equal(phi[0], cofactor[0])
         np.testing.assert_array_equal(phi[1], lapack[1])
-        zeta, _ = _degrees(M)
+        zeta = _degrees(M)
         assert zeta[1] == _spectral_norm(lapack[1:] - np.eye(3))[0]
 
     def test_guard_boundary_is_exact_two_norm(self):
@@ -286,34 +291,30 @@ class TestKernel:
         over = np.diag([1.0, 1.0, 1.0 / 1.1e12])
         frobenius = np.linalg.norm(under) * np.linalg.norm(np.linalg.inv(under))
         assert frobenius > CONDITION_LIMIT  # the screen alone would flag it
-        zeta, singular = _degrees(np.stack([under, over]))
-        assert singular.tolist() == [False, True]
+        zeta = _degrees(np.stack([under, over]))
+        assert np.isnan(zeta).tolist() == [False, True]
         assert zeta[0] == pytest.approx(0.9e12 - 1.0, rel=1e-12)
-        assert np.isnan(zeta[1])
 
     def test_limit_below_cofactor_bound_still_flags(self):
         # a caller's limit under COFACTOR_BOUND caps the cofactor screen too
         M = np.diag([1.0, 1.0, 1.0 / 20.0])
-        _, singular = _degrees(M[None], condition_limit=10.0)
-        assert singular[0]
+        assert np.isnan(_degrees(M[None], condition_limit=10.0)[0])
 
     def test_rounding_at_the_limit_follows_cond(self):
         # kappa_2 within rounding of the limit: the computed Frobenius bound lands
         # just under it, np.linalg.cond just over it
         M = np.array([[0.46496026515031164, 0.2997095266784889], [0.7001977356422369, 0.4513416471488002]])
-        _, singular = _degrees(M[None])
-        assert singular[0] == (not np.linalg.cond(M) <= CONDITION_LIMIT)
+        assert np.isnan(_degrees(M[None])[0]) == (not np.linalg.cond(M) <= CONDITION_LIMIT)
 
     def test_exactly_singular_date_in_long_batch(self, rng):
         M = stack_with_condition(rng, 500, 3, 10.0 ** rng.uniform(0.0, 3.0, 500))
         M[250] = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(M)
-        zeta, singular = _degrees(M)
-        assert singular.tolist() == [s == 250 for s in range(500)]
-        assert np.isnan(zeta[250])
+        zeta = _degrees(M)
+        assert np.isnan(zeta).tolist() == [s == 250 for s in range(500)]
         rest = np.delete(np.arange(500), 250)
-        alone, _ = _degrees(M[rest])
+        alone = _degrees(M[rest])
         np.testing.assert_array_equal(zeta[rest], alone)
 
     def test_nan_lag_sum_is_flagged(self):
