@@ -69,7 +69,6 @@ class BandPath:
     coverage: float
     replications: int
     flagged_counts: np.ndarray  # singular/failed replications excluded per date
-    dump_files: tuple[str, ...] = ()  # replication-level files written, if any
 
     def __post_init__(self):
         both = np.isfinite(self.lower) & np.isfinite(self.upper)
@@ -137,22 +136,19 @@ def _run_replication(b: int, work: dict | None = None) -> tuple[int, np.ndarray]
         return b, np.full(w["n_rows"] - w["tv_config"].q, np.nan)
 
 
-def _dump_chunks(dump_dir: str, dates, zstar: np.ndarray) -> tuple[str, ...]:
+def _dump_chunks(dump_dir: str, dates, zstar: np.ndarray) -> None:
     """Write ``zstar`` (NaN as a blank cell) in files of ``DUMP_CHUNK`` replications."""
     os.makedirs(dump_dir, exist_ok=True)
     B = zstar.shape[0]
     days = [f",{d.isoformat()}," for d in dates]
-    names = []
     for start in range(0, B, DUMP_CHUNK):
         stop = min(start + DUMP_CHUNK, B)
         name = os.path.join(dump_dir, f"replications_{start + 1:06d}_{stop:06d}.csv")
-        names.append(name)
         with open(name, "w", encoding="utf-8") as fh:
             fh.write("replication,date,zeta\n")
             for b in range(start, stop):
                 cells = [repr(z) if z == z else "" for z in zstar[b].tolist()]
                 fh.write("".join(f"{b + 1}{day}{cell}\n" for day, cell in zip(days, cells)))
-    return tuple(names)
 
 
 def bootstrap_bands(
@@ -178,8 +174,7 @@ def bootstrap_bands(
         Worker processes. Output is identical for any value.
     dump_dir : str, optional
         If set, replication-level degree paths are written there in files of
-        ``DUMP_CHUNK`` replications for audit and listed in
-        ``BandPath.dump_files``.
+        ``DUMP_CHUNK`` replications for audit.
 
     Returns
     -------
@@ -221,7 +216,8 @@ def bootstrap_bands(
     if S and np.all(flagged_counts == B):
         msg = f"all {B} bootstrap replications failed or were flagged at every date; the bands are empty"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    dump_files = _dump_chunks(dump_dir, fit.dates, zstar) if dump_dir is not None else ()
+    if dump_dir is not None:
+        _dump_chunks(dump_dir, fit.dates, zstar)
     return BandPath(
         dates=fit.dates,
         lower=lower,
@@ -229,5 +225,4 @@ def bootstrap_bands(
         coverage=boot_config.coverage,
         replications=B,
         flagged_counts=flagged_counts,
-        dump_files=dump_files,
     )

@@ -5,8 +5,10 @@ values. Each pipeline command loads the returns panel once and runs its stages
 (describe, var, efficiency; ``all`` runs the three) against it, then writes one
 manifest with the effective configuration, seeds and every stage's fields,
 sufficient to reproduce its outputs exactly (nothing time-stamped, so reruns
-are byte-identical). Exit codes: 0 success, 2 configuration error, 3 data
-error, 4 numerical failure; on an error every file the run wrote is removed.
+are byte-identical). Every command writes into a staging directory inside the
+output directory and moves its files into place only once it has finished.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
+failure; on an error the output directory is left as it was.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from types import SimpleNamespace
@@ -25,7 +30,7 @@ import numpy as np
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_bands
 from .efficiency import efficiency_path
-from .errors import ConfigError, DataError, MktEffError, NumericalError, typed
+from .errors import ConfigError, DataError, NumericalError, typed
 from .market_data import (
     AlignedPanel,
     CsvFormat,
@@ -123,20 +128,25 @@ def _load_json(path: str) -> dict:
 
 
 def _inputs(doc: dict, args: argparse.Namespace) -> list:
-    """(path, asset_id) pairs: the ``--input`` flags if given, else the config's."""
+    """(path, asset_id) pairs from the ``--input`` flags if given, else the config; ids non-empty and distinct."""
     pairs = []
     if getattr(args, "input", None):
+        name = "--input"
         for spec in args.input:
             path, _, asset = spec.rpartition(":")
             if not path:
                 raise ConfigError(f"--input expects PATH:ASSET_ID, got {spec!r}")
             pairs.append((path, asset))
-        return pairs
-    for item in typed(doc.get("inputs", []), list, "inputs"):
-        if not isinstance(item, dict) or not {"path", "asset_id"} <= set(item):
-            raise ConfigError(f"each input needs 'path' and 'asset_id', got {item!r}")
-        pairs.append((typed(item["path"], str, "inputs.path"),
-                      typed(item["asset_id"], str, "inputs.asset_id")))
+    else:
+        name = "inputs.asset_id"
+        for item in typed(doc.get("inputs", []), list, "inputs"):
+            if not isinstance(item, dict) or not {"path", "asset_id"} <= set(item):
+                raise ConfigError(f"each input needs 'path' and 'asset_id', got {item!r}")
+            pairs.append((typed(item["path"], str, "inputs.path"),
+                          typed(item["asset_id"], str, name)))
+    ids = [asset for _, asset in pairs]
+    if "" in ids or len(set(ids)) < len(ids):
+        raise ConfigError(f"{name}: asset ids must be non-empty and distinct, got {', '.join(map(repr, ids))}")
     return pairs
 
 
@@ -218,6 +228,28 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _manifest_text(command: str, **fields) -> str:
+    return _json_text({"tool": "mkteff", "version": __version__, "command": command, **fields})
+
+
+@contextmanager
+def _staged(output_dir: str):
+    """A new staging directory in ``output_dir``, the one place a command writes. On a
+    normal exit each staged file is renamed into ``output_dir`` under its subpath; on an
+    exception none is. Either way the staging directory is then removed."""
+    os.makedirs(output_dir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".mkteff-", dir=output_dir)
+    try:
+        yield stage
+        for root, _, files in os.walk(stage):
+            dest = os.path.join(output_dir, os.path.relpath(root, stage))
+            os.makedirs(dest, exist_ok=True)
+            for name in files:
+                os.replace(os.path.join(root, name), os.path.join(dest, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def _stars(p_value: float) -> str:
     if p_value < 0.01:
         return "***"
@@ -274,22 +306,20 @@ def var_table_text(est, granger_results, lc) -> str:
 class PipelineRun:
     """State one run hands from stage to stage.
 
-    The returns panel is loaded once; ``var_order`` is the BIC order once the
-    var stage has selected it; ``manifest`` collects every stage's fields and
-    ``written`` every file the run wrote.
+    The returns panel is loaded once; ``stage`` is the staging directory every
+    output goes to; ``var_order`` is the BIC order once the var stage has
+    selected it; ``manifest`` collects every stage's fields.
     """
 
     cfg: PipelineConfig
     returns: AlignedPanel
-    written: list
+    stage: str
     manifest: dict = field(default_factory=dict)
     var_order: int | None = None
 
     def output(self, name: str) -> str:
-        """Path of an output file, recorded as written before it is opened."""
-        path = os.path.join(self.cfg.output_dir, name)
-        self.written.append(path)
-        return path
+        """Staging path of an output file."""
+        return os.path.join(self.stage, name)
 
     def write(self, name: str, text: str) -> None:
         _write(self.output(name), text)
@@ -344,11 +374,6 @@ def _var_stage(run: PipelineRun) -> int:
     return EXIT_OK
 
 
-def _dump_dir(cfg: PipelineConfig) -> str:
-    """Directory of the ``--dump-replications`` chunks."""
-    return os.path.join(cfg.output_dir, "replications")
-
-
 def _efficiency_stage(run: PipelineRun) -> int:
     cfg, returns = run.cfg, run.returns
     q = cfg.tv_q
@@ -373,9 +398,8 @@ def _efficiency_stage(run: PipelineRun) -> int:
             cfg.bootstrap,
             estimate=fit,
             n_jobs=cfg.n_jobs,
-            dump_dir=_dump_dir(cfg) if cfg.dump_replications else None,
+            dump_dir=run.output("replications") if cfg.dump_replications else None,
         )
-        run.written.extend(bands.dump_files)
         path = path.with_bands(bands.lower, bands.upper)
         run.manifest["bootstrap_flagged_cells"] = int(bands.flagged_counts.sum())
         run.manifest["bootstrap_flagged_max_per_date"] = int(bands.flagged_counts.max(initial=0))
@@ -401,66 +425,42 @@ def run_pipeline(cfg: PipelineConfig, command: str) -> int:
     """Run one pipeline command: load the returns once, run its stages, write one manifest.
 
     A failed stationarity gate ends the run after the describe stage with
-    ``EXIT_DATA``, its summary and the manifest left in place. On a
-    ``MktEffError`` every file the run wrote, and the dump directory if the run
-    made it, is removed before it propagates.
+    ``EXIT_DATA``, its summary and the manifest committed. On an exception
+    nothing is committed.
     """
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    dump_dir_existed = os.path.isdir(_dump_dir(cfg))
-    written: list = []
-    code = EXIT_OK
-    try:
-        run = PipelineRun(cfg, load_returns_panel(cfg), written)
-        for stage in STAGES[command]:
-            code = stage(run)
+    with _staged(cfg.output_dir) as stage:
+        run = PipelineRun(cfg, load_returns_panel(cfg), stage)
+        code = EXIT_OK
+        for step in STAGES[command]:
+            code = step(run)
             if code != EXIT_OK:
                 break
-        doc = {"tool": "mkteff", "version": __version__, "command": command, "config": cfg.echo()}
-        run.write("manifest.json", _json_text({**doc, **run.manifest}))
-    except MktEffError:
-        for f in written:  # no partial outputs on failure
-            try:
-                os.unlink(f)
-            except OSError:
-                pass
-        if not dump_dir_existed:
-            try:
-                os.rmdir(_dump_dir(cfg))
-            except OSError:  # never made, or not empty
-                pass
-        raise
+        run.write("manifest.json", _manifest_text(command, config=cfg.echo(), **run.manifest))
     return code
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if not args.output_dir:
+        raise ConfigError("--output-dir must not be empty")
     doc = _load_json(args.spec)
     spec = DgpSpec.from_dict(doc)
-    out_dir = args.output_dir or "out"
-    os.makedirs(out_dir, exist_ok=True)
     panel, truth = simulate(spec)
-    lines = ["date," + ",".join(panel.asset_ids)]
-    for i, d in enumerate(panel.dates):
-        lines.append(d.isoformat() + "," + ",".join(repr(float(v)) for v in panel.values[i]))
-    _write(os.path.join(out_dir, "panel.csv"), "\n".join(lines) + "\n")
+    with _staged(args.output_dir) as stage:
+        lines = ["date," + ",".join(panel.asset_ids)]
+        for i, d in enumerate(panel.dates):
+            lines.append(d.isoformat() + "," + ",".join(repr(float(v)) for v in panel.values[i]))
+        _write(os.path.join(stage, "panel.csv"), "\n".join(lines) + "\n")
 
-    q, n = spec.q, spec.n
-    coef_names = [f"a{l + 1}_{i}_{j}" for l in range(q) for i in range(n) for j in range(n)]
-    lines = ["date,zeta," + ",".join(coef_names)]
-    for t, d in enumerate(panel.dates):
-        z = truth.zeta[t]
-        zcell = repr(float(z)) if np.isfinite(z) else ""
-        flat = truth.A_path[t].ravel()
-        lines.append(d.isoformat() + f",{zcell}," + ",".join(repr(float(v)) for v in flat))
-    _write(os.path.join(out_dir, "truth.csv"), "\n".join(lines) + "\n")
-
-    manifest = {
-        "tool": "mkteff",
-        "version": __version__,
-        "command": "simulate",
-        "spec": doc,
-        "seeds": {"seed": spec.seed},
-    }
-    _write(os.path.join(out_dir, "manifest.json"), _json_text(manifest))
+        q, n = spec.q, spec.n
+        coef_names = [f"a{l + 1}_{i}_{j}" for l in range(q) for i in range(n) for j in range(n)]
+        lines = ["date,zeta," + ",".join(coef_names)]
+        for t, d in enumerate(panel.dates):
+            z = truth.zeta[t]
+            zcell = repr(float(z)) if np.isfinite(z) else ""
+            flat = truth.A_path[t].ravel()
+            lines.append(d.isoformat() + f",{zcell}," + ",".join(repr(float(v)) for v in flat))
+        _write(os.path.join(stage, "truth.csv"), "\n".join(lines) + "\n")
+        _write(os.path.join(stage, "manifest.json"), _manifest_text("simulate", spec=doc, seeds={"seed": spec.seed}))
     return EXIT_OK
 
 
@@ -498,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_pipeline_flags(sp)
     sim = sub.add_parser("simulate", help="generate a synthetic panel with ground truth")
     sim.add_argument("--spec", required=True, help="JSON DGP specification")
-    sim.add_argument("--output-dir", dest="output_dir")
+    sim.add_argument("--output-dir", dest="output_dir", default="out")
     return parser
 
 

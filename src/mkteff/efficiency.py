@@ -216,12 +216,12 @@ def joint_degree(phi1: np.ndarray) -> float:
     return float(_spectral_norm(np.asarray(phi1, dtype=float)[None] - np.eye(len(phi1)))[0])
 
 
-def efficiency_path(estimate: TvVarEstimate, condition_limit: float = CONDITION_LIMIT) -> EfficiencyPath:
+def efficiency_path(estimate: TvVarEstimate) -> EfficiencyPath:
     """Per-date degree along a fitted coefficient path.
 
-    Dates where the lag sum is within ``condition_limit`` of singular are
+    Dates where the lag sum is within ``CONDITION_LIMIT`` of singular are
     flagged and carry NaN instead of a clipped value.
     """
     n = estimate.A_path.shape[-1]
-    zeta = _degrees(np.eye(n) - estimate.A_path.sum(axis=1), condition_limit)
+    zeta = _degrees(np.eye(n) - estimate.A_path.sum(axis=1))
     return EfficiencyPath(dates=estimate.dates, zeta=zeta)

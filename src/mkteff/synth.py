@@ -95,6 +95,8 @@ class DgpSpec:
         if not self.innovation_sd > 0:
             raise ConfigError("innovation_sd must be positive")
         if self.kind == "constant-var":
+            if self.coefficients is None:
+                raise ConfigError("constant-var needs coefficients")
             A = _as_lag_matrices(self.coefficients, self.n, self.q, "coefficients")
             radius = _companion_radius(A)
             if radius >= 1.0:

@@ -36,9 +36,9 @@ def market_files(tmp_path):
     return paths
 
 
-def config_file(tmp_path, inputs, **extra):
+def config_file(tmp_path, files, **extra):
     doc = {
-        "inputs": [{"path": p, "asset_id": a} for p, a in inputs],
+        "inputs": [{"path": p, "asset_id": a} for p, a in files],
         "unit_root": {"max_lag": 4},
         "var": {"p_max": 3},
         "tv": {"q": 1, "lambda": 1.0},
@@ -214,6 +214,20 @@ class TestSimulate:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_constant_var_without_coefficients_is_config_error(self, tmp_path, capsys):
+        spec = self.spec_file(tmp_path, {"kind": "constant-var", "n": 1, "T": 30})
+        assert main(["simulate", "--spec", spec, "--output-dir", str(tmp_path / "s")]) == EXIT_CONFIG
+        assert "coefficients" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_output_dir_defaults_to_out_and_must_not_be_empty(self, tmp_path, monkeypatch):
+        spec = self.spec_file(tmp_path, {"kind": "white-noise", "n": 2, "T": 30})
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--spec", spec, "--output-dir", ""]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        assert main(["simulate", "--spec", spec]) == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json", "panel.csv", "truth.csv"]
+
     def test_rerun_byte_identical(self, tmp_path):
         spec = self.spec_file(tmp_path, {"kind": "constant-var", "n": 1, "T": 30, "coefficients": 0.3, "seed": 12})
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -280,6 +294,11 @@ class TestErrors:
             pytest.param({"csv": {"date_format": 5}}, "csv.date_format", id="int-date-format"),
             pytest.param({"allow_nonstationary": "false"}, "allow_nonstationary", id="string-bool"),
             pytest.param({"csv": {"skip_bad_rows": "no"}}, "csv.skip_bad_rows", id="string-skip-bad-rows"),
+            # checked before any input is read, so the paths need not exist
+            pytest.param({"inputs": [{"path": "a.csv", "asset_id": "A"}, {"path": "b.csv", "asset_id": "A"}]},
+                         "inputs.asset_id", id="duplicate-asset-id"),
+            pytest.param({"inputs": [{"path": "a.csv", "asset_id": "A"}, {"path": "b.csv", "asset_id": ""}]},
+                         "inputs.asset_id", id="empty-asset-id"),
         ],
     )
     def test_invalid_value_is_config_error(self, tmp_path, market_files, extra, name, capsys):
@@ -291,8 +310,9 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "flag",
-        [["--lambda", "-1"], ["--coverage", "7"], ["--replications", "50"], ["--output-dir", ""]],
-        ids=["lambda", "coverage", "replications", "output-dir"],
+        [["--lambda", "-1"], ["--coverage", "7"], ["--replications", "50"], ["--output-dir", ""],
+         ["--input", "a.csv:A", "--input", "b.csv:A", "--input", "c.csv:C"], ["--input", "a.csv:", "--input", "b.csv:B"]],
+        ids=["lambda", "coverage", "replications", "output-dir", "duplicate-input-id", "empty-input-id"],
     )
     def test_out_of_range_flag_is_config_error(self, tmp_path, market_files, flag):
         cfg = config_file(tmp_path, market_files)
@@ -372,6 +392,23 @@ class TestAll:
         assert main(["all", "--config", cfg, "--dump-replications", "--export-coefficients"]) == 4
         out = tmp_path / "out"
         assert list(out.rglob("*")) == []
+
+    def test_failed_rerun_leaves_earlier_outputs(self, tmp_path, market_files):
+        def snapshot(out):
+            return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+
+        cfg = config_file(tmp_path, market_files, bootstrap={"replications": 100, "master_seed": 1})
+        assert main(["all", "--config", cfg, "--dump-replications"]) == EXIT_OK
+        out = tmp_path / "out"
+        before = snapshot(out)
+        assert sorted(before) == [
+            "efficiency.csv", "efficiency.svg", "manifest.json", "replications",
+            "replications/replications_000001_000100.csv", "summary.csv", "summary.json", "summary.txt",
+            "var_report.json", "var_report.txt",
+        ]
+        # q leaves fewer than q + 3 rows: the efficiency stage fails after describe and var wrote
+        assert main(["all", "--config", cfg, "--dump-replications", "--q", "158"]) == EXIT_DATA
+        assert snapshot(out) == before
 
     def test_stationarity_gate_stops_after_describe(self, tmp_path):
         rng = np.random.default_rng(5)

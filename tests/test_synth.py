@@ -17,6 +17,10 @@ class TestSpec:
     def test_stable_boundary_accepted(self):
         DgpSpec(kind="constant-var", n=2, T=100, coefficients=0.9)
 
+    def test_constant_var_needs_coefficients(self):
+        with pytest.raises(ConfigError, match="coefficients"):
+            DgpSpec(kind="constant-var", n=1, T=30)
+
     def test_drift_needs_endpoint(self):
         with pytest.raises(ConfigError):
             DgpSpec(kind="tv-var-linear-drift", n=1, T=100)
