@@ -5,7 +5,8 @@ with replacement from the centered fitted residuals (rows are drawn jointly so
 contemporaneous cross-asset correlation survives; the lag coefficients are
 zeroed, the intercept is kept). Each replication refits the time-varying model
 with the same configuration and records its degree path; the bands are
-pointwise empirical quantiles across replications.
+pointwise empirical quantiles across replications, read off one in-place
+sort of the replication-by-date matrix.
 
 Every replication b derives its generator from
 ``numpy.random.SeedSequence(master_seed, spawn_key=(b,))`` , a fixed, documented
@@ -151,6 +152,29 @@ def _dump_chunks(dump_dir: str, dates, zstar: np.ndarray) -> None:
                 fh.write("".join(f"{b + 1}{day}{cell}\n" for day, cell in zip(days, cells)))
 
 
+def _sorted_quantiles(z: np.ndarray, k: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Levels ``q`` of each column's first ``k`` cells of the column-sorted ``z``, (len(q), S).
+
+    The arithmetic is numpy's default (``linear``) quantile step for step, so
+    the result equals numpy's NaN-ignoring quantile of the unsorted array bit
+    for bit when ``k`` counts each column's non-NaN cells. A column with ``k = 0``
+    reads its last (NaN) row and stays NaN.
+    """
+    vi = (k - 1) * q[:, None]  # virtual index into each column's k valid cells
+    f = np.floor(vi)
+    last = vi >= k - 1  # numpy clamps to the last valid cell and takes gamma = vi + 1
+    f[last] = -1.0
+    gamma = vi - f
+    i = np.where(last, k - 1, f).astype(np.intp)
+    j = np.where(last, k - 1, f + 1).astype(np.intp)
+    cols = np.arange(z.shape[1])
+    a, b = z[i, cols], z[j, cols]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def bootstrap_bands(
     panel: AlignedPanel,
     tv_config: TvVarConfig,
@@ -208,16 +232,15 @@ def bootstrap_bands(
             zstar[b - 1] = z
 
     zstar[~np.isfinite(zstar)] = np.nan  # any non-finite degree is a flagged cell
-    lo_q = (1.0 - boot_config.coverage) / 2.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN dates stay NaN
-        lower, upper = np.nanquantile(zstar, [lo_q, 1.0 - lo_q], axis=0)
     flagged_counts = np.isnan(zstar).sum(axis=0)
     if S and np.all(flagged_counts == B):
         msg = f"all {B} bootstrap replications failed or were flagged at every date; the bands are empty"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    if dump_dir is not None:
+    if dump_dir is not None:  # before the sort, while rows are replications
         _dump_chunks(dump_dir, fit.dates, zstar)
+    zstar.sort(axis=0)  # in place; NaN sorts last
+    lo_q = (1.0 - boot_config.coverage) / 2.0
+    lower, upper = _sorted_quantiles(zstar, B - flagged_counts, np.array([lo_q, 1.0 - lo_q]))
     return BandPath(
         dates=fit.dates,
         lower=lower,

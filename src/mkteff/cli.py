@@ -387,6 +387,7 @@ def _efficiency_stage(run: PipelineRun) -> int:
         lambda_effective=fit.lambda_effective,
         solver=SOLVER_BANDED,
         ridge_jitter=fit.ridge_jitter,
+        intercept_pivot=fit.intercept_pivot,
         seeds={"master_seed": cfg.master_seed},
         bands=cfg.replications > 0,
         singular_dates=int(path.singular.sum()),

@@ -26,7 +26,7 @@ from datetime import date
 from typing import IO
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import ConfigError, DataError, NumericalError
 from .market_data import AlignedPanel
@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _RIDGE_JITTER = 1e-10
+# Cap on the cells (n*q + 1) * (T - q) * n*q of the banded normal equations:
+# 2**26 float64 cells are 512 MB, and factoring holds a second copy
+MAX_BAND_CELLS = 2**26
 _LAMBDA_FLOOR, _LAMBDA_CAP = 1e-8, 1e12
 
 SOLVER_BANDED = "banded-cholesky"
@@ -76,7 +79,8 @@ class TvVarEstimate:
     ``A_path[s, l-1]`` is the lag-l matrix for the (q+1+s)-th panel row, whose
     date is ``dates[s]``. ``lambda_effective`` is the smoothing ratio actually
     used and ``ridge_jitter`` the ridge added to a degenerate system (0.0 when
-    none was needed).
+    none was needed). ``intercept_pivot`` is the intercept's Schur complement
+    over the period count; fits below 1e-10 are refused as unidentified.
     """
 
     dates: tuple[date, ...]
@@ -88,6 +92,7 @@ class TvVarEstimate:
     effective_obs: int
     lambda_effective: float
     ridge_jitter: float
+    intercept_pivot: float
 
 
 def _lagged_design(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,39 +122,41 @@ def _assemble_banded(Z: np.ndarray, lam: float) -> np.ndarray:
 
 def _factor_banded(ab: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     """Banded Cholesky with a one-shot ridge fallback for degenerate data."""
-    try:
-        return cholesky_banded(ab, lower=False), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    bumped = ab.copy()
+    cb, info = dpbtrf(ab)
+    if info == 0:
+        return cb, 0.0
+    bumped = ab.copy()  # info > 0: a leading minor is not positive definite
     bumped[-1] += _RIDGE_JITTER
-    try:
-        return cholesky_banded(bumped, lower=False), _RIDGE_JITTER
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "normal equations numerically singular "
-            f"(smallest diagonal {ab[-1].min():.3e}); try a larger lam than {lam:g}"
-        ) from exc
+    cb, info = dpbtrf(bumped)
+    if info == 0:
+        return cb, _RIDGE_JITTER
+    raise NumericalError(
+        "normal equations numerically singular "
+        f"(smallest diagonal {ab[-1].min():.3e}); try a larger lam than {lam:g}"
+    )
 
 
-def _solve_equations(Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _solve_equations(Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Solve all equations against one shared factorization.
 
-    Returns (nu (n,), paths (S, n, m), jitter_used). The intercept border is
-    eliminated by a Schur complement: with D the banded coefficient block,
-    b the border column and c its diagonal, solving D [u V] = [b R] gives
-    nu_i = (sum_t y_ti - b'V_i) / (c - b'u) and the path V_i - nu_i * u.
+    Returns (nu (n,), paths (S, n, m), jitter_used, intercept_pivot). The
+    intercept border is eliminated by a Schur complement: with D the banded
+    coefficient block, b the border column and c its diagonal, solving
+    D [u V] = [b R] gives nu_i = (sum_t y_ti - b'V_i) / (c - b'u) and the path
+    V_i - nu_i * u; the pivot is (c - b'u) / S.
     """
     S, n = Y.shape
     m = Z.shape[1]
     ab = _assemble_banded(Z, lam)
-    cb, jitter = _factor_banded(ab, lam)
     N = S * m
-    B = np.empty((N, n + 1))
+    B = np.empty((N, n + 1), order="F")  # LAPACK's layout, so dpbtrs solves it in place
     border = Z.ravel()
     B[:, 0] = border
     B[:, 1:] = (Z[:, :, None] * Y[:, None, :]).reshape(N, n)
-    sol = cho_solve_banded((cb, False), B)
+    if not (np.isfinite(ab).all() and np.isfinite(B).all()):
+        raise NumericalError("normal equations are not finite; rescale the returns")
+    cb, jitter = _factor_banded(ab, lam)
+    sol, _ = dpbtrs(cb, B, overwrite_b=1)
     u = sol[:, 0]
     schur = S - border @ u
     # the intercept is unidentified when every period can absorb it into its
@@ -164,7 +171,7 @@ def _solve_equations(Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarr
         v = sol[:, 1 + i]
         nu[i] = (Y[:, i].sum() - border @ v) / schur
         paths[:, i, :] = (v - nu[i] * u).reshape(S, m)
-    return nu, paths, jitter
+    return nu, paths, jitter, schur / S
 
 
 def _check_panel(panel: AlignedPanel, q: int) -> None:
@@ -172,6 +179,13 @@ def _check_panel(panel: AlignedPanel, q: int) -> None:
         raise DataError("time-varying fit expects a returns panel")
     if panel.n_periods - q < 3:
         raise DataError(f"need at least q + 3 = {q + 3} rows, got {panel.n_periods}")
+    m = panel.values.shape[1] * q
+    cells = (m + 1) * (panel.n_periods - q) * m
+    if cells > MAX_BAND_CELLS:
+        raise ConfigError(
+            f"tv.q = {q} needs {cells} banded normal-equation cells on this panel, "
+            f"more than MAX_BAND_CELLS = 2**26; choose a smaller tv.q"
+        )
 
 
 def _paths_to_A(paths: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -204,7 +218,7 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
     Y, Z = _lagged_design(values, q)
 
     lam_eff = config.lam
-    nu, paths, jitter = _solve_equations(Y, Z, lam_eff)
+    nu, paths, jitter, pivot = _solve_equations(Y, Z, lam_eff)
     if config.lambda_mode == "two-pass":
         resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
         sigma_e2 = float((resid**2).mean())
@@ -214,7 +228,7 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
             lam_eff = min(max(sigma_e2 / sigma_v2, _LAMBDA_FLOOR), _LAMBDA_CAP)
         else:
             lam_eff = _LAMBDA_CAP
-        nu, paths, jitter = _solve_equations(Y, Z, lam_eff)
+        nu, paths, jitter, pivot = _solve_equations(Y, Z, lam_eff)
 
     resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
     return TvVarEstimate(
@@ -227,6 +241,7 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
         effective_obs=Y.shape[0],
         lambda_effective=lam_eff,
         ridge_jitter=jitter,
+        intercept_pivot=pivot,
     )
 
 

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkteff import (
     BootstrapConfig,
@@ -12,7 +14,7 @@ from mkteff import (
     simulate,
     DgpSpec,
 )
-from mkteff.bootstrap import replication_seed
+from mkteff.bootstrap import _run_replication, _sorted_quantiles, replication_seed
 from mkteff.errors import ConfigError, NumericalError
 
 
@@ -168,11 +170,65 @@ class TestBands:
             np.testing.assert_array_equal(lower, bands.lower)  # NaN matches NaN
             np.testing.assert_array_equal(upper, bands.upper)
 
+    def test_dump_keeps_replication_order(self, tmp_path):
+        # the dump is written before the in-place sort: row b is replication b's own path
+        panel = null_panel(seed=4, T=120)
+        tv = TvVarConfig(q=1, lam=1.0)
+        fit = fit_tv_var(panel, tv)
+        cfg = BootstrapConfig(replications=100, coverage=0.95, master_seed=8)
+        bootstrap_bands(panel, tv, cfg, estimate=fit, dump_dir=str(tmp_path))
+        payload = {
+            "residuals": fit.residuals, "nu": fit.nu, "master_seed": cfg.master_seed,
+            "n_rows": panel.n_periods, "dates": panel.dates, "asset_ids": panel.asset_ids,
+            "tv_config": tv,
+        }
+        rows: dict[int, list[float]] = {}
+        for line in (tmp_path / "replications_000001_000100.csv").read_text().splitlines()[1:]:
+            rep, _, cell = line.split(",")
+            rows.setdefault(int(rep), []).append(float(cell) if cell else np.nan)
+        for b in (1, 37, 100):
+            expected = _run_replication(b, payload)[1]
+            np.testing.assert_array_equal(np.array(rows[b]).view(np.int64), expected.view(np.int64))
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             BootstrapConfig(coverage=1.2)
         with pytest.raises(ConfigError):
             BootstrapConfig(replications=-1)
+
+
+def same_bits(a, b):
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+class TestSortedQuantiles:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        B=st.integers(1, 400),
+        S=st.integers(1, 6),
+        coverage=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        nan_rate=st.sampled_from([0.0, 0.01, 0.3, 0.9, 1.0]),
+        ties=st.booleans(),
+        empty_date=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_nanquantile_of_the_unsorted_array(self, B, S, coverage, nan_rate, ties, empty_date, seed):
+        gen = np.random.default_rng(seed)
+        z = np.abs(gen.standard_normal((B, S)))  # degrees: no -0.0, whose order against 0.0 a sort leaves open
+        if ties:
+            z = np.round(z, 1)
+        z[gen.random((B, S)) < nan_rate] = np.nan
+        if empty_date:
+            z[:, gen.integers(S)] = np.nan
+        lo = (1.0 - coverage) / 2.0
+        levels = np.array([lo, 1.0 - lo])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN dates stay NaN
+            expected = np.nanquantile(z, levels, axis=0)
+        k = B - np.isnan(z).sum(axis=0)
+        z.sort(axis=0)
+        assert same_bits(_sorted_quantiles(z, k, levels), expected)
 
 
 class TestSeeds:

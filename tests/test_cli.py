@@ -115,6 +115,7 @@ class TestEfficiency:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["bands"] is False
         assert manifest["lambda_effective"] == 1.0
+        assert 0.0 < manifest["intercept_pivot"] <= 1.0
         assert manifest["singular_dates"] == 0
         assert "bootstrap_flagged_cells" not in manifest
 
@@ -409,6 +410,19 @@ class TestAll:
         # q leaves fewer than q + 3 rows: the efficiency stage fails after describe and var wrote
         assert main(["all", "--config", cfg, "--dump-replications", "--q", "158"]) == EXIT_DATA
         assert snapshot(out) == before
+
+    def test_oversized_q_is_config_error(self, tmp_path, capsys):
+        # q = 238 on T = 1686 needs hundreds of millions of band cells: refused before assembly
+        rng = np.random.default_rng(11)
+        files = []
+        for name in ("one", "two", "three"):
+            p = tmp_path / f"{name}.csv"
+            write_price_csv(p, 50.0, rng.normal(0, 0.01, 1686))
+            files.append((str(p), name))
+        cfg = config_file(tmp_path, files)
+        assert main(["all", "--config", cfg, "--q", "238"]) == EXIT_CONFIG
+        assert "tv.q = 238" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []  # nothing committed, no .mkteff-* left
 
     def test_stationarity_gate_stops_after_describe(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -43,6 +43,7 @@ def make_estimate(A_path):
         effective_obs=S,
         lambda_effective=1.0,
         ridge_jitter=0.0,
+        intercept_pivot=1.0,
     )
 
 

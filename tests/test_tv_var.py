@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkteff import TvVarConfig, efficiency_path, export_coefficient_paths, fit_tv_var, fit_var_ols
-from mkteff.errors import ConfigError, DataError
-from mkteff.tv_var import _solve_equations
+from mkteff.errors import ConfigError, DataError, NumericalError
+from mkteff.tv_var import MAX_BAND_CELLS, _check_panel, _solve_equations
 
 from conftest import make_panel
 from oracles import build_stacked_system, penalized_objective, solve_dense
@@ -125,8 +125,8 @@ class TestFit:
         S = 60
         Z = rng.standard_normal((S, 1))
         y = 0.2 + 0.5 * Z[:, 0] + 0.1 * rng.standard_normal(S)
-        c, path, _ = _solve_equations(y[:, None], Z, 1.0)
-        c_rev, path_rev, _ = _solve_equations(y[::-1, None], Z[::-1], 1.0)
+        c, path, _, _ = _solve_equations(y[:, None], Z, 1.0)
+        c_rev, path_rev, _, _ = _solve_equations(y[::-1, None], Z[::-1], 1.0)
         np.testing.assert_allclose(path_rev, path[::-1], atol=1e-6)
         assert c_rev[0] == pytest.approx(c[0], abs=1e-6)
 
@@ -144,6 +144,35 @@ class TestFit:
     def test_too_short(self, rng):
         with pytest.raises(DataError):
             fit_tv_var(make_panel(rng.standard_normal((3, 2))), TvVarConfig(q=1))
+
+    def test_band_size_cap_names_q(self):
+        # (n*q + 1) * (T - q) * n*q cells: n=8, q=8 on T=7500 fits, q=238 on n=3, T=1686 does not
+        _check_panel(make_panel(np.zeros((7500, 8))), 8)
+        assert 65 * 7492 * 64 <= MAX_BAND_CELLS == 2**26
+        with pytest.raises(ConfigError, match="tv.q = 238"):
+            _check_panel(make_panel(np.zeros((1686, 3))), 238)
+
+    @pytest.mark.parametrize("case", ["all-scaled", "last-row"])
+    def test_non_finite_normal_equations_are_numerical_errors(self, rng, case):
+        values = rng.standard_normal((40, 2))
+        if case == "all-scaled":  # the squares overflow
+            values *= 1e160
+        else:  # the squares stay finite, only a right-hand side overflows
+            values *= 1e150
+            values[-1] *= 1e10
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericalError, match="not finite"):
+            fit_tv_var(make_panel(values), TvVarConfig(q=1))
+
+    def test_intercept_pivot(self, rng):
+        # schur / S in (0, 1]; as lam grows it tends to the constant-OLS pivot 1 - zbar'(Z'Z/S)^-1 zbar
+        values = rng.standard_normal((300, 2)) * 0.01 + 0.001
+        Z = values[:-1]
+        zbar = Z.mean(axis=0)
+        ols = 1.0 - zbar @ np.linalg.solve(Z.T @ Z / len(Z), zbar)
+        rough = fit_tv_var(make_panel(values), TvVarConfig(q=1, lam=1.0))
+        smooth = fit_tv_var(make_panel(values), TvVarConfig(q=1, lam=1e6))
+        assert 0.0 < rough.intercept_pivot < ols <= 1.0
+        assert smooth.intercept_pivot == pytest.approx(ols, rel=1e-6)
 
 
 class TestInvariance:
