@@ -9,6 +9,7 @@ sum approaches a unit root (flagged, not dropped).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from datetime import date
 from typing import IO, Sequence
@@ -64,18 +65,20 @@ class EfficiencyPath:
         own = not hasattr(dest, "write")
         fh: IO[str] = open(dest, "w", encoding="utf-8") if own else dest
 
-        def cell(x) -> str:
-            return "" if x is None or not np.isfinite(x) else repr(float(x))
+        def cells(values) -> list[str]:
+            if values is None:
+                return [""] * len(self.dates)
+            return [repr(x) if math.isfinite(x) else "" for x in np.asarray(values, dtype=float).tolist()]
 
         try:
             fh.write("date,zeta,band_low,band_high,singular\n")
-            for i, d in enumerate(self.dates):
-                lo = self.band_low[i] if self.band_low is not None else None
-                hi = self.band_high[i] if self.band_high is not None else None
-                fh.write(
-                    f"{d.isoformat()},{cell(self.zeta[i])},{cell(lo)},{cell(hi)},"
-                    f"{int(self.singular[i])}\n"
+            fh.writelines(
+                f"{d.isoformat()},{z},{lo},{hi},{int(flag)}\n"
+                for d, z, lo, hi, flag in zip(
+                    self.dates, cells(self.zeta), cells(self.band_low), cells(self.band_high),
+                    self.singular.tolist(),
                 )
+            )
         finally:
             if own:
                 fh.close()

@@ -46,8 +46,8 @@ def _polylines(xs: np.ndarray, ys: np.ndarray, style: str) -> list[str]:
     """One <polyline> per finite run, so NaN renders as a gap."""
     out = []
     run: list[str] = []
-    for x, y in zip(xs, ys):
-        if np.isfinite(y):
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        if math.isfinite(y):
             run.append(f"{x:.2f},{y:.2f}")
         elif run:
             out.append(f'<polyline fill="none" {style} points="{" ".join(run)}"/>')
@@ -85,13 +85,13 @@ def render_line_plot(
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
 
-    def sx(i: int) -> float:
+    def sx(i):
         return _ML + (plot_w * i / max(n - 1, 1))
 
-    def sy(v: float) -> float:
+    def sy(v):  # a non-finite value maps to a non-finite coordinate, a gap
         return _MT + plot_h * (1.0 - (v - ylo) / (yhi - ylo))
 
-    xs = np.array([sx(i) for i in range(n)])
+    xs = sx(np.arange(n))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -125,14 +125,9 @@ def render_line_plot(
         )
 
     band_style = 'stroke="#cc2222" stroke-width="1" stroke-dasharray="6 4"'
-    if band_low is not None:
-        parts += _polylines(xs, np.array([sy(v) for v in np.asarray(band_low, float)]), band_style)
-    if band_high is not None:
-        parts += _polylines(xs, np.array([sy(v) for v in np.asarray(band_high, float)]), band_style)
-    parts += _polylines(
-        xs, np.array([sy(v) if np.isfinite(v) else np.nan for v in zeta]),
-        'stroke="#1a1a1a" stroke-width="1.5"',
-    )
+    for band in series[1:]:
+        parts += _polylines(xs, sy(band), band_style)
+    parts += _polylines(xs, sy(zeta), 'stroke="#1a1a1a" stroke-width="1.5"')
     if event_date is not None and n and dates[0] <= event_date <= dates[-1]:
         i = min(range(n), key=lambda k: abs((dates[k] - event_date).days))
         x = sx(i)

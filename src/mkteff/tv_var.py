@@ -147,12 +147,13 @@ def _solve_equations(Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarr
     """
     S, n = Y.shape
     m = Z.shape[1]
-    ab = _assemble_banded(Z, lam)
     N = S * m
     B = np.empty((N, n + 1), order="F")  # LAPACK's layout, so dpbtrs solves it in place
     border = Z.ravel()
     B[:, 0] = border
-    B[:, 1:] = (Z[:, :, None] * Y[:, None, :]).reshape(N, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
+        ab = _assemble_banded(Z, lam)
+        B[:, 1:] = (Z[:, :, None] * Y[:, None, :]).reshape(N, n)
     if not (np.isfinite(ab).all() and np.isfinite(B).all()):
         raise NumericalError("normal equations are not finite; rescale the returns")
     cb, jitter = _factor_banded(ab, lam)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .var_base import _nested_rss
 
 __all__ = [
     "DETREND_CONSTANT",
@@ -117,6 +118,17 @@ def _adf_columns(yt: np.ndarray, dy: np.ndarray, k: int, first: int) -> tuple[np
     return target, np.column_stack(cols)
 
 
+def _lag_bics(yt: np.ndarray, dy: np.ndarray, max_lag: int) -> list[float]:
+    """BIC of lag counts 0..max_lag, all on the common sample defined by max_lag."""
+    target, X = _adf_columns(yt, dy, max_lag, max_lag)
+    nobs = len(target)
+    bics = []
+    for k, (cross, _) in enumerate(_nested_rss(X, target, range(1, max_lag + 2))):
+        rss = float(cross[0, 0])
+        bics.append(-np.inf if rss <= 0.0 else math.log(rss / nobs) + (k + 1) * math.log(nobs) / nobs)
+    return bics
+
+
 def adf_gls_test(y: np.ndarray, max_lag: int | None = None, model: str = DETREND_TREND) -> AdfGlsResult:
     """Unit-root t-test on the GLS-detrended series with BIC lag selection.
 
@@ -137,20 +149,7 @@ def adf_gls_test(y: np.ndarray, max_lag: int | None = None, model: str = DETREND
 
     yt = gls_detrend(y, model)
     dy = np.diff(yt)
-    nobs = len(dy) - max_lag
-    best_k = 0
-    best_bic = np.inf
-    for k in range(max_lag + 1):
-        target, X = _adf_columns(yt, dy, k, max_lag)
-        beta, _, _, _ = np.linalg.lstsq(X, target, rcond=None)
-        rss = float(((target - X @ beta) ** 2).sum())
-        if rss <= 0.0:
-            bic = -np.inf
-        else:
-            bic = math.log(rss / nobs) + (k + 1) * math.log(nobs) / nobs
-        if bic < best_bic:
-            best_bic = bic
-            best_k = k
+    best_k = int(np.argmin(_lag_bics(yt, dy, max_lag)))
 
     target, X = _adf_columns(yt, dy, best_k, best_k)
     beta, _, rank, _ = np.linalg.lstsq(X, target, rcond=None)

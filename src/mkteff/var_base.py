@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,10 +156,21 @@ def _auto_bandwidth(T: int) -> int:
     return int(math.floor(4.0 * (T / 100.0) ** (2.0 / 9.0)))
 
 
+def _check_rows(T: int, start: int, k: int) -> None:
+    if T - start <= k:
+        raise DataError(f"too few rows: need more than {k + start}, got {T}")
+
+
+def _bic(sigma: np.ndarray, teff: int, k: int) -> float:
+    """Gaussian BIC of an n-equation fit with k regressors per equation."""
+    sign, logdet = np.linalg.slogdet(sigma)
+    return float((logdet if sign > 0 else -np.inf) + (sigma.shape[0] * k) * math.log(teff) / teff)
+
+
 def _ols(
     values: np.ndarray, p: int, start: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """OLS core shared by the fit and order selection.
+    """OLS core of the fit.
 
     Returns targets, regressors, coefficients, residuals, the ML residual
     covariance and BIC, for targets starting at row ``start``.
@@ -169,8 +181,7 @@ def _ols(
         raise DataError("sample_start cannot be smaller than p")
     T, n = values.shape
     k = 1 + n * p
-    if T - start <= k:
-        raise DataError(f"too few rows: need more than {k + start}, got {T}")
+    _check_rows(T, start, k)
     Y, X = _design(values, p, start)
     beta, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
     if rank < k:
@@ -178,9 +189,28 @@ def _ols(
     resid = Y - X @ beta
     teff = Y.shape[0]
     sigma = resid.T @ resid / teff
-    sign, logdet = np.linalg.slogdet(sigma)
-    bic = (logdet if sign > 0 else -np.inf) + (n * k) * math.log(teff) / teff
-    return Y, X, beta, resid, sigma, float(bic)
+    return Y, X, beta, resid, sigma, _bic(sigma, teff, k)
+
+
+def _nested_rss(X: np.ndarray, Y: np.ndarray, ks: Iterable[int]) -> Iterator[tuple[np.ndarray, int]]:
+    """Residual cross products and ranks of regressing Y on each column prefix X[:, :k].
+
+    One R-only QR of [X | Y] leaves C = R[:K, K:] and E = R[K:, K:]; the
+    prefix fit's residual cross product is E'E + r'r with r = C - R[:K, :k] b,
+    b the least-squares solution of that K x k problem. The cutoff matches
+    what lstsq applies to the tall design, so a rank-deficient prefix is
+    treated as a direct fit would treat it. Yields (cross product, rank) per k.
+    """
+    T, K = X.shape
+    R = np.linalg.qr(np.column_stack([X, Y]), mode="r")
+    C, E = R[:K, K:], R[K:, K:]
+    base = E.T @ E
+    eps = np.finfo(float).eps
+    for k in ks:
+        Rk = R[:K, :k]
+        b, _, rank, _ = np.linalg.lstsq(Rk, C, rcond=eps * max(T, k))
+        r = C - Rk @ b
+        yield base + r.T @ r, rank
 
 
 def fit_var_ols(panel: AlignedPanel, p: int, sample_start: int | None = None) -> VarEstimate:
@@ -229,16 +259,33 @@ def fit_var_ols(panel: AlignedPanel, p: int, sample_start: int | None = None) ->
     )
 
 
-def select_lag_bic(panel: AlignedPanel, p_max: int) -> int:
-    """Smallest-BIC lag order over 1..p_max, all fit on the rows after p_max."""
+def _bic_path(values: np.ndarray, p_max: int) -> list[float]:
+    """BIC of lag orders 1..p_max, all fit on the rows after p_max.
+
+    Candidates are checked in ascending order, and the first that has too few
+    rows or a rank-deficient design ends the search with its error.
+    """
     if p_max < 1:
         raise DataError("p_max must be at least 1")
-    best_p, best_bic = 1, np.inf
-    for p in range(1, p_max + 1):
-        bic = _ols(panel.values, p, p_max)[5]
-        if bic < best_bic:
-            best_p, best_bic = p, bic
-    return best_p
+    T, n = values.shape
+    p_fit = min(p_max, max(0, (T - p_max - 2) // n))  # the largest order with enough rows
+    bics = []
+    if p_fit:
+        Y, X = _design(values, p_fit, p_max)
+        teff = Y.shape[0]
+        ks = [1 + n * p for p in range(1, p_fit + 1)]
+        for k, (cross, rank) in zip(ks, _nested_rss(X, Y, ks)):
+            if rank < k:
+                raise NumericalError("rank-deficient regressor matrix")
+            bics.append(_bic(cross / teff, teff, k))
+    if p_fit < p_max:
+        _check_rows(T, p_max, 1 + n * (p_fit + 1))
+    return bics
+
+
+def select_lag_bic(panel: AlignedPanel, p_max: int) -> int:
+    """Smallest-BIC lag order over 1..p_max, all fit on the rows after p_max."""
+    return 1 + int(np.argmin(_bic_path(panel.values, p_max)))
 
 
 def newey_west_cov(estimate: VarEstimate, bandwidth: int | str = "auto") -> np.ndarray:

@@ -5,7 +5,9 @@ the full stacked design and calls lstsq (the banded Cholesky must agree with
 it); the penalized objective evaluates the fit-plus-smoothness criterion at
 any parameters, so a fitted path can be checked for optimality; the Wald form of the Granger F is the restriction-matrix counterpart of
 the package's residual-sum form; the pairwise Granger test restricts a single
-target equation.
+target equation. The two lag searches refit every candidate from scratch with
+lstsq on its own tall design, where the package reads all candidates off one
+factorization.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from scipy import stats
 from mkteff.errors import DataError
 from mkteff.market_data import AlignedPanel
 from mkteff.tv_var import _check_panel, _lagged_design, _paths_to_A
-from mkteff.var_base import GrangerResult, VarEstimate, _source_index, _stacked_rss, fit_var_ols
+from mkteff.unit_root import _adf_columns
+from mkteff.var_base import GrangerResult, VarEstimate, _ols, _source_index, _stacked_rss, fit_var_ols
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,3 +155,35 @@ def granger_causality_pairwise(
         df_den=df_den,
         p_value=float(stats.f.sf(f_stat, p, df_den)),
     )
+
+
+def adf_lag_search(yt: np.ndarray, dy: np.ndarray, max_lag: int) -> tuple[int, list[float], list[float]]:
+    """BIC lag pick of ``adf_gls_test`` on the detrended series ``yt`` and its
+    differences ``dy``, by one lstsq per candidate: (lag, RSS, BIC)."""
+    nobs = len(dy) - max_lag
+    best_k, best_bic = 0, np.inf
+    rsss, bics = [], []
+    for k in range(max_lag + 1):
+        target, X = _adf_columns(yt, dy, k, max_lag)
+        beta = np.linalg.lstsq(X, target, rcond=None)[0]
+        rss = float(((target - X @ beta) ** 2).sum())
+        bic = -np.inf if rss <= 0.0 else math.log(rss / nobs) + (k + 1) * math.log(nobs) / nobs
+        rsss.append(rss)
+        bics.append(bic)
+        if bic < best_bic:
+            best_k, best_bic = k, bic
+    return best_k, rsss, bics
+
+
+def var_lag_search(panel: AlignedPanel, p_max: int) -> tuple[int, list[float]]:
+    """BIC order pick of ``select_lag_bic`` by one lstsq per candidate: (order, BIC)."""
+    if p_max < 1:
+        raise DataError("p_max must be at least 1")
+    best_p, best_bic = 1, np.inf
+    bics = []
+    for p in range(1, p_max + 1):
+        bic = _ols(panel.values, p, p_max)[5]
+        bics.append(bic)
+        if bic < best_bic:
+            best_p, best_bic = p, bic
+    return best_p, bics

@@ -1,4 +1,5 @@
 import io
+from datetime import date
 
 import numpy as np
 import pytest
@@ -145,6 +146,29 @@ class TestPath:
         assert len(lines) == 4
         assert lines[1].endswith(",0")
         assert lines[3].split(",")[2] == ""  # NaN band renders blank
+
+    def test_csv_exact_text(self):
+        dates = make_dates(4, start=date(2021, 3, 1))
+        path = EfficiencyPath(dates=dates, zeta=np.array([0.25, np.nan, 1 / 3, 2.0]))
+        buf = io.StringIO()
+        path.write_csv(buf)
+        assert buf.getvalue() == (
+            "date,zeta,band_low,band_high,singular\n"
+            "2021-03-01,0.25,,,0\n"
+            "2021-03-02,,,,1\n"
+            "2021-03-03,0.3333333333333333,,,0\n"
+            "2021-03-04,2.0,,,0\n"
+        )
+        banded = path.with_bands(np.array([0.1, np.nan, 0.2, 1e-17]), np.array([0.5, 0.7, np.nan, 3.0]))
+        buf = io.StringIO()
+        banded.write_csv(buf)
+        assert buf.getvalue() == (
+            "date,zeta,band_low,band_high,singular\n"
+            "2021-03-01,0.25,0.1,0.5,0\n"
+            "2021-03-02,,,0.7,1\n"
+            "2021-03-03,0.3333333333333333,0.2,,0\n"
+            "2021-03-04,2.0,1e-17,3.0,0\n"
+        )
 
     def test_singular_is_derived_from_zeta(self):
         path = EfficiencyPath(dates=make_dates(3), zeta=np.array([0.1, np.nan, np.inf]))

@@ -1,11 +1,24 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mkteff import adf_gls_test, gls_detrend
+from mkteff import unit_root
 from mkteff.errors import DataError
-from mkteff.unit_root import CRITICAL_VALUES, DETREND_CONSTANT, DETREND_TREND, default_max_lag
+from mkteff.unit_root import (
+    CRITICAL_VALUES,
+    DETREND_CONSTANT,
+    DETREND_TREND,
+    _adf_columns,
+    _lag_bics,
+    default_max_lag,
+)
+from mkteff.var_base import _nested_rss
+
+from oracles import adf_lag_search
 
 
 def dickey_fuller_t_oracle(y_detrended):
@@ -122,3 +135,77 @@ class TestAdfGls:
         res = adf_gls_test(rng.standard_normal(120), max_lag=2)
         doc = res.to_dict()
         assert set(doc) == {"statistic", "lag", "phi_hat", "model", "n_obs"}
+
+
+def adf_outcome(y, max_lag, model):
+    """Chosen lag and statistic, or the DataError message."""
+    try:
+        res = adf_gls_test(y, max_lag=max_lag, model=model)
+    except DataError as exc:
+        return str(exc)
+    return res.chosen_lag, res.statistic
+
+
+def oracle_outcome(y, max_lag, model):
+    """The same test with the lag picked by one lstsq per candidate."""
+    with mock.patch.object(unit_root, "_lag_bics", lambda yt, dy, k: adf_lag_search(yt, dy, k)[2]):
+        return adf_outcome(y, max_lag, model)
+
+
+models = st.sampled_from([DETREND_CONSTANT, DETREND_TREND])
+
+
+class TestLagSearchOracle:
+    """The one-factorization lag search against a fresh lstsq fit per candidate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(12, 400),
+        max_lag=st.integers(0, 12),
+        model=models,
+        walk=st.booleans(),
+        decimals=st.sampled_from([None, 0, 1]),
+    )
+    def test_random_series(self, seed, T, max_lag, model, walk, decimals):
+        # too short a series is a DataError; otherwise keep more rows than
+        # regressors, since an exact fit's RSS is rounding noise in either method
+        assume(T <= max_lag + 10 or T - 1 - max_lag > max_lag + 2)
+        gen = np.random.default_rng(seed)
+        y = gen.standard_normal(T)
+        if walk:
+            y = y.cumsum()
+        if decimals is not None:  # rounded levels: few distinct differences, tie-prone
+            y = np.round(y, decimals)
+        assert adf_outcome(y, max_lag, model) == oracle_outcome(y, max_lag, model)
+        if T <= max_lag + 10 or np.var(y) == 0.0:
+            return
+        yt = gls_detrend(y, model)
+        dy = np.diff(yt)
+        _, rss, bics = adf_lag_search(yt, dy, max_lag)
+        target, X = _adf_columns(yt, dy, max_lag, max_lag)
+        got = [float(c[0, 0]) for c, _ in _nested_rss(X, target, range(1, max_lag + 2))]
+        assert got == pytest.approx(rss, rel=1e-10)
+        assert _lag_bics(yt, dy, max_lag) == pytest.approx(bics, rel=1e-10, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pattern=st.lists(st.integers(-3, 3), min_size=2, max_size=6).filter(lambda v: len(set(v)) > 1),
+        T=st.integers(60, 400),
+        max_lag=st.integers(0, 12),
+        model=models,
+        kink=st.sampled_from([-2.0, -1.0, 1.0, 2.0]),
+    )
+    def test_periodic_differences(self, pattern, T, max_lag, model, kink):
+        # the differences repeat with period P, so lag columns j and j + P coincide
+        # once max_lag > P; a kink in the last difference, which no lag column
+        # holds, keeps the fit from being exact (a zero RSS ranks by rounding alone)
+        dy = np.resize(np.asarray(pattern, dtype=float), T)
+        dy[-1] += kink
+        y = dy.cumsum()
+        assert adf_outcome(y, max_lag, model) == oracle_outcome(y, max_lag, model)
+
+    def test_short_series_error_is_unchanged(self):
+        y = np.random.default_rng(3).standard_normal(22)
+        assert adf_outcome(y, 12, DETREND_TREND) == "need more than max_lag + 10 = 22 observations, got 22"
+        assert oracle_outcome(y, 12, DETREND_TREND) == adf_outcome(y, 12, DETREND_TREND)

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mkteff import (
     fit_var_ols,
@@ -8,11 +12,11 @@ from mkteff import (
     newey_west_cov,
     select_lag_bic,
 )
-from mkteff.errors import DataError
-from mkteff.var_base import HANSEN_LC_CRITICAL, _auto_bandwidth, _f_pvalue
+from mkteff.errors import DataError, MktEffError, NumericalError
+from mkteff.var_base import HANSEN_LC_CRITICAL, _auto_bandwidth, _bic_path, _f_pvalue
 
 from conftest import make_panel
-from oracles import granger_causality_pairwise, granger_wald_f
+from oracles import granger_causality_pairwise, granger_wald_f, var_lag_search
 
 
 def simulate_var(rng, A, T, sd=1.0, nu=None, burn=200):
@@ -120,6 +124,53 @@ class TestLagSelection:
     def test_invalid_p_max(self):
         with pytest.raises(DataError):
             select_lag_bic(make_panel(np.ones((50, 2))), 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        T=st.integers(5, 300),
+        p_max=st.integers(1, 8),
+        decimals=st.sampled_from([None, 0, 1]),
+    )
+    def test_matches_oracle(self, seed, n, T, p_max, decimals):
+        # the order, or the error, of one lstsq fit per candidate; rounded
+        # returns take few distinct values and are tie-prone. Too few rows for
+        # p_max is an error; otherwise every candidate keeps 5n residual degrees
+        # of freedom, since an exact fit's log-determinant is rounding noise
+        k_max = 1 + n * p_max
+        assume(T - p_max <= k_max or T - p_max - k_max >= 5 * n)
+        values = np.random.default_rng(seed).standard_normal((T, n))
+        if decimals is not None:
+            values = np.round(values, decimals)
+        panel = make_panel(values)
+
+        def outcome(search):
+            try:
+                return search()
+            except MktEffError as exc:
+                return type(exc), str(exc)
+
+        got = outcome(lambda: select_lag_bic(panel, p_max))
+        want = outcome(lambda: var_lag_search(panel, p_max)[0])
+        assert got == want
+        if isinstance(got, int):
+            assert _bic_path(values, p_max) == pytest.approx(var_lag_search(panel, p_max)[1], rel=1e-10, abs=1e-10)
+
+    def test_rank_deficient_panel_is_a_numerical_error(self, rng):
+        x = rng.standard_normal(200)
+        with pytest.raises(NumericalError, match="rank-deficient regressor matrix"):
+            select_lag_bic(make_panel(np.column_stack([x, x])), 4)
+        # the first failing candidate decides: order 1 is rank-deficient before order 2 runs out of rows
+        with pytest.raises(NumericalError):
+            select_lag_bic(make_panel(np.column_stack([x, x])[:12]), 4)
+
+    def test_too_few_rows_message(self, rng):
+        # n=3, p_max=4 leaves 12 rows: orders 1-3 fit, order 4 needs 13 regressors
+        with pytest.raises(DataError, match=re.escape("too few rows: need more than 17, got 16")):
+            select_lag_bic(make_panel(rng.standard_normal((16, 3))), 4)
+        with pytest.raises(DataError, match=re.escape("too few rows: need more than 8, got 8")):
+            select_lag_bic(make_panel(rng.standard_normal((8, 3))), 4)
 
 
 class TestNeweyWest:
