@@ -8,6 +8,13 @@ with the same configuration and records its degree path; the bands are
 pointwise empirical quantiles across replications, read off one in-place
 sort of the replication-by-date matrix.
 
+Each process (the caller, or each pool worker) builds one workspace and reuses
+it for every replication it runs: the refit's banded normal equations and
+right-hand sides, and one (T, n) draw buffer: about 0.5 MB at paper scale
+(n=3, T=1686, q=1), the factor LAPACK writes on each solve included. A replication
+runs the arithmetic of ``resample_null_panel``, ``fit_tv_var`` and
+``efficiency_path`` on those buffers, so its degrees equal theirs bit for bit.
+
 Every replication b derives its generator from
 ``numpy.random.SeedSequence(master_seed, spawn_key=(b,))`` , a fixed, documented
 splittable-counter hash that is stable across platforms, so results are
@@ -26,11 +33,11 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .market_data import AlignedPanel
-from .efficiency import efficiency_path
+from .efficiency import _degrees, efficiency_path  # noqa: F401 (perfbench/tracer.py wraps this name)
 from .synth import synthetic_dates
-from .tv_var import TvVarConfig, TvVarEstimate, fit_tv_var
+from .tv_var import TvVarConfig, TvVarEstimate, _fit_paths, _lagged_design, _PathSolver, fit_tv_var
 
 __all__ = [
     "BootstrapConfig",
@@ -82,6 +89,20 @@ def replication_seed(master_seed: int, b: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(b,))
 
 
+def _null_rows(residual_source, nu) -> np.ndarray:
+    """The rows a null sample draws from: ``nu`` plus each row of the centered residuals."""
+    resid = np.asarray(residual_source, dtype=float)
+    if resid.ndim != 2 or resid.shape[0] < 10:
+        raise ConfigError("residual source must be a matrix with at least 10 rows")
+    return (resid - resid.mean(axis=0)) + np.asarray(nu, dtype=float)
+
+
+def _draw(rows: np.ndarray, seed, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (T, n) with T of ``rows`` drawn with replacement."""
+    picks = np.random.default_rng(seed).integers(0, rows.shape[0], size=out.shape[0])
+    return np.take(rows, picks, axis=0, out=out)
+
+
 def resample_null_panel(
     residual_source: np.ndarray,
     nu: np.ndarray,
@@ -96,45 +117,45 @@ def resample_null_panel(
     residual row count; pass the original panel length to give a refit the same
     number of fitted periods.
     """
-    resid = np.asarray(residual_source, dtype=float)
-    if resid.ndim != 2 or resid.shape[0] < 10:
-        raise ConfigError("residual source must be a matrix with at least 10 rows")
-    nu = np.asarray(nu, dtype=float)
-    centered = resid - resid.mean(axis=0)
-    T = resid.shape[0] if n_rows is None else int(n_rows)
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, centered.shape[0], size=T)
-    values = nu[None, :] + centered[draws]
+    rows = _null_rows(residual_source, nu)
+    T = rows.shape[0] if n_rows is None else int(n_rows)
+    values = _draw(rows, seed, np.empty((T, rows.shape[1])))
     if dates is None:
         dates = synthetic_dates(T)
     if asset_ids is None:
-        asset_ids = tuple(f"asset{i}" for i in range(resid.shape[1]))
+        asset_ids = tuple(f"asset{i}" for i in range(rows.shape[1]))
     return AlignedPanel(dates=dates, values=values, asset_ids=asset_ids, kind="returns")
 
 
-# Worker-side state for process pools, set once per worker by the initializer.
+def _workspace(payload: dict) -> dict:
+    """The payload plus the solver and draw buffer that every replication of a process reuses."""
+    T, n, q = payload["n_rows"], payload["rows"].shape[1], payload["tv_config"].q
+    return {**payload, "solver": _PathSolver(T - q, n, q), "draws": np.empty((T, n))}
+
+
+# Worker-side workspace for process pools, set once per worker by the initializer.
 _WORK: dict = {}
 
 
 def _init_worker(payload: dict) -> None:
-    _WORK.update(payload)
+    _WORK.update(_workspace(payload))
 
 
 def _run_replication(b: int, work: dict | None = None) -> tuple[int, np.ndarray]:
     """Replication b's degree path, all NaN if the refit fails; a pool worker reads ``_WORK``."""
     w = _WORK if work is None else work
-    panel = resample_null_panel(
-        w["residuals"],
-        w["nu"],
-        replication_seed(w["master_seed"], b),
-        n_rows=w["n_rows"],
-        dates=w["dates"],
-        asset_ids=w["asset_ids"],
-    )
+    config = w["tv_config"]
+    x = _draw(w["rows"], replication_seed(w["master_seed"], b), w["draws"])
+    if not np.isfinite(x).all():
+        raise DataError("panel contains missing or non-finite cells")
+    Y, Z = _lagged_design(x, config.q)
+    S, n = Y.shape
     try:
-        return b, efficiency_path(fit_tv_var(panel, w["tv_config"])).zeta
+        paths = _fit_paths(Y, Z, config, w["solver"])[1]
     except NumericalError:
-        return b, np.full(w["n_rows"] - w["tv_config"].q, np.nan)
+        return b, np.full(S, np.nan)
+    # the lag sum of the (S, q, n, n) lag matrices, read off the equation-major paths
+    return b, _degrees(np.eye(n) - paths.reshape(S, n, config.q, n).sum(axis=2))
 
 
 def _dump_chunks(dump_dir: str, dates, zstar: np.ndarray) -> None:
@@ -212,12 +233,9 @@ def bootstrap_bands(
     fit = estimate if estimate is not None else fit_tv_var(panel, tv_config)
     S = fit.effective_obs
     payload = {
-        "residuals": fit.residuals,
-        "nu": fit.nu,
+        "rows": _null_rows(fit.residuals, fit.nu),
         "master_seed": boot_config.master_seed,
         "n_rows": panel.n_periods,
-        "dates": panel.dates,
-        "asset_ids": panel.asset_ids,
         "tv_config": tv_config,
     }
     zstar = np.empty((B, S))
@@ -225,7 +243,7 @@ def bootstrap_bands(
     pool = ProcessPoolExecutor(n_jobs, initializer=_init_worker, initargs=(payload,)) if n_jobs > 1 else None
     with pool or nullcontext():
         if pool is None:
-            results = map(partial(_run_replication, work=payload), reps)
+            results = map(partial(_run_replication, work=_workspace(payload)), reps)
         else:  # about four chunks per worker, so the last ones even out the load
             results = pool.map(_run_replication, reps, chunksize=max(1, min(64, -(-B // (4 * n_jobs)))))
         for b, z in results:

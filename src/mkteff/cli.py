@@ -236,15 +236,21 @@ def _manifest_text(command: str, **fields) -> str:
 def _staged(output_dir: str):
     """A new staging directory in ``output_dir``, the one place a command writes. On a
     normal exit each staged file is renamed into ``output_dir`` under its subpath; on an
-    exception none is. Either way the staging directory is then removed."""
+    exception none is. Either way the staging directory is then removed.
+
+    The old ``manifest.json`` is removed before the first rename and the new one is
+    renamed last, so a directory that holds a manifest holds that run's complete output."""
     os.makedirs(output_dir, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=".mkteff-", dir=output_dir)
+    manifest = os.path.join(output_dir, "manifest.json")
     try:
         yield stage
-        for root, _, files in os.walk(stage):
+        if os.path.exists(manifest):
+            os.unlink(manifest)
+        for root, _, files in os.walk(stage, topdown=False):  # the stage's own files last
             dest = os.path.join(output_dir, os.path.relpath(root, stage))
             os.makedirs(dest, exist_ok=True)
-            for name in files:
+            for name in sorted(files, key=lambda f: f == "manifest.json"):  # and its manifest after them
                 os.replace(os.path.join(root, name), os.path.join(dest, name))
     finally:
         shutil.rmtree(stage, ignore_errors=True)

@@ -103,23 +103,6 @@ def _lagged_design(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return Y, Z
 
 
-def _assemble_banded(Z: np.ndarray, lam: float) -> np.ndarray:
-    """Upper-form banded normal equations for one equation's coefficient path."""
-    S, m = Z.shape
-    N = S * m
-    ab = np.zeros((m + 1, N))
-    pen = np.full(S, 2.0 * lam)
-    pen[0] -= lam
-    pen[-1] -= lam
-    ab[m] = (Z * Z + pen[:, None]).ravel()
-    # row m-d holds the d-th superdiagonal of each period's outer product Z[s] Z[s]'
-    for d in range(1, m):
-        ab[m - d].reshape(S, m)[:, d:] = Z[:, : m - d] * Z[:, d:]
-    if N > m:
-        ab[0, m:] = -lam  # coupling between consecutive periods, same coefficient
-    return ab
-
-
 def _factor_banded(ab: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     """Banded Cholesky with a one-shot ridge fallback for degenerate data."""
     cb, info = dpbtrf(ab)
@@ -136,43 +119,91 @@ def _factor_banded(ab: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     )
 
 
-def _solve_equations(Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Solve all equations against one shared factorization.
+class _PathSolver:
+    """Workspace for the normal equations of S periods, n equations and q lags.
 
-    Returns (nu (n,), paths (S, n, m), jitter_used, intercept_pivot). The
-    intercept border is eliminated by a Schur complement: with D the banded
-    coefficient block, b the border column and c its diagonal, solving
-    D [u V] = [b R] gives nu_i = (sum_t y_ti - b'V_i) / (c - b'u) and the path
-    V_i - nu_i * u; the pivot is (c - b'u) / S.
+    It owns the upper-banded matrix ``ab`` and the right-hand sides ``B``; every
+    ``solve`` refills both in place, so a bootstrap worker refits on one
+    workspace. ``ab`` is factored into a new array and the ridge fallback bumps
+    a copy, so no solve leaves state behind for the next.
     """
-    S, n = Y.shape
-    m = Z.shape[1]
-    N = S * m
-    B = np.empty((N, n + 1), order="F")  # LAPACK's layout, so dpbtrs solves it in place
-    border = Z.ravel()
-    B[:, 0] = border
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
-        ab = _assemble_banded(Z, lam)
-        B[:, 1:] = (Z[:, :, None] * Y[:, None, :]).reshape(N, n)
-    if not (np.isfinite(ab).all() and np.isfinite(B).all()):
-        raise NumericalError("normal equations are not finite; rescale the returns")
-    cb, jitter = _factor_banded(ab, lam)
-    sol, _ = dpbtrs(cb, B, overwrite_b=1)
-    u = sol[:, 0]
-    schur = S - border @ u
-    # the intercept is unidentified when every period can absorb it into its
-    # own coefficients (happens once per-period unknowns reach the period count)
-    if not schur > 1e-10 * S:
-        raise NumericalError(
-            f"intercept pivot {schur:.3e} is numerically singular; try a larger lam"
-        )
-    nu = np.empty(n)
-    paths = np.empty((S, n, m))
-    for i in range(n):
-        v = sol[:, 1 + i]
-        nu[i] = (Y[:, i].sum() - border @ v) / schur
-        paths[:, i, :] = (v - nu[i] * u).reshape(S, m)
-    return nu, paths, jitter, schur / S
+
+    def __init__(self, S: int, n: int, q: int):
+        m = n * q
+        self.ab = np.zeros((m + 1, S * m))
+        self.B = np.empty((S * m, n + 1), order="F")  # LAPACK's layout, so dpbtrs solves it in place
+
+    def solve(self, Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Solve all equations against one shared factorization.
+
+        Returns (nu (n,), paths (S, n, m), jitter_used, intercept_pivot). The
+        intercept border is eliminated by a Schur complement: with D the banded
+        coefficient block, b the border column and c its diagonal, solving
+        D [u V] = [b R] gives nu_i = (sum_t y_ti - b'V_i) / (c - b'u) and the path
+        V_i - nu_i * u; the pivot is (c - b'u) / S.
+        """
+        S, n = Y.shape
+        m = Z.shape[1]
+        ab, B = self.ab, self.B
+        pen = np.full(S, 2.0 * lam)
+        pen[0] -= lam
+        pen[-1] -= lam
+        border = Z.ravel()
+        B[:, 0] = border
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
+            diag = np.multiply(Z, Z, out=ab[m].reshape(S, m))
+            diag += pen[:, None]
+            # row m-d holds the d-th superdiagonal of each period's outer product Z[s] Z[s]':
+            # one product along the flattened regressors, then the d cells per period
+            # that pair two periods are put back to zero
+            for d in range(1, m):
+                np.multiply(border[:-d], border[d:], out=ab[m - d, d:])
+                ab[m - d].reshape(S, m)[:, :d] = 0.0
+            for i in range(n):
+                np.multiply(Z, Y[:, i, None], out=B[:, 1 + i].reshape(S, m))
+        ab[0, m:] = -lam  # coupling between consecutive periods, same coefficient
+        if not (np.isfinite(ab).all() and np.isfinite(B).all()):
+            raise NumericalError("normal equations are not finite; rescale the returns")
+        cb, jitter = _factor_banded(ab, lam)
+        sol, _ = dpbtrs(cb, B, overwrite_b=1)
+        u = sol[:, 0]
+        schur = S - border @ u
+        # the intercept is unidentified when every period can absorb it into its
+        # own coefficients (happens once per-period unknowns reach the period count)
+        if not schur > 1e-10 * S:
+            raise NumericalError(
+                f"intercept pivot {schur:.3e} is numerically singular; try a larger lam"
+            )
+        nu = np.empty(n)
+        paths = np.empty((S, n, m))
+        for i in range(n):
+            v = sol[:, 1 + i]
+            nu[i] = (Y[:, i].sum() - border @ v) / schur
+            np.subtract(v.reshape(S, m), (nu[i] * u).reshape(S, m), out=paths[:, i, :])
+        return nu, paths, jitter, schur / S
+
+
+def _fit_paths(
+    Y: np.ndarray, Z: np.ndarray, config: TvVarConfig, solver: _PathSolver
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """Solve at ``config.lam``; in two-pass mode re-estimate the ratio from the
+    first pass's residuals and increments and solve again.
+
+    Returns (nu, paths, lambda_effective, jitter_used, intercept_pivot).
+    """
+    lam_eff = config.lam
+    nu, paths, jitter, pivot = solver.solve(Y, Z, lam_eff)
+    if config.lambda_mode == "two-pass":
+        resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
+        sigma_e2 = float((resid**2).mean())
+        increments = np.diff(paths, axis=0)
+        sigma_v2 = float((increments**2).mean()) if increments.size else 0.0
+        if sigma_v2 > 0 and sigma_e2 > 0:
+            lam_eff = min(max(sigma_e2 / sigma_v2, _LAMBDA_FLOOR), _LAMBDA_CAP)
+        else:
+            lam_eff = _LAMBDA_CAP
+        nu, paths, jitter, pivot = solver.solve(Y, Z, lam_eff)
+    return nu, paths, lam_eff, jitter, pivot
 
 
 def _check_panel(panel: AlignedPanel, q: int) -> None:
@@ -217,20 +248,7 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
     n = values.shape[1]
     q = config.q
     Y, Z = _lagged_design(values, q)
-
-    lam_eff = config.lam
-    nu, paths, jitter, pivot = _solve_equations(Y, Z, lam_eff)
-    if config.lambda_mode == "two-pass":
-        resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
-        sigma_e2 = float((resid**2).mean())
-        increments = np.diff(paths, axis=0)
-        sigma_v2 = float((increments**2).mean()) if increments.size else 0.0
-        if sigma_v2 > 0 and sigma_e2 > 0:
-            lam_eff = min(max(sigma_e2 / sigma_v2, _LAMBDA_FLOOR), _LAMBDA_CAP)
-        else:
-            lam_eff = _LAMBDA_CAP
-        nu, paths, jitter, pivot = _solve_equations(Y, Z, lam_eff)
-
+    nu, paths, lam_eff, jitter, pivot = _fit_paths(Y, Z, config, _PathSolver(Y.shape[0], n, q))
     resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
     return TvVarEstimate(
         dates=panel.dates[q:],
@@ -253,12 +271,10 @@ def export_coefficient_paths(estimate: TvVarEstimate, dest) -> None:
     try:
         fh.write("date,lag,row,col,value\n")
         S, q, n, _ = estimate.A_path.shape
-        for s in range(S):
-            d = estimate.dates[s].isoformat()
-            for l in range(q):
-                for i in range(n):
-                    for j in range(n):
-                        fh.write(f"{d},{l + 1},{i},{j},{float(estimate.A_path[s, l, i, j])!r}\n")
+        cells = [f",{l + 1},{i},{j}," for l in range(q) for i in range(n) for j in range(n)]
+        for d, row in zip(estimate.dates, estimate.A_path.reshape(S, -1).tolist()):
+            day = d.isoformat()
+            fh.write("".join(f"{day}{cell}{v!r}\n" for cell, v in zip(cells, row)))
     finally:
         if own:
             fh.close()

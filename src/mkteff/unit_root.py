@@ -158,7 +158,10 @@ def adf_gls_test(y: np.ndarray, max_lag: int | None = None, model: str = DETREND
     resid = target - X @ beta
     dof = len(target) - X.shape[1]
     s2 = float(resid @ resid) / dof
-    xtx_inv = np.linalg.inv(X.T @ X)
+    try:  # X'X squares the condition number, so it can be singular where lstsq kept full rank
+        xtx_inv = np.linalg.inv(X.T @ X)
+    except np.linalg.LinAlgError:
+        raise DataError("degenerate regression: collinear lag structure") from None
     se = math.sqrt(s2 * xtx_inv[0, 0])
     statistic = float(beta[0] / se)
     return AdfGlsResult(

@@ -7,21 +7,26 @@ any parameters, so a fitted path can be checked for optimality; the Wald form of
 the package's residual-sum form; the pairwise Granger test restricts a single
 target equation. The two lag searches refit every candidate from scratch with
 lstsq on its own tall design, where the package reads all candidates off one
-factorization.
+factorization. A bootstrap replication is run the long way, through the public
+resample, fit and degree-path functions, where the package refits on one
+reused workspace per process.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy import stats
 
-from mkteff.errors import DataError
+from mkteff.bootstrap import BootstrapConfig, replication_seed, resample_null_panel
+from mkteff.efficiency import efficiency_path
+from mkteff.errors import DataError, NumericalError
 from mkteff.market_data import AlignedPanel
-from mkteff.tv_var import _check_panel, _lagged_design, _paths_to_A
+from mkteff.tv_var import TvVarConfig, TvVarEstimate, _check_panel, _lagged_design, _paths_to_A, fit_tv_var
 from mkteff.unit_root import _adf_columns
 from mkteff.var_base import GrangerResult, VarEstimate, _ols, _source_index, _stacked_rss, fit_var_ols
 
@@ -187,3 +192,35 @@ def var_lag_search(panel: AlignedPanel, p_max: int) -> tuple[int, list[float]]:
         if bic < best_bic:
             best_p, best_bic = p, bic
     return best_p, bics
+
+
+def naive_replication(
+    panel: AlignedPanel, fit: TvVarEstimate, tv_config: TvVarConfig, master_seed: int, b: int
+) -> np.ndarray:
+    """Degree path of bootstrap replication b: a resampled null panel, a fresh fit
+    and its degree path; all NaN where the refit fails."""
+    sample = resample_null_panel(
+        fit.residuals, fit.nu, replication_seed(master_seed, b),
+        n_rows=panel.n_periods, dates=panel.dates, asset_ids=panel.asset_ids,
+    )
+    try:
+        return efficiency_path(fit_tv_var(sample, tv_config)).zeta
+    except NumericalError:
+        return np.full(panel.n_periods - tv_config.q, np.nan)
+
+
+def naive_bands(
+    panel: AlignedPanel, fit: TvVarEstimate, tv_config: TvVarConfig, boot_config: BootstrapConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, upper, flagged counts) of ``bootstrap_bands`` by NaN-ignoring quantiles
+    of the naive replications."""
+    zstar = np.array([
+        naive_replication(panel, fit, tv_config, boot_config.master_seed, b)
+        for b in range(1, boot_config.replications + 1)
+    ])
+    zstar[~np.isfinite(zstar)] = np.nan
+    lo = (1.0 - boot_config.coverage) / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN dates stay NaN
+        lower, upper = np.nanquantile(zstar, [lo, 1.0 - lo], axis=0)
+    return lower, upper, np.isnan(zstar).sum(axis=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,8 +15,10 @@ from mkteff import (
     simulate,
     DgpSpec,
 )
-from mkteff.bootstrap import _run_replication, _sorted_quantiles, replication_seed
+from mkteff.bootstrap import _null_rows, _run_replication, _sorted_quantiles, _workspace, replication_seed
 from mkteff.errors import ConfigError, NumericalError
+
+from oracles import naive_bands, naive_replication
 
 
 def null_panel(seed=0, T=200, n=2):
@@ -32,6 +35,15 @@ class TestResample:
         assert np.array_equal(a.values, b.values)
         c = resample_null_panel(resid, nu, seed=43)
         assert not np.array_equal(a.values, c.values)
+
+    def test_rows_are_intercept_plus_centered_draws(self, rng):
+        # bit for bit: nu + (e_k - mean e), with k from the seed's generator
+        resid = rng.standard_normal((50, 3)) * 0.01 + 0.3
+        nu = np.array([1e-3, -2e-4, 5.0])
+        picks = np.random.default_rng(replication_seed(4, 2)).integers(0, 50, size=80)
+        expected = nu[None, :] + (resid - resid.mean(axis=0))[picks]
+        panel = resample_null_panel(resid, nu, replication_seed(4, 2), n_rows=80)
+        assert np.array_equal(panel.values.view(np.int64), expected.view(np.int64))
 
     def test_zero_residuals_reproduce_intercept(self):
         nu = np.array([0.3, -0.1])
@@ -91,7 +103,7 @@ class TestBands:
         def fail(*args, **kwargs):
             raise NumericalError("refit failed")
 
-        monkeypatch.setattr(boot_mod, "fit_tv_var", fail)
+        monkeypatch.setattr(boot_mod, "_fit_paths", fail)
         cfg = BootstrapConfig(replications=100, coverage=0.95, master_seed=3)
         with pytest.warns(RuntimeWarning, match="all 100 bootstrap replications"):
             bands = bootstrap_bands(panel, tv, cfg, estimate=fit)
@@ -135,7 +147,7 @@ class TestBands:
                 def fail(*args, **kwargs):
                     raise NumericalError("refit failed")
 
-                monkeypatch.setattr(boot_mod, "fit_tv_var", fail)
+                monkeypatch.setattr(boot_mod, "_fit_paths", fail)
             out = tmp_path / refit
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # the all-failed case warns
@@ -177,17 +189,12 @@ class TestBands:
         fit = fit_tv_var(panel, tv)
         cfg = BootstrapConfig(replications=100, coverage=0.95, master_seed=8)
         bootstrap_bands(panel, tv, cfg, estimate=fit, dump_dir=str(tmp_path))
-        payload = {
-            "residuals": fit.residuals, "nu": fit.nu, "master_seed": cfg.master_seed,
-            "n_rows": panel.n_periods, "dates": panel.dates, "asset_ids": panel.asset_ids,
-            "tv_config": tv,
-        }
         rows: dict[int, list[float]] = {}
         for line in (tmp_path / "replications_000001_000100.csv").read_text().splitlines()[1:]:
             rep, _, cell = line.split(",")
             rows.setdefault(int(rep), []).append(float(cell) if cell else np.nan)
         for b in (1, 37, 100):
-            expected = _run_replication(b, payload)[1]
+            expected = naive_replication(panel, fit, tv, cfg.master_seed, b)
             np.testing.assert_array_equal(np.array(rows[b]).view(np.int64), expected.view(np.int64))
 
     def test_config_validation(self):
@@ -200,6 +207,68 @@ class TestBands:
 def same_bits(a, b):
     nan = np.isnan(a)
     return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+def workspace(panel, fit, tv, master_seed):
+    return _workspace({
+        "rows": _null_rows(fit.residuals, fit.nu), "master_seed": master_seed,
+        "n_rows": panel.n_periods, "tv_config": tv,
+    })
+
+
+REFITS = {
+    "q1-fixed": TvVarConfig(q=1, lam=1.0),
+    "q2-two-pass": TvVarConfig(q=2, lam=1.0, lambda_mode="two-pass"),
+}
+
+
+class TestReplicationOracle:
+    """The workspace kernel against resample_null_panel -> fit_tv_var -> efficiency_path."""
+
+    @pytest.mark.parametrize("refit", sorted(REFITS))
+    def test_replications_match_the_naive_path(self, refit):
+        panel = null_panel(seed=12, T=150, n=3)
+        tv = REFITS[refit]
+        fit = fit_tv_var(panel, tv)
+        work = workspace(panel, fit, tv, 8)  # one workspace for every replication
+        for b in range(1, 31):
+            assert same_bits(_run_replication(b, work)[1], naive_replication(panel, fit, tv, 8, b))
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("refit", sorted(REFITS))
+    def test_bands_match_the_naive_path(self, refit, n_jobs):
+        panel = null_panel(seed=14, T=120, n=2)
+        tv = REFITS[refit]
+        fit = fit_tv_var(panel, tv)
+        cfg = BootstrapConfig(replications=101, coverage=0.9, master_seed=6)
+        bands = bootstrap_bands(panel, tv, cfg, estimate=fit, n_jobs=n_jobs)
+        lower, upper, flagged = naive_bands(panel, fit, tv, cfg)
+        assert same_bits(bands.lower, lower) and same_bits(bands.upper, upper)
+        np.testing.assert_array_equal(bands.flagged_counts, flagged)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_failed_replications_leave_no_state(self, n_jobs):
+        # residual rows of +-1e160 overflow the normal equations of every replication
+        # that draws one (a NumericalError); the others must not see its buffers
+        panel = null_panel(seed=15, T=120, n=2)
+        tv = TvVarConfig(q=1, lam=1.0)
+        fit = fit_tv_var(panel, tv)
+        resid = fit.residuals.copy()
+        resid[30], resid[70] = 1e160, -1e160
+        fit = dataclasses.replace(fit, residuals=resid)
+        work = workspace(panel, fit, tv, 9)
+        failed = []
+        for b in range(1, 41):
+            z = _run_replication(b, work)[1]
+            assert same_bits(z, naive_replication(panel, fit, tv, 9, b))
+            failed.append(bool(np.isnan(z).all()))
+        assert any(failed[b] and not failed[b + 1] for b in range(39))  # a fit right after a failure
+        cfg = BootstrapConfig(replications=100, coverage=0.95, master_seed=9)
+        bands = bootstrap_bands(panel, tv, cfg, estimate=fit, n_jobs=n_jobs)
+        lower, upper, flagged = naive_bands(panel, fit, tv, cfg)
+        assert same_bits(bands.lower, lower) and same_bits(bands.upper, upper)
+        np.testing.assert_array_equal(bands.flagged_counts, flagged)
+        assert 0 < flagged.min() and flagged.max() < 100
 
 
 class TestSortedQuantiles:

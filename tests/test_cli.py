@@ -411,6 +411,32 @@ class TestAll:
         assert main(["all", "--config", cfg, "--dump-replications", "--q", "158"]) == EXIT_DATA
         assert snapshot(out) == before
 
+    def test_interrupted_commit_leaves_no_manifest(self, tmp_path, market_files, monkeypatch):
+        # the old manifest goes before the first rename and the new one comes last,
+        # so a commit that stops part way leaves a directory without a manifest
+        import mkteff.cli as cli_mod
+
+        cfg = config_file(tmp_path, market_files, bootstrap={"replications": 100, "master_seed": 1})
+        assert main(["all", "--config", cfg, "--dump-replications"]) == EXIT_OK
+        out = tmp_path / "out"
+        renamed = []
+
+        def replace(src, dst):
+            if len(renamed) == 3:
+                raise OSError("disk gone")
+            renamed.append(os.path.basename(dst))
+            os.rename(src, dst)
+
+        monkeypatch.setattr(cli_mod.os, "replace", replace)
+        with pytest.raises(OSError, match="disk gone"):
+            main(["all", "--config", cfg, "--dump-replications"])
+        assert "manifest.json" not in renamed
+        assert not (out / "manifest.json").exists()
+        monkeypatch.undo()
+        assert main(["all", "--config", cfg, "--dump-replications"]) == EXIT_OK
+        assert (out / "manifest.json").exists()
+        assert not list(out.glob(".mkteff-*"))
+
     def test_oversized_q_is_config_error(self, tmp_path, capsys):
         # q = 238 on T = 1686 needs hundreds of millions of band cells: refused before assembly
         rng = np.random.default_rng(11)

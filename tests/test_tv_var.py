@@ -1,14 +1,17 @@
 import io
 import warnings
+from datetime import date
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkteff import TvVarConfig, efficiency_path, export_coefficient_paths, fit_tv_var, fit_var_ols
+from mkteff import (
+    TvVarConfig, TvVarEstimate, efficiency_path, export_coefficient_paths, fit_tv_var, fit_var_ols,
+)
 from mkteff.errors import ConfigError, DataError, NumericalError
-from mkteff.tv_var import MAX_BAND_CELLS, _check_panel, _solve_equations
+from mkteff.tv_var import MAX_BAND_CELLS, _check_panel, _PathSolver
 
 from conftest import make_panel
 from oracles import build_stacked_system, penalized_objective, solve_dense
@@ -69,10 +72,12 @@ class TestFit:
             T = int(rng.integers(n * q + q + 5, 50))
             lam = float(10 ** rng.uniform(-1, 1))
             panel = make_panel(rng.standard_normal((T, n)))
-            banded = fit_tv_var(panel, TvVarConfig(q=q, lam=lam))
-            dense_nu, dense_A = solve_dense(panel, q, lam)
-            np.testing.assert_allclose(banded.A_path, dense_A, atol=1e-8)
-            np.testing.assert_allclose(banded.nu, dense_nu, atol=1e-8)
+            # two-pass refits on the first pass's workspace at the re-estimated ratio
+            for mode in ("fixed", "two-pass"):
+                banded = fit_tv_var(panel, TvVarConfig(q=q, lam=lam, lambda_mode=mode))
+                dense_nu, dense_A = solve_dense(panel, q, banded.lambda_effective)
+                np.testing.assert_allclose(banded.A_path, dense_A, atol=1e-8)
+                np.testing.assert_allclose(banded.nu, dense_nu, atol=1e-8)
 
     def test_constant_coefficient_recovery(self):
         # returns-scale data; at this scale the default smoothing is strong
@@ -126,8 +131,9 @@ class TestFit:
         S = 60
         Z = rng.standard_normal((S, 1))
         y = 0.2 + 0.5 * Z[:, 0] + 0.1 * rng.standard_normal(S)
-        c, path, _, _ = _solve_equations(y[:, None], Z, 1.0)
-        c_rev, path_rev, _, _ = _solve_equations(y[::-1, None], Z[::-1], 1.0)
+        solver = _PathSolver(S, 1, 1)
+        c, path, _, _ = solver.solve(y[:, None], Z, 1.0)
+        c_rev, path_rev, _, _ = solver.solve(y[::-1, None], Z[::-1], 1.0)
         np.testing.assert_allclose(path_rev, path[::-1], atol=1e-6)
         assert c_rev[0] == pytest.approx(c[0], abs=1e-6)
 
@@ -250,3 +256,34 @@ class TestExport:
         first = lines[1].split(",")
         assert first[0] == fit.dates[0].isoformat()
         assert float(first[4]) == fit.A_path[0, 0, 0, 0]
+
+    def test_exact_text(self):
+        # lag-major, then row, then column; repr of each float, -0.0 kept
+        A = np.array([[[[0.5, -0.0], [1e-300, -2.25]], [[3.0, 0.1], [-1.5e17, 7.0]]],
+                      [[[0.0, 1 / 3], [-0.125, 2.0]], [[1e-5, -4.0], [0.2, 123456.789]]]])
+        est = TvVarEstimate(
+            dates=(date(2021, 3, 1), date(2021, 3, 2)), asset_ids=("a", "b"), nu=np.zeros(2),
+            A_path=A, residuals=np.zeros((2, 2)), config=TvVarConfig(q=2), effective_obs=2,
+            lambda_effective=1.0, ridge_jitter=0.0, intercept_pivot=1.0,
+        )
+        buf = io.StringIO()
+        export_coefficient_paths(est, buf)
+        assert buf.getvalue() == (
+            "date,lag,row,col,value\n"
+            "2021-03-01,1,0,0,0.5\n"
+            "2021-03-01,1,0,1,-0.0\n"
+            "2021-03-01,1,1,0,1e-300\n"
+            "2021-03-01,1,1,1,-2.25\n"
+            "2021-03-01,2,0,0,3.0\n"
+            "2021-03-01,2,0,1,0.1\n"
+            "2021-03-01,2,1,0,-1.5e+17\n"
+            "2021-03-01,2,1,1,7.0\n"
+            "2021-03-02,1,0,0,0.0\n"
+            "2021-03-02,1,0,1,0.3333333333333333\n"
+            "2021-03-02,1,1,0,-0.125\n"
+            "2021-03-02,1,1,1,2.0\n"
+            "2021-03-02,2,0,0,1e-05\n"
+            "2021-03-02,2,0,1,-4.0\n"
+            "2021-03-02,2,1,0,0.2\n"
+            "2021-03-02,2,1,1,123456.789\n"
+        )

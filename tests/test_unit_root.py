@@ -118,6 +118,13 @@ class TestAdfGls:
         with pytest.raises(DataError):
             adf_gls_test(np.full(100, 3.0), max_lag=2)
 
+    def test_singular_refit_is_a_data_error(self):
+        # a linear trend with one kink detrends to rounding noise: lstsq keeps full
+        # rank, but the refit's X'X is exactly singular
+        y = np.cumsum(np.r_[np.full(60, -3.0), -4.0])
+        with pytest.raises(DataError, match="collinear lag structure"):
+            adf_gls_test(y, 5, DETREND_TREND)
+
     def test_needs_enough_observations(self):
         with pytest.raises(DataError):
             adf_gls_test(np.arange(12.0), max_lag=4)
