@@ -103,26 +103,37 @@ def _lagged_design(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return Y, Z
 
 
+def _upper_factor(cb: np.ndarray) -> np.ndarray:
+    """Turn a lower-band factor L into U = L' in upper band storage, in place:
+    U's row m - r is L's row r shifted right by r."""
+    m, N = cb.shape[0] - 1, cb.shape[1]
+    for r in range(m // 2 + 1):
+        low = cb[r, : N - r].copy()
+        cb[r, m - r :] = cb[m - r, : N - m + r]
+        cb[m - r, r:] = low
+    return cb
+
+
 def _factor_banded(ab: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    """Banded Cholesky with a one-shot ridge fallback for degenerate data."""
-    cb, info = dpbtrf(ab)
+    """Lower-band Cholesky with a one-shot ridge fallback; returns U in upper storage."""
+    cb, info = dpbtrf(ab, lower=1)
     if info == 0:
-        return cb, 0.0
+        return _upper_factor(cb), 0.0
     bumped = ab.copy()  # info > 0: a leading minor is not positive definite
-    bumped[-1] += _RIDGE_JITTER
-    cb, info = dpbtrf(bumped)
+    bumped[0] += _RIDGE_JITTER
+    cb, info = dpbtrf(bumped, lower=1)
     if info == 0:
-        return cb, _RIDGE_JITTER
+        return _upper_factor(cb), _RIDGE_JITTER
     raise NumericalError(
         "normal equations numerically singular "
-        f"(smallest diagonal {ab[-1].min():.3e}); try a larger lam than {lam:g}"
+        f"(smallest diagonal {ab[0].min():.3e}); try a larger lam than {lam:g}"
     )
 
 
 class _PathSolver:
     """Workspace for the normal equations of S periods, n equations and q lags.
 
-    It owns the upper-banded matrix ``ab`` and the right-hand sides ``B``; every
+    It owns the lower-banded matrix ``ab`` and the right-hand sides ``B``; every
     ``solve`` refills both in place, so a bootstrap worker refits on one
     workspace. ``ab`` is factored into a new array and the ridge fallback bumps
     a copy, so no solve leaves state behind for the next.
@@ -151,21 +162,22 @@ class _PathSolver:
         border = Z.ravel()
         B[:, 0] = border
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
-            diag = np.multiply(Z, Z, out=ab[m].reshape(S, m))
+            diag = np.multiply(Z, Z, out=ab[0].reshape(S, m))
             diag += pen[:, None]
-            # row m-d holds the d-th superdiagonal of each period's outer product Z[s] Z[s]':
+            # row d holds the d-th subdiagonal of each period's outer product Z[s] Z[s]':
             # one product along the flattened regressors, then the d cells per period
             # that pair two periods are put back to zero
             for d in range(1, m):
-                np.multiply(border[:-d], border[d:], out=ab[m - d, d:])
-                ab[m - d].reshape(S, m)[:, :d] = 0.0
+                np.multiply(border[:-d], border[d:], out=ab[d, :-d])
+                ab[d].reshape(S, m)[:, m - d :] = 0.0
             for i in range(n):
                 np.multiply(Z, Y[:, i, None], out=B[:, 1 + i].reshape(S, m))
-        ab[0, m:] = -lam  # coupling between consecutive periods, same coefficient
+        ab[m, :-m] = -lam  # coupling between consecutive periods, same coefficient
         if not (np.isfinite(ab).all() and np.isfinite(B).all()):
             raise NumericalError("normal equations are not finite; rescale the returns")
         cb, jitter = _factor_banded(ab, lam)
         sol, _ = dpbtrs(cb, B, overwrite_b=1)
+        del cb  # the factor is as large as ab; free it before the paths
         u = sol[:, 0]
         schur = S - border @ u
         # the intercept is unidentified when every period can absorb it into its

@@ -123,7 +123,7 @@ def _lag_bics(yt: np.ndarray, dy: np.ndarray, max_lag: int) -> list[float]:
     target, X = _adf_columns(yt, dy, max_lag, max_lag)
     nobs = len(target)
     bics = []
-    for k, (cross, _) in enumerate(_nested_rss(X, target, range(1, max_lag + 2))):
+    for k, (cross, _) in enumerate(_nested_rss(np.column_stack([X, target]), max_lag + 1, range(1, max_lag + 2))):
         rss = float(cross[0, 0])
         bics.append(-np.inf if rss <= 0.0 else math.log(rss / nobs) + (k + 1) * math.log(nobs) / nobs)
     return bics

@@ -125,14 +125,10 @@ class HansenLcResult:
         }
 
 
-def _design(values: np.ndarray, p: int, sample_start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Targets and [1, lags...] regressors with targets starting at row sample_start."""
+def _design_columns(values: np.ndarray, p: int, sample_start: int) -> list[np.ndarray]:
+    """The [1, lags 1..p] regressor columns for targets starting at row sample_start."""
     T = values.shape[0]
-    Y = values[sample_start:]
-    cols = [np.ones(T - sample_start)]
-    for l in range(1, p + 1):
-        cols.append(values[sample_start - l : T - l])
-    return Y, np.column_stack(cols)
+    return [np.ones(T - sample_start)] + [values[sample_start - l : T - l] for l in range(1, p + 1)]
 
 
 def _hac_cov(X: np.ndarray, resid: np.ndarray, bandwidth: int) -> np.ndarray:
@@ -182,7 +178,7 @@ def _ols(
     T, n = values.shape
     k = 1 + n * p
     _check_rows(T, start, k)
-    Y, X = _design(values, p, start)
+    Y, X = values[start:], np.column_stack(_design_columns(values, p, start))
     beta, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
     if rank < k:
         raise NumericalError("rank-deficient regressor matrix")
@@ -192,17 +188,18 @@ def _ols(
     return Y, X, beta, resid, sigma, _bic(sigma, teff, k)
 
 
-def _nested_rss(X: np.ndarray, Y: np.ndarray, ks: Iterable[int]) -> Iterator[tuple[np.ndarray, int]]:
+def _nested_rss(XY: np.ndarray, K: int, ks: Iterable[int]) -> Iterator[tuple[np.ndarray, int]]:
     """Residual cross products and ranks of regressing Y on each column prefix X[:, :k].
 
-    One R-only QR of [X | Y] leaves C = R[:K, K:] and E = R[K:, K:]; the
-    prefix fit's residual cross product is E'E + r'r with r = C - R[:K, :k] b,
-    b the least-squares solution of that K x k problem. The cutoff matches
-    what lstsq applies to the tall design, so a rank-deficient prefix is
-    treated as a direct fit would treat it. Yields (cross product, rank) per k.
+    XY is [X | Y] with X its first K columns. One R-only QR of XY leaves
+    C = R[:K, K:] and E = R[K:, K:]; the prefix fit's residual cross product is
+    E'E + r'r with r = C - R[:K, :k] b, b the least-squares solution of that
+    K x k problem. The cutoff matches what lstsq applies to the tall design, so
+    a rank-deficient prefix is treated as a direct fit would treat it. Yields
+    (cross product, rank) per k.
     """
-    T, K = X.shape
-    R = np.linalg.qr(np.column_stack([X, Y]), mode="r")
+    T = XY.shape[0]
+    R = np.linalg.qr(XY, mode="r")
     C, E = R[:K, K:], R[K:, K:]
     base = E.T @ E
     eps = np.finfo(float).eps
@@ -271,10 +268,11 @@ def _bic_path(values: np.ndarray, p_max: int) -> list[float]:
     p_fit = min(p_max, max(0, (T - p_max - 2) // n))  # the largest order with enough rows
     bics = []
     if p_fit:
-        Y, X = _design(values, p_fit, p_max)
-        teff = Y.shape[0]
+        # [1, lags 1..p_fit | targets] built once, the one design the QR copies
+        XY = np.column_stack([*_design_columns(values, p_fit, p_max), values[p_max:]])
+        teff = XY.shape[0]
         ks = [1 + n * p for p in range(1, p_fit + 1)]
-        for k, (cross, rank) in zip(ks, _nested_rss(X, Y, ks)):
+        for k, (cross, rank) in zip(ks, _nested_rss(XY, ks[-1], ks)):
             if rank < k:
                 raise NumericalError("rank-deficient regressor matrix")
             bics.append(_bic(cross / teff, teff, k))
@@ -376,13 +374,14 @@ def hansen_lc(panel: AlignedPanel, p: int, estimate: VarEstimate | None = None) 
     teff, k = X.shape
     n = resid.shape[1]
     sig2 = (resid**2).mean(axis=0)
-    blocks = []
+    m = n * (k + 1)
+    # one score matrix, in X's memory order: the einsum below sums in memory order
+    F = np.empty_like(X, shape=(teff, m))
     for i in range(n):
-        blocks.append(np.column_stack([X * resid[:, i : i + 1], resid[:, i] ** 2 - sig2[i]]))
-    F = np.concatenate(blocks, axis=1)  # (T_eff, m)
-    m = F.shape[1]
-    S = F.cumsum(axis=0)
+        np.multiply(X, resid[:, i : i + 1], out=F[:, i * (k + 1) : i * (k + 1) + k])
+        np.subtract(resid[:, i] ** 2, sig2[i], out=F[:, i * (k + 1) + k])
     V = F.T @ F
+    S = np.cumsum(F, axis=0, out=F)  # F becomes the running score sums
     try:
         VinvS = np.linalg.solve(V, S.T)
     except np.linalg.LinAlgError as exc:

@@ -9,7 +9,10 @@ target equation. The two lag searches refit every candidate from scratch with
 lstsq on its own tall design, where the package reads all candidates off one
 factorization. A bootstrap replication is run the long way, through the public
 resample, fit and degree-path functions, where the package refits on one
-reused workspace per process.
+reused workspace per process. The Hansen statistic is built from a list of
+per-equation score blocks, where the package fills one score matrix in place,
+and the banded normal equations are assembled and factored in upper band
+storage, where the package factors them in lower storage.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy import stats
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from mkteff.bootstrap import BootstrapConfig, replication_seed, resample_null_panel
 from mkteff.efficiency import efficiency_path
 from mkteff.errors import DataError, NumericalError
 from mkteff.market_data import AlignedPanel
-from mkteff.tv_var import TvVarConfig, TvVarEstimate, _check_panel, _lagged_design, _paths_to_A, fit_tv_var
+from mkteff.tv_var import (
+    _RIDGE_JITTER, TvVarConfig, TvVarEstimate, _check_panel, _lagged_design, _paths_to_A, fit_tv_var,
+)
 from mkteff.unit_root import _adf_columns
 from mkteff.var_base import GrangerResult, VarEstimate, _ols, _source_index, _stacked_rss, fit_var_ols
 
@@ -224,3 +230,56 @@ def naive_bands(
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN dates stay NaN
         lower, upper = np.nanquantile(zstar, [lo, 1.0 - lo], axis=0)
     return lower, upper, np.isnan(zstar).sum(axis=0)
+
+
+def naive_hansen_lc(estimate: VarEstimate) -> float:
+    """Lc statistic of ``hansen_lc`` from per-equation score blocks joined by
+    ``concatenate``, the running sums taken into a new array."""
+    X, resid = estimate.regressors, estimate.residuals
+    sig2 = (resid**2).mean(axis=0)
+    blocks = [
+        np.column_stack([X * resid[:, i : i + 1], resid[:, i] ** 2 - sig2[i]])
+        for i in range(resid.shape[1])
+    ]
+    F = np.concatenate(blocks, axis=1)
+    S = F.cumsum(axis=0)
+    V = F.T @ F
+    return float(np.einsum("tm,mt->", S, np.linalg.solve(V, S.T)) / X.shape[0])
+
+
+class UpperBandSolver:
+    """``_PathSolver`` with the normal equations assembled and factored in upper
+    band storage: row m holds the diagonal, row m - d the d-th superdiagonal and
+    row 0 the coupling. Same ``solve`` contract, so ``_fit_paths`` accepts it."""
+
+    def solve(self, Y: np.ndarray, Z: np.ndarray, lam: float):
+        S, n = Y.shape
+        m = Z.shape[1]
+        border = Z.ravel()
+        ab = np.zeros((m + 1, S * m))
+        pen = np.full(S, 2.0 * lam)
+        pen[0] -= lam
+        pen[-1] -= lam
+        ab[m] = (Z * Z + pen[:, None]).ravel()
+        for d in range(1, m):
+            ab[m - d, d:] = border[:-d] * border[d:]
+            ab[m - d].reshape(S, m)[:, :d] = 0.0
+        ab[0, m:] = -lam
+        B = np.empty((S * m, n + 1), order="F")
+        B[:, 0] = border
+        for i in range(n):
+            B[:, 1 + i] = (Z * Y[:, i, None]).ravel()
+        cb, info = dpbtrf(ab)
+        jitter = 0.0
+        if info:
+            ab[m] += _RIDGE_JITTER
+            cb, info = dpbtrf(ab)
+            jitter = _RIDGE_JITTER
+        if info:
+            raise NumericalError("normal equations numerically singular")
+        sol, _ = dpbtrs(cb, B, overwrite_b=1)
+        u = sol[:, 0]
+        schur = S - border @ u
+        nu = np.array([(Y[:, i].sum() - border @ sol[:, 1 + i]) / schur for i in range(n)])
+        paths = np.stack([(sol[:, 1 + i] - nu[i] * u).reshape(S, m) for i in range(n)], axis=1)
+        return nu, paths, jitter, schur / S

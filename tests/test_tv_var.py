@@ -11,11 +11,11 @@ from mkteff import (
     TvVarConfig, TvVarEstimate, efficiency_path, export_coefficient_paths, fit_tv_var, fit_var_ols,
 )
 from mkteff.errors import ConfigError, DataError, NumericalError
-from mkteff.tv_var import MAX_BAND_CELLS, _check_panel, _PathSolver
+from mkteff.tv_var import MAX_BAND_CELLS, _check_panel, _fit_paths, _PathSolver
 
 from conftest import make_panel
-from oracles import build_stacked_system, penalized_objective, solve_dense
-from test_var_base import simulate_var
+from oracles import UpperBandSolver, build_stacked_system, penalized_objective, solve_dense
+from test_var_base import bits, simulate_var, traced_peak
 
 
 class TestStackedSystem:
@@ -182,6 +182,42 @@ class TestFit:
         smooth = fit_tv_var(make_panel(values), TvVarConfig(q=1, lam=1e6))
         assert 0.0 < rough.intercept_pivot < ols <= 1.0
         assert smooth.intercept_pivot == pytest.approx(ols, rel=1e-6)
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(bits(a), bits(b))
+
+
+class TestUpperBandOracle:
+    # the lower-storage factor, turned into upper storage, solves exactly as the
+    # upper-storage factor does; m = n*q >= 33 takes LAPACK's blocked path
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_bits(self, n):
+        for q in range(1, 6):
+            gen = np.random.default_rng(10 * n + q)
+            S = 3 * n * q + 20
+            Y, Z = 0.01 * gen.standard_normal((S, n)), 0.01 * gen.standard_normal((S, n * q))
+            solver = _PathSolver(S, n, q)
+            for mode in ("fixed", "two-pass"):
+                cfg = TvVarConfig(q=q, lam=0.7, lambda_mode=mode)
+                assert_same_bits(_fit_paths(Y, Z, cfg, solver), _fit_paths(Y, Z, cfg, UpperBandSolver()))
+
+    def test_factor_freed_before_the_paths(self, rng):
+        S, n = 3000, 8
+        Y, Z = 0.01 * rng.standard_normal((S, n)), 0.01 * rng.standard_normal((S, n))
+        solver = _PathSolver(S, n, 1)
+        assert traced_peak(solver.solve, Y, Z, 1.0) <= 1.6 * solver.ab.nbytes
+
+    def test_ridge_fallback(self):
+        # two equal regressors with equal and opposite constant coefficients fit
+        # nothing and pay no penalty: the normal equations are singular
+        gen = np.random.default_rng(2)
+        x, Y = gen.standard_normal(40), gen.standard_normal((40, 2))
+        Z = np.column_stack([x, x])
+        got = _PathSolver(40, 2, 1).solve(Y, Z, 1.0)
+        assert got[2] > 0.0
+        assert_same_bits(got, UpperBandSolver().solve(Y, Z, 1.0))
 
 
 class TestInvariance:

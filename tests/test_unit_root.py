@@ -191,7 +191,8 @@ class TestLagSearchOracle:
         dy = np.diff(yt)
         _, rss, bics = adf_lag_search(yt, dy, max_lag)
         target, X = _adf_columns(yt, dy, max_lag, max_lag)
-        got = [float(c[0, 0]) for c, _ in _nested_rss(X, target, range(1, max_lag + 2))]
+        XY = np.column_stack([X, target])
+        got = [float(c[0, 0]) for c, _ in _nested_rss(XY, X.shape[1], range(1, max_lag + 2))]
         assert got == pytest.approx(rss, rel=1e-10)
         assert _lag_bics(yt, dy, max_lag) == pytest.approx(bics, rel=1e-10, abs=1e-10)
 

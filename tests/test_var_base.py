@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +15,25 @@ from mkteff import (
     select_lag_bic,
 )
 from mkteff.errors import DataError, MktEffError, NumericalError
-from mkteff.var_base import HANSEN_LC_CRITICAL, _auto_bandwidth, _bic_path, _f_pvalue
+from mkteff.var_base import HANSEN_LC_CRITICAL, _auto_bandwidth, _bic, _bic_path, _f_pvalue, _nested_rss, _ols
 
 from conftest import make_panel
-from oracles import granger_causality_pairwise, granger_wald_f, var_lag_search
+from oracles import granger_causality_pairwise, granger_wald_f, naive_hansen_lc, var_lag_search
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced while fn(*args) runs, above what was held when it started."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def simulate_var(rng, A, T, sd=1.0, nu=None, burn=200):
@@ -157,6 +174,23 @@ class TestLagSelection:
         if isinstance(got, int):
             assert _bic_path(values, p_max) == pytest.approx(var_lag_search(panel, p_max)[1], rel=1e-10, abs=1e-10)
 
+    def test_bits_of_the_separate_design(self, rng):
+        # the one [1, lags | targets] array holds the design of the full fit
+        values = rng.standard_normal((400, 3))
+        p_max = 4
+        Y, X = _ols(values, p_max, p_max)[:2]
+        ks = [1 + 3 * p for p in range(1, p_max + 1)]
+        nested = _nested_rss(np.column_stack([X, Y]), ks[-1], ks)
+        want = [_bic(c / Y.shape[0], Y.shape[0], k) for k, (c, _) in zip(ks, nested)]
+        assert np.array_equal(bits(_bic_path(values, p_max)), bits(want))
+
+    def test_peak_memory(self):
+        # the design is built once; the QR holds the only copy
+        values = np.random.default_rng(5).standard_normal((3000, 8))
+        p_max = 4
+        xy_bytes = (3000 - p_max) * (1 + 8 * p_max + 8) * 8
+        assert traced_peak(_bic_path, values, p_max) <= 2.5 * xy_bytes
+
     def test_rank_deficient_panel_is_a_numerical_error(self, rng):
         x = rng.standard_normal(200)
         with pytest.raises(NumericalError, match="rank-deficient regressor matrix"):
@@ -290,6 +324,28 @@ class TestHansenLc:
         with pytest.warns(UserWarning):
             res = hansen_lc(panel, 1)  # 4 * (1 + 4 + 1) = 24 > 20
         assert res.thresholds[0.05] == HANSEN_LC_CRITICAL[20][1]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, p", [(1, 3), (2, 1), (3, 2), (8, 1)])
+    def test_bits_of_the_block_oracle(self, order, n, p):
+        # same memory order as the regressors, so the Lc sum runs in the oracle's order
+        values = np.random.default_rng(10 * n + p).standard_normal((1200, n))
+        panel = make_panel(np.asarray(values, order=order))
+        est = fit_var_ols(panel, p)
+        assert est.regressors.flags.f_contiguous == (order == "F" and n > 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # past the table at n=8
+            lc = hansen_lc(panel, p, est).lc_statistic
+        assert bits(lc) == bits(naive_hansen_lc(est))
+
+    def test_peak_memory(self):
+        # one score matrix, turned into its running sums in place
+        panel = make_panel(np.random.default_rng(6).standard_normal((3000, 8)))
+        est = fit_var_ols(panel, 1)
+        score_bytes = est.nobs * 8 * (est.coefficients.shape[0] + 1) * 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert traced_peak(hansen_lc, panel, 1, est) <= 2.5 * score_bytes
 
     def test_table_monotone(self):
         rows = [HANSEN_LC_CRITICAL[m] for m in range(1, 21)]
