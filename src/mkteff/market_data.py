@@ -8,12 +8,11 @@ forward-filling would fabricate zero returns on non-trading days.
 
 from __future__ import annotations
 
-import io
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime
-from typing import IO, Iterator, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,19 +81,30 @@ class CsvFormat:
         if self.date_column < 0 or self.price_column < 0:
             raise ConfigError("csv.date_column and csv.price_column must be non-negative")
 
-    def parse_date(self, text: str) -> date:
+    def parse_dates(self, cells: Iterable[str]) -> Iterator[date]:
+        """The date in each cell, ignoring blanks around it; a bad cell raises ValueError."""
+        texts = map(str.strip, cells)
         if self.date_format == "iso":
-            return date.fromisoformat(text.strip())
-        return datetime.strptime(text.strip(), self.date_format).date()
+            return map(date.fromisoformat, texts)
+        return (datetime.strptime(text, self.date_format).date() for text in texts)
+
+
+def _day_numbers(dates: Sequence[date]) -> np.ndarray:
+    return np.fromiter(map(date.toordinal, dates), np.int64, len(dates))
 
 
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """One asset's price history: strictly increasing dates, positive prices."""
+    """One asset's price history: strictly increasing dates, positive prices.
+
+    ``days`` holds the dates as day numbers (``date.toordinal``), on which the
+    order is checked and series are aligned.
+    """
 
     asset_id: str
     dates: tuple[date, ...]
     prices: np.ndarray
+    days: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         prices = np.asarray(self.prices, dtype=float)
@@ -103,11 +113,15 @@ class PriceSeries:
             raise DataError(
                 f"{self.asset_id}: {len(self.dates)} dates but {prices.shape[0]} prices"
             )
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur == prev:
+        days = _day_numbers(self.dates)
+        object.__setattr__(self, "days", days)
+        step = np.diff(days)
+        if not np.all(step > 0):
+            i = int(np.argmax(step <= 0))
+            cur = self.dates[i + 1]
+            if step[i] == 0:
                 raise DuplicateDateError(f"{self.asset_id}: duplicate date {cur}")
-            if cur < prev:
-                raise DataError(f"{self.asset_id}: dates not increasing at {cur}")
+            raise DataError(f"{self.asset_id}: dates not increasing at {cur}")
         if prices.size and not np.all(prices > 0):
             bad = self.dates[int(np.argmax(~(prices > 0)))]
             raise NonPositivePriceError(
@@ -216,80 +230,147 @@ class DescriptiveStats:
         return "\n".join(lines) + "\n"
 
 
-@contextmanager
-def _text_stream(source) -> Iterator[IO[str]]:
-    """Text view of ``source``: a path is opened and closed here; a byte stream is
-    wrapped and detached afterwards, so the caller's stream stays open."""
+def _read_lines(source, asset_id: str) -> list[str]:
+    """The lines of ``source``, as iterating over a text view of it gives them.
+
+    A path is opened and closed here; a stream passed in is read to its end and
+    left open. Bytes are decoded as UTF-8 with universal newlines (CRLF and a lone
+    CR end a line too); bytes that are not UTF-8 abort with their line number.
+    """
     if not hasattr(source, "read"):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield fh
-    elif isinstance(source.read(0), bytes):
-        wrapper = io.TextIOWrapper(source, encoding="utf-8")
-        try:
-            yield wrapper
-        finally:
-            wrapper.detach()
+        with open(source, "rb") as fh:
+            data = fh.read()
+    elif isinstance(source.read(0), str):
+        return source.readlines()
     else:
-        yield source
+        data = source.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataError(f"{asset_id}: line {line} is not valid UTF-8 ({exc.reason})") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+# Rows parsed per block in ``_parse_columns``. Only one block's cell strings are
+# alive at a time, so the allocator keeps far fewer small-object pools for the
+# rest of the run than a whole file's cells would leave behind.
+_BLOCK_ROWS = 1024
+
+
+def _parse_columns(rows: list[str], fmt: CsvFormat) -> tuple[list[date], np.ndarray] | None:
+    """Dates and prices of stripped, non-blank ``rows``, parsed a column at a time.
+
+    Returns None if the rows differ in width or any row breaks a cell rule (too
+    few columns, a bad date, a bad, non-finite or non-positive price);
+    ``_parse_rows`` then reports or skips it.
+    """
+    width = min(map(str.count, rows, repeat(fmt.delimiter)), default=0) + 1
+    if "\n" in fmt.delimiter or width <= max(fmt.date_column, fmt.price_column):
+        return None
+    dates: list[date] = []
+    prices = np.empty(len(rows))
+    for at in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[at : at + _BLOCK_ROWS]
+        # One flat list of cells. Rows hold no "\n", so no match of the delimiter
+        # spans two rows; and as every row has at least ``width`` cells, the total
+        # says whether each has exactly that many.
+        cells = "\n".join(block).replace(fmt.delimiter, "\n").split("\n")
+        if len(cells) != len(block) * width:
+            return None
+        try:
+            dates += fmt.parse_dates(cells[fmt.date_column :: width])
+            prices[at : at + len(block)] = np.fromiter(
+                map(float, cells[fmt.price_column :: width]), float, len(block)
+            )
+        except ValueError:
+            return None
+    if not np.all((prices > 0) & np.isfinite(prices)):
+        return None
+    return dates, prices
+
+
+def _parse_rows(body: list[str], fmt: CsvFormat, asset_id: str) -> tuple[list[date], np.ndarray]:
+    """Row-by-row parse of the stripped lines after the header, in file order.
+
+    The first row that breaks a rule aborts with its line number, or is skipped
+    with ``skip_bad_rows`` where the rule allows it.
+    """
+    dates: list[date] = []
+    prices: list[float] = []
+    seen: set[date] = set()
+    ncol = max(fmt.date_column, fmt.price_column) + 1
+    for lineno, line in enumerate(body, start=2):
+        if not line:
+            continue
+        parts = line.split(fmt.delimiter)
+        if len(parts) < ncol:
+            if fmt.skip_bad_rows:
+                continue
+            raise RowParseError(lineno, f"expected at least {ncol} columns, got {len(parts)}")
+        try:
+            d = next(fmt.parse_dates((parts[fmt.date_column],)))
+        except ValueError as exc:
+            if fmt.skip_bad_rows:
+                continue
+            raise RowParseError(lineno, f"bad date {parts[fmt.date_column]!r}: {exc}") from exc
+        try:
+            p = float(parts[fmt.price_column])
+        except ValueError as exc:
+            if fmt.skip_bad_rows:
+                continue
+            raise RowParseError(lineno, f"bad price {parts[fmt.price_column]!r}") from exc
+        if not math.isfinite(p):
+            if fmt.skip_bad_rows:
+                continue
+            raise RowParseError(lineno, f"non-finite price {parts[fmt.price_column]!r}")
+        if p <= 0:
+            raise NonPositivePriceError(f"{asset_id}: non-positive price {p} on {d} (line {lineno})")
+        if d in seen:
+            raise DuplicateDateError(f"{asset_id}: duplicate date {d} (line {lineno})")
+        seen.add(d)
+        dates.append(d)
+        prices.append(p)
+    return dates, np.array(prices, dtype=float)
+
+
+def _in_date_order(asset_id: str, dates: list[date], prices: np.ndarray) -> PriceSeries | None:
+    """The series sorted by date, or None if a date repeats."""
+    if not dates:
+        raise EmptyInputError(f"{asset_id}: no data rows")
+    days = _day_numbers(dates)
+    if np.all(days[1:] > days[:-1]):
+        return PriceSeries(asset_id=asset_id, dates=tuple(dates), prices=prices)
+    order = np.argsort(days)
+    days = days[order]
+    if np.any(days[1:] == days[:-1]):
+        return None
+    return PriceSeries(
+        asset_id=asset_id, dates=tuple(map(dates.__getitem__, order.tolist())), prices=prices[order]
+    )
 
 
 def load_price_series(source, asset_id: str, format_options: CsvFormat | None = None) -> PriceSeries:
     """Parse one asset's (date, price) file into a validated PriceSeries.
 
-    ``source`` is a readable text or byte stream (or a path). The first line is
-    treated as a header and skipped. Malformed rows abort with their line number
-    unless ``format_options.skip_bad_rows`` is set; duplicate dates and
-    non-positive prices always abort. A path is closed after reading; a stream
-    passed in is left open.
+    ``source`` is a readable text or byte stream (or a path); bytes must be
+    UTF-8. The first line is treated as a header and skipped, and so are blank
+    lines. Malformed rows abort with their line number unless
+    ``format_options.skip_bad_rows`` is set; duplicate dates and non-positive
+    prices always abort. The first bad row in file order is the one reported.
+    A path is closed after reading; a stream passed in is left open.
+
+    Clean input is parsed a column at a time; any input that breaks a rule is
+    parsed again row by row, which reports or skips the offending rows.
     """
     fmt = format_options or CsvFormat()
-    dates: list[date] = []
-    prices: list[float] = []
-    seen: set[date] = set()
-    ncol = max(fmt.date_column, fmt.price_column) + 1
-    with _text_stream(source) as stream:
-        for lineno, raw in enumerate(stream, start=1):
-            if lineno == 1:
-                continue  # header
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(fmt.delimiter)
-            if len(parts) < ncol:
-                if fmt.skip_bad_rows:
-                    continue
-                raise RowParseError(lineno, f"expected at least {ncol} columns, got {len(parts)}")
-            try:
-                d = fmt.parse_date(parts[fmt.date_column])
-            except ValueError as exc:
-                if fmt.skip_bad_rows:
-                    continue
-                raise RowParseError(lineno, f"bad date {parts[fmt.date_column]!r}: {exc}") from exc
-            try:
-                p = float(parts[fmt.price_column])
-            except ValueError as exc:
-                if fmt.skip_bad_rows:
-                    continue
-                raise RowParseError(lineno, f"bad price {parts[fmt.price_column]!r}") from exc
-            if not math.isfinite(p):
-                if fmt.skip_bad_rows:
-                    continue
-                raise RowParseError(lineno, f"non-finite price {parts[fmt.price_column]!r}")
-            if p <= 0:
-                raise NonPositivePriceError(f"{asset_id}: non-positive price {p} on {d} (line {lineno})")
-            if d in seen:
-                raise DuplicateDateError(f"{asset_id}: duplicate date {d} (line {lineno})")
-            seen.add(d)
-            dates.append(d)
-            prices.append(p)
-    if not dates:
-        raise EmptyInputError(f"{asset_id}: no data rows")
-    order = sorted(range(len(dates)), key=dates.__getitem__)
-    return PriceSeries(
-        asset_id=asset_id,
-        dates=tuple(dates[i] for i in order),
-        prices=np.array([prices[i] for i in order]),
-    )
+    body = list(map(str.strip, _read_lines(source, asset_id)[1:]))  # line 1 is the header
+    columns = _parse_columns(list(filter(None, body)), fmt)
+    series = None if columns is None else _in_date_order(asset_id, *columns)
+    if series is None:
+        series = _in_date_order(asset_id, *_parse_rows(body, fmt, asset_id))
+    return series
 
 
 def align(series: Sequence[PriceSeries]) -> AlignedPanel:
@@ -299,21 +380,17 @@ def align(series: Sequence[PriceSeries]) -> AlignedPanel:
     for s in series:
         if len(s) == 0:
             raise EmptyInputError(f"{s.asset_id}: empty series")
-    common = set(series[0].dates)
+    common = series[0].days
     for s in series[1:]:
-        common &= set(s.dates)
-    if not common:
+        common = np.intersect1d(common, s.days, assume_unique=True)
+    if not common.size:
         raise EmptyIntersectionError(
             "no common dates across series " + ", ".join(s.asset_id for s in series)
         )
-    dates = tuple(sorted(common))
-    cols = []
-    for s in series:
-        lookup = dict(zip(s.dates, s.prices))
-        cols.append([lookup[d] for d in dates])
+    cols = [s.prices[np.searchsorted(s.days, common)] for s in series]
     return AlignedPanel(
-        dates=dates,
-        values=np.array(cols, dtype=float).T,
+        dates=tuple(map(date.fromordinal, common.tolist())),
+        values=np.array(cols, dtype=float).T,  # F-order: hansen_lc sums in memory order
         asset_ids=tuple(s.asset_id for s in series),
         kind="prices",
     )

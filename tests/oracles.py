@@ -12,14 +12,21 @@ resample, fit and degree-path functions, where the package refits on one
 reused workspace per process. The Hansen statistic is built from a list of
 per-equation score blocks, where the package fills one score matrix in place,
 and the banded normal equations are assembled and factored in upper band
-storage, where the package factors them in lower storage.
+storage, where the package factors them in lower storage. A price file is
+parsed row by row, with each date kept in a set, and series are joined on
+sets of dates and per-series lookups, where the package parses a whole column
+at a time and joins on day numbers.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from datetime import date, datetime
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +36,10 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from mkteff.bootstrap import BootstrapConfig, replication_seed, resample_null_panel
 from mkteff.efficiency import efficiency_path
 from mkteff.errors import DataError, NumericalError
-from mkteff.market_data import AlignedPanel
+from mkteff.market_data import (
+    AlignedPanel, CsvFormat, DuplicateDateError, EmptyInputError, EmptyIntersectionError,
+    NonPositivePriceError, PriceSeries, RowParseError,
+)
 from mkteff.tv_var import (
     _RIDGE_JITTER, TvVarConfig, TvVarEstimate, _check_panel, _lagged_design, _paths_to_A, fit_tv_var,
 )
@@ -283,3 +293,105 @@ class UpperBandSolver:
         nu = np.array([(Y[:, i].sum() - border @ sol[:, 1 + i]) / schur for i in range(n)])
         paths = np.stack([(sol[:, 1 + i] - nu[i] * u).reshape(S, m) for i in range(n)], axis=1)
         return nu, paths, jitter, schur / S
+
+
+@contextmanager
+def _text_stream(source) -> Iterator[IO[str]]:
+    """Text view of ``source``: a path is opened and closed here; a byte stream is
+    wrapped and detached afterwards, so the caller's stream stays open."""
+    if not hasattr(source, "read"):
+        with open(source, "r", encoding="utf-8") as fh:
+            yield fh
+    elif isinstance(source.read(0), bytes):
+        wrapper = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()
+    else:
+        yield source
+
+
+def _parse_date(fmt: CsvFormat, text: str) -> date:
+    if fmt.date_format == "iso":
+        return date.fromisoformat(text.strip())
+    return datetime.strptime(text.strip(), fmt.date_format).date()
+
+
+def naive_load_price_series(source, asset_id: str, format_options: CsvFormat | None = None) -> PriceSeries:
+    """``load_price_series`` one row at a time: the same rows, errors and messages."""
+    fmt = format_options or CsvFormat()
+    dates: list[date] = []
+    prices: list[float] = []
+    seen: set[date] = set()
+    ncol = max(fmt.date_column, fmt.price_column) + 1
+    with _text_stream(source) as stream:
+        for lineno, raw in enumerate(stream, start=1):
+            if lineno == 1:
+                continue  # header
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(fmt.delimiter)
+            if len(parts) < ncol:
+                if fmt.skip_bad_rows:
+                    continue
+                raise RowParseError(lineno, f"expected at least {ncol} columns, got {len(parts)}")
+            try:
+                d = _parse_date(fmt, parts[fmt.date_column])
+            except ValueError as exc:
+                if fmt.skip_bad_rows:
+                    continue
+                raise RowParseError(lineno, f"bad date {parts[fmt.date_column]!r}: {exc}") from exc
+            try:
+                p = float(parts[fmt.price_column])
+            except ValueError as exc:
+                if fmt.skip_bad_rows:
+                    continue
+                raise RowParseError(lineno, f"bad price {parts[fmt.price_column]!r}") from exc
+            if not math.isfinite(p):
+                if fmt.skip_bad_rows:
+                    continue
+                raise RowParseError(lineno, f"non-finite price {parts[fmt.price_column]!r}")
+            if p <= 0:
+                raise NonPositivePriceError(f"{asset_id}: non-positive price {p} on {d} (line {lineno})")
+            if d in seen:
+                raise DuplicateDateError(f"{asset_id}: duplicate date {d} (line {lineno})")
+            seen.add(d)
+            dates.append(d)
+            prices.append(p)
+    if not dates:
+        raise EmptyInputError(f"{asset_id}: no data rows")
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    return PriceSeries(
+        asset_id=asset_id,
+        dates=tuple(dates[i] for i in order),
+        prices=np.array([prices[i] for i in order]),
+    )
+
+
+def naive_align(series: Sequence[PriceSeries]) -> AlignedPanel:
+    """``align`` through sets of dates and a per-series lookup."""
+    if len(series) < 2:
+        raise DataError("alignment requires at least 2 series")
+    for s in series:
+        if len(s) == 0:
+            raise EmptyInputError(f"{s.asset_id}: empty series")
+    common = set(series[0].dates)
+    for s in series[1:]:
+        common &= set(s.dates)
+    if not common:
+        raise EmptyIntersectionError(
+            "no common dates across series " + ", ".join(s.asset_id for s in series)
+        )
+    dates = tuple(sorted(common))
+    cols = []
+    for s in series:
+        lookup = dict(zip(s.dates, s.prices))
+        cols.append([lookup[d] for d in dates])
+    return AlignedPanel(
+        dates=dates,
+        values=np.array(cols, dtype=float).T,
+        asset_ids=tuple(s.asset_id for s in series),
+        kind="prices",
+    )

@@ -1,14 +1,21 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mkteff.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_config, main
+from mkteff.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_config, load_returns_panel, main
+from mkteff.var_base import fit_var_ols
 
 
 def write_price_csv(path, start_price, returns, start="2020-01-01"):
@@ -22,6 +29,9 @@ def write_price_csv(path, start_price, returns, start="2020-01-01"):
         price *= math.exp(r)
         lines.append(f"{(d0 + timedelta(days=t)).isoformat()},{price}")
     path.write_text("\n".join(lines) + "\n")
+
+
+NON_UTF8_CSV = b"date,close\n2020-01-02,100\n2020-01-03,10\xff1\n"
 
 
 @pytest.fixture
@@ -258,6 +268,14 @@ class TestErrors:
     def test_input_flag_format(self, tmp_path):
         assert main(["describe", "--input", "justapath"]) == EXIT_CONFIG
 
+    def test_non_utf8_input_is_data_error(self, tmp_path, market_files, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(NON_UTF8_CSV)
+        cfg = config_file(tmp_path, [market_files[0], (str(bad), "BAD")])
+        assert main(["describe", "--config", cfg]) == EXIT_DATA
+        assert "BAD: line 3 is not valid UTF-8" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_all_runs_pipeline(self, tmp_path, market_files):
         cfg = config_file(tmp_path, market_files)
         assert main(["all", "--config", cfg]) == EXIT_OK
@@ -466,3 +484,87 @@ class TestAll:
         ]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "all" and manifest["n_obs"] == 200
+
+
+def test_panel_and_regressors_are_f_ordered(tmp_path, market_files):
+    """The Hansen Lc sum runs in memory order, so its bits depend on this layout."""
+    with open(config_file(tmp_path, market_files), encoding="utf-8") as fh:
+        cfg = build_config(json.load(fh), argparse.Namespace())
+    returns = load_returns_panel(cfg)
+    assert returns.n_assets > 1 and returns.values.flags.f_contiguous
+    assert fit_var_ols(returns, 2).regressors.flags.f_contiguous
+
+
+@st.composite
+def degenerate_runs(draw):
+    """Price files of a small panel built from duplicated, scaled, constant, rounded
+    and kinked series (or one file that is not UTF-8), and odd lag settings."""
+    n = draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
+    T = draw(st.integers(30, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    walk = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, T)))
+    t = np.arange(T)
+    shapes = {
+        "walk": lambda: 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, T))),
+        "duplicate": lambda: walk,
+        "scaled": lambda: 3.0 * walk,
+        "constant": lambda: np.full(T, 50.0),
+        "rounded": lambda: np.round(walk),
+        "kinked": lambda: 50.0 * np.exp(0.001 * np.minimum(t, T // 2) - 0.002 * np.maximum(t - T // 2, 0)),
+    }
+    start = date(2020, 1, 1)
+    files = []
+    for _ in range(n):
+        prices = shapes[draw(st.sampled_from(["walk", "walk", *sorted(shapes)]))]()
+        lines = ["date,close"] + [f"{start + timedelta(days=i)},{p!r}" for i, p in enumerate(prices.tolist())]
+        files.append(("\n".join(lines) + "\n").encode())
+    if draw(st.integers(0, 3)) == 0:
+        files[draw(st.integers(0, n - 1))] = NON_UTF8_CSV
+    flags = ["--p-max", str(draw(st.integers(1, 9)))]
+    q = draw(st.sampled_from([None, 1, 2, 3]))
+    if q is not None:
+        flags += ["--q", str(q)]
+    return files, draw(st.integers(0, 13)), flags
+
+
+def _snapshot(root):
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    paths = {}
+    for d, dirs, names in os.walk(root):
+        for name in dirs:
+            paths[os.path.relpath(os.path.join(d, name), root)] = None
+        for name in names:
+            with open(os.path.join(d, name), "rb") as fh:
+                paths[os.path.relpath(os.path.join(d, name), root)] = fh.read()
+    return paths
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_runs())
+def test_degenerate_inputs_end_in_an_exit_code(run):
+    """Any panel ends in 0, 2, 3 or 4 with no traceback, and a failed run changes
+    nothing in the output directory. The stationarity gate is off here: its exit 3
+    commits the summary by design (test_stationarity_gate_stops_after_describe)."""
+    files, max_lag, flags = run
+    with tempfile.TemporaryDirectory() as root:
+        inputs = []
+        for i, data in enumerate(files):
+            path = os.path.join(root, f"a{i}.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            inputs.append({"path": path, "asset_id": f"a{i}"})
+        out = os.path.join(root, "out")
+        os.makedirs(out)
+        with open(os.path.join(out, "summary.txt"), "w") as fh:
+            fh.write("an earlier run\n")
+        cfg = os.path.join(root, "config.json")
+        with open(cfg, "w") as fh:
+            json.dump({"inputs": inputs, "unit_root": {"max_lag": max_lag}, "output_dir": out}, fh)
+        before = _snapshot(out)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["all", "--config", cfg, "--replications", "0", "--allow-nonstationary", *flags])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert _snapshot(out) == before

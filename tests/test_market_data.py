@@ -2,14 +2,15 @@ import gc
 import io
 import math
 import warnings
-from datetime import date
+from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mkteff import CsvFormat, align, describe, load_price_series, log_returns
+from mkteff import CsvFormat, align, describe, load_price_series, log_returns, market_data
 from mkteff.market_data import (
     DuplicateDateError,
     EmptyInputError,
@@ -20,6 +21,7 @@ from mkteff.market_data import (
 from mkteff.errors import ConfigError, DataError
 
 from conftest import make_panel, make_series
+from oracles import naive_align, naive_load_price_series
 
 
 def load(text, asset="X", fmt=None):
@@ -95,6 +97,124 @@ class TestLoad:
     def test_unsorted_input_is_sorted(self):
         s = load("date,price\n2020-01-02,2\n2020-01-01,1\n")
         assert s.dates[0] == date(2020, 1, 1)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"date,close\n2020-01-02,100\n2020-01-03,10\xff1\n", 3),
+            (b"date,close\r\n2020-01-02,100\r\n\r\n2020-01-03,10\xff1\r\n", 4),
+            (b"date,close\r2020-01-02,100\r\xe92020-01-03,101\r", 3),
+        ],
+        ids=["lf", "crlf", "cr"],
+    )
+    def test_non_utf8_bytes_name_asset_and_line(self, data, line):
+        with pytest.raises(DataError, match=f"^X: line {line} is not valid UTF-8"):
+            load_price_series(io.BytesIO(data), "X")
+
+    @pytest.mark.parametrize(
+        "dates, error, message",
+        [
+            ((1, 2, 2, 1), DuplicateDateError, "X: duplicate date 2020-01-02"),
+            ((1, 3, 2, 2), DataError, "X: dates not increasing at 2020-01-02"),
+        ],
+        ids=["duplicate", "decreasing"],
+    )
+    def test_series_reports_first_out_of_order_date(self, dates, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            make_series("X", [date(2020, 1, d) for d in dates], [1.0] * len(dates))
+
+
+def _date_text(d, date_format):
+    return d.isoformat() if date_format == "iso" else d.strftime(date_format)
+
+
+@st.composite
+def price_files(draw):
+    """Price file text with its format: clean, with one bad cell, or with bad cells,
+    ragged and blank rows; sorted or not, duplicate dates, LF, CRLF or CR endings."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " | "]))
+    width = draw(st.integers(2, 3))
+    date_column, price_column = draw(st.permutations(range(width)))[:2]
+    date_format = draw(st.sampled_from(["iso", "%d/%m/%Y"]))
+    fmt = CsvFormat(delimiter=delimiter, date_column=date_column, price_column=price_column,
+                    date_format=date_format, skip_bad_rows=draw(st.booleans()))
+    days = draw(st.lists(st.integers(0, 40), max_size=12))
+    if draw(st.booleans()):
+        days = sorted(set(days))
+    mode = draw(st.sampled_from(["clean", "one bad cell", "dirty"]))
+    bad_row = draw(st.integers(0, max(len(days) - 1, 0)))
+    lines = [delimiter.join(["h"] * width)]
+    for row, day in enumerate(days):
+        dirty = mode == "dirty"
+        if dirty and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        text = _date_text(date(2020, 1, 1) + timedelta(days=day), date_format)
+        price = repr(draw(st.floats(min_value=1e-3, max_value=1e4)))
+        # filler cells that parse as a date or a price, so that a row shifted by a
+        # missing or extra cell can still look valid
+        cells = [draw(st.sampled_from([text, price, "x"])) for _ in range(width)]
+        cells[date_column] = draw(st.sampled_from([text, text, f" {text} "]))
+        cells[price_column] = price
+        if (dirty and draw(st.integers(0, 3)) == 0) or (mode == "one bad cell" and row == bad_row):
+            column = draw(st.sampled_from([date_column, price_column]))
+            cells[column] = draw(st.sampled_from(
+                ["", "bad", "2020-13-01", "0", "-0.0", "-1.5", "nan", "inf", "1e400", " 7.25 "]
+            ))
+        if dirty and draw(st.integers(0, 5)) == 0:
+            if draw(st.booleans()):
+                del cells[draw(st.integers(0, width - 1))]
+            else:
+                cells.insert(draw(st.integers(0, width)), draw(st.sampled_from([text, price])))
+        lines.append(delimiter.join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
+    return text, fmt, draw(st.booleans())
+
+
+def _outcome(loader, text, fmt, as_bytes):
+    source = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+    try:
+        s = loader(source, "X", fmt)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return s.dates, s.prices.view(np.int64).tolist()
+
+
+class TestLoadOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(price_files())
+    # rows of mixed width whose cells, cut at a common width, would still parse
+    @example(("d,p\n2020-01-01,1\n2020-01-02,2,2020-01-03\n", CsvFormat(), False))
+    # every row narrower than the price column
+    @example(("h\n1\n", CsvFormat(date_column=1, price_column=0), True))
+    # a delimiter with a line break, which a match across two rows would cut wrongly
+    @example(("h\n20200101\n20200102\n", CsvFormat(delimiter="\n2", date_format="%Y%m%d", price_column=0), True))
+    def test_same_rows_and_errors_as_row_loop(self, case):
+        text, fmt, as_bytes = case
+        expected = _outcome(naive_load_price_series, text, fmt, as_bytes)
+        assert _outcome(load_price_series, text, fmt, as_bytes) == expected
+        with mock.patch.object(market_data, "_BLOCK_ROWS", 3):  # several blocks per file
+            assert _outcome(load_price_series, text, fmt, as_bytes) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 30), max_size=15, unique=True), min_size=1, max_size=4),
+           st.floats(min_value=1e-3, max_value=1e4))
+    def test_align_matches_set_join(self, calendars, scale):
+        series = [
+            make_series(f"a{i}", [date(2020, 1, 1) + timedelta(days=d) for d in sorted(days)],
+                        scale * (i + 1) * np.exp(np.sin(np.arange(len(days)))))
+            for i, days in enumerate(calendars)
+        ]
+        outcomes = []
+        for join in (align, naive_align):
+            try:
+                panel = join(series)
+            except DataError as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                assert panel.values.flags.f_contiguous
+                outcomes.append((panel.dates, panel.values.view(np.int64).tolist()))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestAlign:
