@@ -27,7 +27,6 @@ from .var_base import (
     fit_var_ols,
     granger_causality,
     hansen_lc,
-    newey_west_cov,
     select_lag_bic,
 )
 from .tv_var import (
@@ -36,13 +35,8 @@ from .tv_var import (
     export_coefficient_paths,
     fit_tv_var,
 )
-from .efficiency import (
-    EfficiencyPath,
-    cumulative_multiplier,
-    efficiency_path,
-    joint_degree,
-)
-from .bootstrap import BandPath, BootstrapConfig, bootstrap_bands, resample_null_panel
+from .efficiency import EfficiencyPath, efficiency_path
+from .bootstrap import BandPath, BootstrapConfig, bootstrap_bands
 from .synth import DgpSpec, DgpTruth, simulate
 
 __version__ = "0.1.0"
@@ -54,11 +48,11 @@ __all__ = [
     "load_price_series", "align", "log_returns", "describe",
     "AdfGlsResult", "gls_detrend", "adf_gls_test",
     "VarEstimate", "GrangerResult", "HansenLcResult",
-    "fit_var_ols", "select_lag_bic", "newey_west_cov",
+    "fit_var_ols", "select_lag_bic",
     "granger_causality", "hansen_lc",
     "TvVarConfig", "TvVarEstimate",
     "fit_tv_var", "export_coefficient_paths",
-    "EfficiencyPath", "cumulative_multiplier", "joint_degree", "efficiency_path",
-    "BootstrapConfig", "BandPath", "resample_null_panel", "bootstrap_bands",
+    "EfficiencyPath", "efficiency_path",
+    "BootstrapConfig", "BandPath", "bootstrap_bands",
     "DgpSpec", "DgpTruth", "simulate",
 ]

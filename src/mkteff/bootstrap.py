@@ -12,8 +12,8 @@ Each process (the caller, or each pool worker) builds one workspace and reuses
 it for every replication it runs: the refit's banded normal equations and
 right-hand sides, and one (T, n) draw buffer: about 0.5 MB at paper scale
 (n=3, T=1686, q=1), the factor LAPACK writes on each solve included. A replication
-runs the arithmetic of ``resample_null_panel``, ``fit_tv_var`` and
-``efficiency_path`` on those buffers, so its degrees equal theirs bit for bit.
+runs the arithmetic of a null draw, ``fit_tv_var`` and ``efficiency_path`` on
+those buffers, so its degrees equal theirs bit for bit.
 
 Every replication b derives its generator from
 ``numpy.random.SeedSequence(master_seed, spawn_key=(b,))`` , a fixed, documented
@@ -34,15 +34,12 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .market_data import AlignedPanel
-from .efficiency import _degrees, efficiency_path  # noqa: F401 (perfbench/tracer.py wraps this name)
-from .synth import synthetic_dates
-from .tv_var import TvVarConfig, TvVarEstimate, _fit_paths, _lagged_design, _PathSolver, fit_tv_var
+from .efficiency import _degrees
+from .tv_var import TvVarEstimate, _fit_paths, _lagged_design, _PathSolver
 
 __all__ = [
     "BootstrapConfig",
     "BandPath",
-    "resample_null_panel",
     "replication_seed",
     "bootstrap_bands",
 ]
@@ -101,30 +98,6 @@ def _draw(rows: np.ndarray, seed, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (T, n) with T of ``rows`` drawn with replacement."""
     picks = np.random.default_rng(seed).integers(0, rows.shape[0], size=out.shape[0])
     return np.take(rows, picks, axis=0, out=out)
-
-
-def resample_null_panel(
-    residual_source: np.ndarray,
-    nu: np.ndarray,
-    seed,
-    n_rows: int | None = None,
-    dates: tuple[date, ...] | None = None,
-    asset_ids: tuple[str, ...] | None = None,
-) -> AlignedPanel:
-    """Null returns panel: intercept plus rows resampled from centered residuals.
-
-    ``seed`` may be an integer or a ``SeedSequence``. ``n_rows`` defaults to the
-    residual row count; pass the original panel length to give a refit the same
-    number of fitted periods.
-    """
-    rows = _null_rows(residual_source, nu)
-    T = rows.shape[0] if n_rows is None else int(n_rows)
-    values = _draw(rows, seed, np.empty((T, rows.shape[1])))
-    if dates is None:
-        dates = synthetic_dates(T)
-    if asset_ids is None:
-        asset_ids = tuple(f"asset{i}" for i in range(rows.shape[1]))
-    return AlignedPanel(dates=dates, values=values, asset_ids=asset_ids, kind="returns")
 
 
 def _workspace(payload: dict) -> dict:
@@ -197,10 +170,8 @@ def _sorted_quantiles(z: np.ndarray, k: np.ndarray, q: np.ndarray) -> np.ndarray
 
 
 def bootstrap_bands(
-    panel: AlignedPanel,
-    tv_config: TvVarConfig,
+    fit: TvVarEstimate,
     boot_config: BootstrapConfig,
-    estimate: TvVarEstimate | None = None,
     n_jobs: int = 1,
     dump_dir: str | None = None,
 ) -> BandPath:
@@ -208,11 +179,10 @@ def bootstrap_bands(
 
     Parameters
     ----------
-    panel : AlignedPanel
-        The observed returns panel; its fit supplies the intercept and the
-        residual pool (pass ``estimate`` to reuse an existing fit).
-    tv_config : TvVarConfig
-        Refit configuration, applied identically to every replication.
+    fit : TvVarEstimate
+        The observed panel's fit. It supplies the intercept and the residual
+        pool, and every replication is refit with ``fit.config`` on a null
+        panel of the observed length, ``fit.effective_obs + fit.config.q`` rows.
     boot_config : BootstrapConfig
         Replication count (at least 100), coverage, master seed.
     n_jobs : int
@@ -230,13 +200,12 @@ def bootstrap_bands(
     B = boot_config.replications
     if B < 100:
         raise ConfigError("band estimation needs at least 100 replications")
-    fit = estimate if estimate is not None else fit_tv_var(panel, tv_config)
     S = fit.effective_obs
     payload = {
         "rows": _null_rows(fit.residuals, fit.nu),
         "master_seed": boot_config.master_seed,
-        "n_rows": panel.n_periods,
-        "tv_config": tv_config,
+        "n_rows": S + fit.config.q,
+        "tv_config": fit.config,
     }
     zstar = np.empty((B, S))
     reps = range(1, B + 1)

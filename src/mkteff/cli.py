@@ -359,10 +359,8 @@ def _var_stage(run: PipelineRun) -> int:
     returns = run.returns
     p = run.var_order = select_lag_bic(returns, run.cfg.p_max)
     est = fit_var_ols(returns, p)
-    granger_results = {
-        a: granger_causality(returns, p, a, estimate=est) for a in returns.asset_ids
-    }
-    lc = hansen_lc(returns, p, estimate=est)
+    granger_results = {a: granger_causality(est, a) for a in returns.asset_ids}
+    lc = hansen_lc(est)
     run.write("var_report.txt", f"selected lag order: {p}\n\n" + var_table_text(est, granger_results, lc))
     doc = {
         "selected_p": p,
@@ -385,8 +383,7 @@ def _efficiency_stage(run: PipelineRun) -> int:
     q = cfg.tv_q
     if q is None:
         q = run.var_order if run.var_order is not None else select_lag_bic(returns, cfg.p_max)
-    tv_config = TvVarConfig(q=q, lam=cfg.lam, lambda_mode=cfg.lambda_mode)
-    fit = fit_tv_var(returns, tv_config)
+    fit = fit_tv_var(returns, TvVarConfig(q=q, lam=cfg.lam, lambda_mode=cfg.lambda_mode))
     path = efficiency_path(fit)
     run.manifest.update(
         tv_order=q,
@@ -399,14 +396,8 @@ def _efficiency_stage(run: PipelineRun) -> int:
         singular_dates=int(path.singular.sum()),
     )
     if cfg.replications > 0:
-        bands = bootstrap_bands(
-            returns,
-            tv_config,
-            cfg.bootstrap,
-            estimate=fit,
-            n_jobs=cfg.n_jobs,
-            dump_dir=run.output("replications") if cfg.dump_replications else None,
-        )
+        dump_dir = run.output("replications") if cfg.dump_replications else None
+        bands = bootstrap_bands(fit, cfg.bootstrap, n_jobs=cfg.n_jobs, dump_dir=dump_dir)
         path = path.with_bands(bands.lower, bands.upper)
         run.manifest["bootstrap_flagged_cells"] = int(bands.flagged_counts.sum())
         run.manifest["bootstrap_flagged_max_per_date"] = int(bands.flagged_counts.max(initial=0))

@@ -12,18 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
 from .tv_var import TvVarEstimate
 
 __all__ = [
     "CONDITION_LIMIT",
     "EfficiencyPath",
-    "cumulative_multiplier",
-    "joint_degree",
     "efficiency_path",
 ]
 
@@ -60,17 +56,15 @@ class EfficiencyPath:
             band_high=np.asarray(band_high, dtype=float),
         )
 
-    def write_csv(self, dest) -> None:
+    def write_csv(self, path) -> None:
         """Columns: date, zeta, band_low, band_high, singular (0/1); blanks for NaN."""
-        own = not hasattr(dest, "write")
-        fh: IO[str] = open(dest, "w", encoding="utf-8") if own else dest
 
         def cells(values) -> list[str]:
             if values is None:
                 return [""] * len(self.dates)
             return [repr(x) if math.isfinite(x) else "" for x in np.asarray(values, dtype=float).tolist()]
 
-        try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("date,zeta,band_low,band_high,singular\n")
             fh.writelines(
                 f"{d.isoformat()},{z},{lo},{hi},{int(flag)}\n"
@@ -79,9 +73,6 @@ class EfficiencyPath:
                     self.singular.tolist(),
                 )
             )
-        finally:
-            if own:
-                fh.close()
 
 
 # Frobenius bound up to which a 3x3 block keeps its cofactor inverse; at this
@@ -105,17 +96,17 @@ def _frobenius_bound(M: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return _frobenius_norm(M) * _frobenius_norm(phi)
 
 
-def _lapack_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray, np.ndarray]:
+def _lapack_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched LU inverses; only dates the Frobenius bound puts over half the limit
     (the half absorbs rounding in the inverse) get the exact ``np.linalg.cond``."""
     try:
         phi = np.linalg.inv(M)
     except np.linalg.LinAlgError:  # an exactly singular date stops the batched LU
         phi = np.full(M.shape, np.nan)
-    exact = ~(_frobenius_bound(M, phi) <= 0.5 * condition_limit)
+    exact = ~(_frobenius_bound(M, phi) <= 0.5 * CONDITION_LIMIT)
     singular = exact & ~np.isfinite(M).all(axis=(1, 2))
     checked = exact & ~singular
-    singular[checked] = ~(np.linalg.cond(M[checked]) <= condition_limit)
+    singular[checked] = ~(np.linalg.cond(M[checked]) <= CONDITION_LIMIT)
     cleared = checked & ~singular
     phi[cleared] = np.linalg.inv(M[cleared])
     return phi, singular
@@ -136,7 +127,7 @@ def _cofactor_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj.transpose(2, 0, 1), det
 
 
-def _guarded_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray, np.ndarray]:
+def _guarded_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a stack (S, n, n), flagged where kappa_2 exceeds the limit or is undefined.
 
     For n = 3 dates whose Frobenius bound is at most ``COFACTOR_BOUND`` (or half a
@@ -146,16 +137,16 @@ def _guarded_inverse(M: np.ndarray, condition_limit: float) -> tuple[np.ndarray,
     dates are void.
     """
     if M.shape[-1] != 3:
-        return _lapack_inverse(M, condition_limit)
+        return _lapack_inverse(M)
     with np.errstate(all="ignore"):  # det = 0 and non-finite entries void the bound
         phi, det = _cofactor_inverse(M)
         size = _frobenius_norm(M)
-        keep = size * _frobenius_norm(phi) <= min(COFACTOR_BOUND, 0.5 * condition_limit)
+        keep = size * _frobenius_norm(phi) <= min(COFACTOR_BOUND, 0.5 * CONDITION_LIMIT)
         keep &= np.abs(det) >= DET_FLOOR * size**3
     rest = ~keep
     singular = np.zeros(M.shape[0], dtype=bool)
     if rest.any():
-        phi[rest], singular[rest] = _lapack_inverse(M[rest], condition_limit)
+        phi[rest], singular[rest] = _lapack_inverse(M[rest])
     return phi, singular
 
 
@@ -194,29 +185,14 @@ def _spectral_norm(D: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-def _degrees(M: np.ndarray, condition_limit: float = CONDITION_LIMIT) -> np.ndarray:
+def _degrees(M: np.ndarray) -> np.ndarray:
     """Degree per date of a stack M = I - sum_l A_l (S, n, n); NaN on flagged dates."""
-    dev, singular = _guarded_inverse(M, condition_limit)
+    dev, singular = _guarded_inverse(M)
     dev -= np.eye(M.shape[-1])
     dev[singular] = 0.0  # keeps void inverses out of the eigensolver
     zeta = _spectral_norm(dev)
     zeta[singular | ~np.isfinite(zeta)] = np.nan
     return zeta
-
-
-def cumulative_multiplier(A: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Invert I minus the summed lag matrices; refuse near-singular systems."""
-    A = np.asarray(A, dtype=float)
-    M = np.eye(A.shape[-1]) - (A if A.ndim == 2 else A.sum(axis=0))
-    phi, singular = _guarded_inverse(M[None], CONDITION_LIMIT)
-    if singular[0]:
-        raise NumericalError("lag sum too close to a unit root; multiplier undefined")
-    return phi[0]
-
-
-def joint_degree(phi1: np.ndarray) -> float:
-    """Deviation of the multiplier from identity: the spectral norm of phi1 - I."""
-    return float(_spectral_norm(np.asarray(phi1, dtype=float)[None] - np.eye(len(phi1)))[0])
 
 
 def efficiency_path(estimate: TvVarEstimate) -> EfficiencyPath:

@@ -36,10 +36,11 @@ __all__ = [
 
 
 class RowParseError(DataError):
-    """A row could not be parsed. Carries the 1-based line number."""
+    """A row could not be parsed. Carries the 1-based line number; the message
+    starts with the asset id."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, asset_id: str, line_number: int, message: str):
+        super().__init__(f"{asset_id}: line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -212,11 +213,11 @@ class DescriptiveStats:
             },
         }
 
-    def to_csv_text(self, delimiter: str = ",") -> str:
-        lines = [delimiter.join(["asset", "mean", "sd", "min", "max", "n_obs"])]
+    def to_csv_text(self) -> str:
+        lines = ["asset,mean,sd,min,max,n_obs"]
         for i, a in enumerate(self.asset_ids):
             lines.append(
-                delimiter.join(
+                ",".join(
                     [
                         a,
                         repr(float(self.mean[i])),
@@ -308,23 +309,23 @@ def _parse_rows(body: list[str], fmt: CsvFormat, asset_id: str) -> tuple[list[da
         if len(parts) < ncol:
             if fmt.skip_bad_rows:
                 continue
-            raise RowParseError(lineno, f"expected at least {ncol} columns, got {len(parts)}")
+            raise RowParseError(asset_id, lineno, f"expected at least {ncol} columns, got {len(parts)}")
         try:
             d = next(fmt.parse_dates((parts[fmt.date_column],)))
         except ValueError as exc:
             if fmt.skip_bad_rows:
                 continue
-            raise RowParseError(lineno, f"bad date {parts[fmt.date_column]!r}: {exc}") from exc
+            raise RowParseError(asset_id, lineno, f"bad date {parts[fmt.date_column]!r}: {exc}") from exc
         try:
             p = float(parts[fmt.price_column])
         except ValueError as exc:
             if fmt.skip_bad_rows:
                 continue
-            raise RowParseError(lineno, f"bad price {parts[fmt.price_column]!r}") from exc
+            raise RowParseError(asset_id, lineno, f"bad price {parts[fmt.price_column]!r}") from exc
         if not math.isfinite(p):
             if fmt.skip_bad_rows:
                 continue
-            raise RowParseError(lineno, f"non-finite price {parts[fmt.price_column]!r}")
+            raise RowParseError(asset_id, lineno, f"non-finite price {parts[fmt.price_column]!r}")
         if p <= 0:
             raise NonPositivePriceError(f"{asset_id}: non-positive price {p} on {d} (line {lineno})")
         if d in seen:

@@ -63,7 +63,6 @@ def render_line_plot(
     band_low: np.ndarray | None = None,
     band_high: np.ndarray | None = None,
     event_date: date | None = None,
-    title: str = "Joint degree of market efficiency",
 ) -> str:
     """Return a complete SVG document for the degree path and its bands."""
     n = len(dates)
@@ -97,7 +96,7 @@ def render_line_plot(
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">{title}</text>',
+        'font-size="16">Joint degree of market efficiency</text>',
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" fill="none" '
         f'stroke="#333" stroke-width="1"/>',
     ]

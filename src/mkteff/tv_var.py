@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import IO
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -276,17 +275,12 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
     )
 
 
-def export_coefficient_paths(estimate: TvVarEstimate, dest) -> None:
+def export_coefficient_paths(estimate: TvVarEstimate, path) -> None:
     """Write the path in long form: date, lag, row, col, value."""
-    own = not hasattr(dest, "write")
-    fh: IO[str] = open(dest, "w", encoding="utf-8") if own else dest
-    try:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("date,lag,row,col,value\n")
         S, q, n, _ = estimate.A_path.shape
         cells = [f",{l + 1},{i},{j}," for l in range(q) for i in range(n) for j in range(n)]
         for d, row in zip(estimate.dates, estimate.A_path.reshape(S, -1).tolist()):
             day = d.isoformat()
             fh.write("".join(f"{day}{cell}{v!r}\n" for cell, v in zip(cells, row)))
-    finally:
-        if own:
-            fh.close()

@@ -26,7 +26,6 @@ __all__ = [
     "HANSEN_LC_CRITICAL",
     "fit_var_ols",
     "select_lag_bic",
-    "newey_west_cov",
     "granger_causality",
     "hansen_lc",
 ]
@@ -173,8 +172,6 @@ def _ols(
     """
     if p < 1:
         raise DataError("lag order must be at least 1")
-    if start < p:
-        raise DataError("sample_start cannot be smaller than p")
     T, n = values.shape
     k = 1 + n * p
     _check_rows(T, start, k)
@@ -210,8 +207,8 @@ def _nested_rss(XY: np.ndarray, K: int, ks: Iterable[int]) -> Iterator[tuple[np.
         yield base + r.T @ r, rank
 
 
-def fit_var_ols(panel: AlignedPanel, p: int, sample_start: int | None = None) -> VarEstimate:
-    """Fit a VAR(p) with intercepts by per-equation OLS.
+def fit_var_ols(panel: AlignedPanel, p: int) -> VarEstimate:
+    """Fit a VAR(p) with intercepts by per-equation OLS, targets from row ``p`` on.
 
     Parameters
     ----------
@@ -219,9 +216,6 @@ def fit_var_ols(panel: AlignedPanel, p: int, sample_start: int | None = None) ->
         Returns panel, T x n.
     p : int
         Lag order, at least 1.
-    sample_start : int, optional
-        First target row. Defaults to ``p``; order selection uses the common
-        ``p_max`` so candidate fits share a sample.
 
     Returns
     -------
@@ -229,8 +223,7 @@ def fit_var_ols(panel: AlignedPanel, p: int, sample_start: int | None = None) ->
         With residuals, ML residual covariance, BIC, adjusted R-squared, and
         HAC standard errors at the automatic bandwidth.
     """
-    start = p if sample_start is None else sample_start
-    Y, X, beta, resid, sigma, bic = _ols(panel.values, p, start)
+    Y, X, beta, resid, sigma, bic = _ols(panel.values, p, p)
     teff, k = X.shape
     n = panel.n_assets
     tss = ((Y - Y.mean(axis=0)) ** 2).sum(axis=0)
@@ -286,25 +279,6 @@ def select_lag_bic(panel: AlignedPanel, p_max: int) -> int:
     return 1 + int(np.argmin(_bic_path(panel.values, p_max)))
 
 
-def newey_west_cov(estimate: VarEstimate, bandwidth: int | str = "auto") -> np.ndarray:
-    """HAC coefficient covariance per equation, shape (n, k, k).
-
-    Bartlett weights 1 - j/(L+1); ``bandwidth="auto"`` uses
-    floor(4 * (T/100)^(2/9)). No small-sample degrees-of-freedom correction.
-    """
-    if bandwidth == "auto":
-        bandwidth = _auto_bandwidth(estimate.nobs)
-    if not isinstance(bandwidth, (int, np.integer)) or bandwidth < 0:
-        raise DataError("bandwidth must be a non-negative integer or 'auto'")
-    return _hac_cov(estimate.regressors, estimate.residuals, int(bandwidth))
-
-
-def _source_index(panel: AlignedPanel, source) -> int:
-    if isinstance(source, str):
-        return panel.asset_ids.index(source)
-    return int(source)
-
-
 def _stacked_rss(Y: np.ndarray, X: np.ndarray, drop_cols: dict[int, list[int]]) -> float:
     """Total RSS over equations, dropping the given columns per equation."""
     total = 0.0
@@ -320,23 +294,17 @@ def _stacked_rss(Y: np.ndarray, X: np.ndarray, drop_cols: dict[int, list[int]]) 
     return total
 
 
-def granger_causality(
-    panel: AlignedPanel,
-    p: int,
-    source,
-    estimate: VarEstimate | None = None,
-) -> GrangerResult:
-    """Test whether the source asset's lags predict all other equations jointly.
+def granger_causality(est: VarEstimate, source: str) -> GrangerResult:
+    """Test whether the source asset's lags predict all other equations of the fit jointly.
 
     The unrestricted model stacks the n OLS equations into one block-diagonal
     system; the restriction zeroes the source's lag coefficients in every other
     equation (p*(n-1) restrictions). The classical F comes from the restricted
     and unrestricted residual sums.
     """
-    est = estimate if estimate is not None else fit_var_ols(panel, p)
-    n = est.n_assets
+    n, p = est.n_assets, est.p
     k = est.coefficients.shape[0]
-    src = _source_index(panel, source)
+    src = est.asset_ids.index(source)
     src_cols = [1 + l * n + src for l in range(p)]
     others = [i for i in range(n) if i != src]
     r = p * (n - 1)
@@ -346,7 +314,7 @@ def granger_causality(
     rss_r = _stacked_rss(Y, est.regressors, {i: src_cols for i in others})
     f_stat = ((rss_r - rss_u) / r) / (rss_u / df_den)
     return GrangerResult(
-        source_asset=panel.asset_ids[src],
+        source_asset=source,
         f_statistic=float(f_stat),
         df_num=r,
         df_den=df_den,
@@ -359,8 +327,8 @@ def _f_pvalue(f_stat: float, df_num: int, df_den: int) -> float:
     return float(fdtrc(df_num, df_den, max(f_stat, 0.0)))
 
 
-def hansen_lc(panel: AlignedPanel, p: int, estimate: VarEstimate | None = None) -> HansenLcResult:
-    """Cumulative-score constancy statistic over all coefficients and variances.
+def hansen_lc(est: VarEstimate) -> HansenLcResult:
+    """Cumulative-score constancy statistic over all coefficients and variances of the fit.
 
     Per equation the score rows are the regressor-weighted residuals plus the
     centered squared residual; stacking across equations gives f_t, and the
@@ -368,7 +336,6 @@ def hansen_lc(panel: AlignedPanel, p: int, estimate: VarEstimate | None = None) 
     and V the outer-product sum. Large values indicate parameters drifting
     like a random walk.
     """
-    est = estimate if estimate is not None else fit_var_ols(panel, p)
     X = est.regressors
     resid = est.residuals
     teff, k = X.shape

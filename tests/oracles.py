@@ -7,12 +7,13 @@ any parameters, so a fitted path can be checked for optimality; the Wald form of
 the package's residual-sum form; the pairwise Granger test restricts a single
 target equation. The two lag searches refit every candidate from scratch with
 lstsq on its own tall design, where the package reads all candidates off one
-factorization. A bootstrap replication is run the long way, through the public
-resample, fit and degree-path functions, where the package refits on one
-reused workspace per process. The Hansen statistic is built from a list of
-per-equation score blocks, where the package fills one score matrix in place,
-and the banded normal equations are assembled and factored in upper band
-storage, where the package factors them in lower storage. A price file is
+factorization. A bootstrap replication is run the long way, through a null
+panel built as a new array and the public fit and degree-path functions, where
+the package refits on one reused workspace per process. The Hansen statistic
+is built from a list of per-equation score blocks, where the package fills one
+score matrix in place, and the banded normal equations are assembled and
+factored in upper band storage, where the package factors them in lower
+storage. A price file is
 parsed row by row, with each date kept in a set, and series are joined on
 sets of dates and per-series lookups, where the package parses a whole column
 at a time and joins on day numbers.
@@ -33,7 +34,7 @@ import scipy.sparse as sp
 from scipy import stats
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from mkteff.bootstrap import BootstrapConfig, replication_seed, resample_null_panel
+from mkteff.bootstrap import BootstrapConfig, replication_seed
 from mkteff.efficiency import efficiency_path
 from mkteff.errors import DataError, NumericalError
 from mkteff.market_data import (
@@ -44,7 +45,7 @@ from mkteff.tv_var import (
     _RIDGE_JITTER, TvVarConfig, TvVarEstimate, _check_panel, _lagged_design, _paths_to_A, fit_tv_var,
 )
 from mkteff.unit_root import _adf_columns
-from mkteff.var_base import GrangerResult, VarEstimate, _ols, _source_index, _stacked_rss, fit_var_ols
+from mkteff.var_base import GrangerResult, VarEstimate, _ols, _stacked_rss
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,12 +135,11 @@ def penalized_objective(
     return float((resid**2).sum()) + lam * rough
 
 
-def granger_wald_f(panel: AlignedPanel, p: int, source, estimate: VarEstimate | None = None) -> float:
+def granger_wald_f(est: VarEstimate, source: str) -> float:
     """Restriction-matrix form of ``granger_causality``'s F statistic."""
-    est = estimate if estimate is not None else fit_var_ols(panel, p)
-    n = est.n_assets
+    n, p = est.n_assets, est.p
     k = est.coefficients.shape[0]
-    src = _source_index(panel, source)
+    src = est.asset_ids.index(source)
     src_cols = [1 + l * n + src for l in range(p)]
     s2 = float((est.residuals**2).sum()) / (n * est.nobs - n * k)
     X = est.regressors
@@ -152,14 +152,10 @@ def granger_wald_f(panel: AlignedPanel, p: int, source, estimate: VarEstimate | 
     return wald / (p * (n - 1))
 
 
-def granger_causality_pairwise(
-    panel: AlignedPanel, p: int, source, target, estimate: VarEstimate | None = None
-) -> GrangerResult:
+def granger_causality_pairwise(est: VarEstimate, source: str, target: str) -> GrangerResult:
     """Single-equation variant: source lags tested in one target equation only."""
-    est = estimate if estimate is not None else fit_var_ols(panel, p)
-    n = est.n_assets
-    src = _source_index(panel, source)
-    tgt = _source_index(panel, target)
+    n, p = est.n_assets, est.p
+    src, tgt = est.asset_ids.index(source), est.asset_ids.index(target)
     if src == tgt:
         raise DataError("source and target must differ")
     src_cols = [1 + l * n + src for l in range(p)]
@@ -170,7 +166,7 @@ def granger_causality_pairwise(
     df_den = est.nobs - k
     f_stat = ((rss_r - rss_u) / p) / (rss_u / df_den)
     return GrangerResult(
-        source_asset=panel.asset_ids[src],
+        source_asset=source,
         f_statistic=float(f_stat),
         df_num=p,
         df_den=df_den,
@@ -213,12 +209,14 @@ def var_lag_search(panel: AlignedPanel, p_max: int) -> tuple[int, list[float]]:
 def naive_replication(
     panel: AlignedPanel, fit: TvVarEstimate, tv_config: TvVarConfig, master_seed: int, b: int
 ) -> np.ndarray:
-    """Degree path of bootstrap replication b: a resampled null panel, a fresh fit
-    and its degree path; all NaN where the refit fails."""
-    sample = resample_null_panel(
-        fit.residuals, fit.nu, replication_seed(master_seed, b),
-        n_rows=panel.n_periods, dates=panel.dates, asset_ids=panel.asset_ids,
-    )
+    """Degree path of bootstrap replication b: a null panel of the intercept plus
+    centered residual rows drawn with replacement, a fresh fit and its degree path;
+    all NaN where the refit fails."""
+    resid = fit.residuals
+    gen = np.random.default_rng(replication_seed(master_seed, b))
+    picks = gen.integers(0, len(resid), size=panel.n_periods)
+    values = fit.nu + (resid - resid.mean(axis=0))[picks]
+    sample = AlignedPanel(panel.dates, values, panel.asset_ids, "returns")
     try:
         return efficiency_path(fit_tv_var(sample, tv_config)).zeta
     except NumericalError:
@@ -336,23 +334,23 @@ def naive_load_price_series(source, asset_id: str, format_options: CsvFormat | N
             if len(parts) < ncol:
                 if fmt.skip_bad_rows:
                     continue
-                raise RowParseError(lineno, f"expected at least {ncol} columns, got {len(parts)}")
+                raise RowParseError(asset_id, lineno, f"expected at least {ncol} columns, got {len(parts)}")
             try:
                 d = _parse_date(fmt, parts[fmt.date_column])
             except ValueError as exc:
                 if fmt.skip_bad_rows:
                     continue
-                raise RowParseError(lineno, f"bad date {parts[fmt.date_column]!r}: {exc}") from exc
+                raise RowParseError(asset_id, lineno, f"bad date {parts[fmt.date_column]!r}: {exc}") from exc
             try:
                 p = float(parts[fmt.price_column])
             except ValueError as exc:
                 if fmt.skip_bad_rows:
                     continue
-                raise RowParseError(lineno, f"bad price {parts[fmt.price_column]!r}") from exc
+                raise RowParseError(asset_id, lineno, f"bad price {parts[fmt.price_column]!r}") from exc
             if not math.isfinite(p):
                 if fmt.skip_bad_rows:
                     continue
-                raise RowParseError(lineno, f"non-finite price {parts[fmt.price_column]!r}")
+                raise RowParseError(asset_id, lineno, f"non-finite price {parts[fmt.price_column]!r}")
             if p <= 0:
                 raise NonPositivePriceError(f"{asset_id}: non-positive price {p} on {d} (line {lineno})")
             if d in seen:

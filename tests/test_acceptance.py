@@ -17,16 +17,15 @@ from mkteff import (
     TvVarConfig,
     adf_gls_test,
     bootstrap_bands,
-    cumulative_multiplier,
     efficiency_path,
     fit_tv_var,
     fit_var_ols,
     granger_causality,
     hansen_lc,
-    joint_degree,
     simulate,
 )
 from mkteff.cli import EXIT_OK, main
+from mkteff.efficiency import _degrees
 
 from conftest import make_panel
 from oracles import granger_wald_f, solve_dense
@@ -41,8 +40,7 @@ def test_criterion_1_scalar_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for a in (-0.9, -0.5, 0.0, 0.5, 0.9):
-        phi = cumulative_multiplier(np.array([[[a]]]))
-        got = joint_degree(phi)
+        got = _degrees(np.array([[[1.0 - a]]]))[0]  # the lag sum I - A = 1 - a
         worst = max(worst, abs(got - abs(a / (1.0 - a))))
     elapsed = time.perf_counter() - t0
     check(
@@ -106,11 +104,7 @@ def test_criterion_4_null_coverage():
         )
         fit = fit_tv_var(panel, tv)
         zhat = efficiency_path(fit).zeta
-        bands = bootstrap_bands(
-            panel, tv,
-            BootstrapConfig(replications=B, coverage=0.95, master_seed=50_000 + i),
-            estimate=fit,
-        )
+        bands = bootstrap_bands(fit, BootstrapConfig(replications=B, coverage=0.95, master_seed=50_000 + i))
         ok = np.isfinite(zhat) & np.isfinite(bands.upper)
         exceed += int((zhat[ok] > bands.upper[ok]).sum())
         total += int(ok.sum())
@@ -155,15 +149,16 @@ def test_criterion_6_granger_exactness_and_size():
         n = int(gen.integers(2, 4))
         values = gen.standard_normal((int(gen.integers(80, 200)), n))
         panel = make_panel(values)
-        src = int(gen.integers(0, n))
-        f_rss = granger_causality(panel, 1, src).f_statistic
-        f_wald = granger_wald_f(panel, 1, src)
+        src = panel.asset_ids[int(gen.integers(0, n))]
+        est = fit_var_ols(panel, 1)
+        f_rss = granger_causality(est, src).f_statistic
+        f_wald = granger_wald_f(est, src)
         worst = max(worst, abs(f_rss - f_wald))
     rejections = 0
     reps = 500
     for seed in range(reps):
         panel, _ = simulate(DgpSpec(kind="white-noise", n=3, T=200, seed=60_000 + seed))
-        rejections += granger_causality(panel, 1, 0).p_value < 0.10
+        rejections += granger_causality(fit_var_ols(panel, 1), panel.asset_ids[0]).p_value < 0.10
     rate = rejections / reps
     elapsed = time.perf_counter() - t0
     check(
@@ -201,7 +196,7 @@ def test_criterion_8_constancy_test_size_and_power():
         panel, _ = simulate(
             DgpSpec(kind="constant-var", n=3, T=300, seed=90_000 + seed, coefficients=0.3)
         )
-        rejections += hansen_lc(panel, 1).rejects_at(0.05)
+        rejections += hansen_lc(fit_var_ols(panel, 1)).rejects_at(0.05)
     size = rejections / reps
     power_hits = 0
     power_reps = 100
@@ -212,7 +207,7 @@ def test_criterion_8_constancy_test_size_and_power():
                 coefficients=0.2, coef_innovation_sd=0.03,
             )
         )
-        power_hits += hansen_lc(panel, 1).rejects_at(0.05)
+        power_hits += hansen_lc(fit_var_ols(panel, 1)).rejects_at(0.05)
     power = power_hits / power_reps
     elapsed = time.perf_counter() - t0
     check(

@@ -11,11 +11,10 @@ from mkteff import (
     TvVarConfig,
     bootstrap_bands,
     fit_tv_var,
-    resample_null_panel,
     simulate,
     DgpSpec,
 )
-from mkteff.bootstrap import _null_rows, _run_replication, _sorted_quantiles, _workspace, replication_seed
+from mkteff.bootstrap import _draw, _null_rows, _run_replication, _sorted_quantiles, _workspace, replication_seed
 from mkteff.errors import ConfigError, NumericalError
 
 from oracles import naive_bands, naive_replication
@@ -26,49 +25,50 @@ def null_panel(seed=0, T=200, n=2):
     return panel
 
 
+def null_draw(resid, nu, seed, T):
+    """T rows drawn by the kernel from ``nu`` plus the centered residuals."""
+    return _draw(_null_rows(resid, nu), seed, np.empty((T, len(nu))))
+
+
 class TestResample:
     def test_seed_determinism(self, rng):
         resid = rng.standard_normal((50, 3))
         nu = np.array([0.1, 0.0, -0.2])
-        a = resample_null_panel(resid, nu, seed=42)
-        b = resample_null_panel(resid, nu, seed=42)
-        assert np.array_equal(a.values, b.values)
-        c = resample_null_panel(resid, nu, seed=43)
-        assert not np.array_equal(a.values, c.values)
+        a = null_draw(resid, nu, 42, 50)
+        b = null_draw(resid, nu, 42, 50)
+        assert np.array_equal(a, b)
+        c = null_draw(resid, nu, 43, 50)
+        assert not np.array_equal(a, c)
 
     def test_rows_are_intercept_plus_centered_draws(self, rng):
         # bit for bit: nu + (e_k - mean e), with k from the seed's generator
         resid = rng.standard_normal((50, 3)) * 0.01 + 0.3
         nu = np.array([1e-3, -2e-4, 5.0])
         picks = np.random.default_rng(replication_seed(4, 2)).integers(0, 50, size=80)
-        expected = nu[None, :] + (resid - resid.mean(axis=0))[picks]
-        panel = resample_null_panel(resid, nu, replication_seed(4, 2), n_rows=80)
-        assert np.array_equal(panel.values.view(np.int64), expected.view(np.int64))
+        expected = nu + (resid - resid.mean(axis=0))[picks]
+        got = null_draw(resid, nu, replication_seed(4, 2), 80)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_zero_residuals_reproduce_intercept(self):
         nu = np.array([0.3, -0.1])
-        panel = resample_null_panel(np.zeros((20, 2)), nu, seed=1, n_rows=15)
-        assert panel.n_periods == 15
-        np.testing.assert_array_equal(panel.values, np.tile(nu, (15, 1)))
+        np.testing.assert_array_equal(null_draw(np.zeros((20, 2)), nu, 1, 15), np.tile(nu, (15, 1)))
 
     def test_large_sample_column_means(self, rng):
         resid = rng.standard_normal((400, 2)) * 0.02
-        nu = np.zeros(2)
-        panel = resample_null_panel(resid, nu, seed=7, n_rows=10_000)
+        values = null_draw(resid, np.zeros(2), 7, 10_000)
         sd = resid.std(axis=0)
-        assert np.all(np.abs(panel.values.mean(axis=0)) < 3.0 * sd / np.sqrt(10_000))
+        assert np.all(np.abs(values.mean(axis=0)) < 3.0 * sd / np.sqrt(10_000))
 
     def test_rows_drawn_jointly(self, rng):
         # strongly correlated residual columns must stay correlated
         z = rng.standard_normal(300)
         resid = np.column_stack([z, z + 0.01 * rng.standard_normal(300)])
-        panel = resample_null_panel(resid, np.zeros(2), seed=3, n_rows=5000)
-        corr = np.corrcoef(panel.values.T)[0, 1]
+        corr = np.corrcoef(null_draw(resid, np.zeros(2), 3, 5000).T)[0, 1]
         assert corr > 0.99
 
     def test_needs_enough_rows(self):
         with pytest.raises(ConfigError):
-            resample_null_panel(np.zeros((5, 2)), np.zeros(2), seed=0)
+            _null_rows(np.zeros((5, 2)), np.zeros(2))
 
 
 class TestBands:
@@ -76,19 +76,19 @@ class TestBands:
         panel = null_panel()
         tv = TvVarConfig(q=1, lam=1.0)
         cfg = BootstrapConfig(replications=120, coverage=0.95, master_seed=11)
-        b1 = bootstrap_bands(panel, tv, cfg)
-        b2 = bootstrap_bands(panel, tv, cfg)
+        b1 = bootstrap_bands(fit_tv_var(panel, tv), cfg)
+        b2 = bootstrap_bands(fit_tv_var(panel, tv), cfg)
         assert np.array_equal(b1.lower, b2.lower)
         assert np.array_equal(b1.upper, b2.upper)
 
     def test_worker_count_invariance(self):
         panel = null_panel(seed=5, T=120)
-        tv = TvVarConfig(q=1, lam=1.0)
+        fit = fit_tv_var(panel, TvVarConfig(q=1, lam=1.0))
         # 101 replications on 2 workers: chunks of 13, the last one short
         for B in (100, 101):
             cfg = BootstrapConfig(replications=B, coverage=0.9, master_seed=21)
-            serial = bootstrap_bands(panel, tv, cfg, n_jobs=1)
-            parallel = bootstrap_bands(panel, tv, cfg, n_jobs=2)
+            serial = bootstrap_bands(fit, cfg, n_jobs=1)
+            parallel = bootstrap_bands(fit, cfg, n_jobs=2)
             assert np.array_equal(serial.lower, parallel.lower)
             assert np.array_equal(serial.upper, parallel.upper)
             assert np.array_equal(serial.flagged_counts, parallel.flagged_counts)
@@ -106,7 +106,7 @@ class TestBands:
         monkeypatch.setattr(boot_mod, "_fit_paths", fail)
         cfg = BootstrapConfig(replications=100, coverage=0.95, master_seed=3)
         with pytest.warns(RuntimeWarning, match="all 100 bootstrap replications"):
-            bands = bootstrap_bands(panel, tv, cfg, estimate=fit)
+            bands = bootstrap_bands(fit, cfg)
         assert np.all(np.isnan(bands.lower)) and np.all(np.isnan(bands.upper))
         assert np.all(bands.flagged_counts == 100)
 
@@ -114,15 +114,15 @@ class TestBands:
         panel = null_panel(seed=2, T=150)
         tv = TvVarConfig(q=1, lam=1.0)
         fit = fit_tv_var(panel, tv)
-        wide = bootstrap_bands(panel, tv, BootstrapConfig(replications=150, coverage=0.95, master_seed=4), estimate=fit)
-        narrow = bootstrap_bands(panel, tv, BootstrapConfig(replications=150, coverage=0.80, master_seed=4), estimate=fit)
+        wide = bootstrap_bands(fit, BootstrapConfig(replications=150, coverage=0.95, master_seed=4))
+        narrow = bootstrap_bands(fit, BootstrapConfig(replications=150, coverage=0.80, master_seed=4))
         assert np.all(narrow.lower >= wide.lower - 1e-15)
         assert np.all(narrow.upper <= wide.upper + 1e-15)
 
     def test_band_shapes_and_sanity(self):
         panel = null_panel(seed=9, T=140)
-        tv = TvVarConfig(q=1, lam=1.0)
-        bands = bootstrap_bands(panel, tv, BootstrapConfig(replications=100, coverage=0.95, master_seed=1))
+        fit = fit_tv_var(panel, TvVarConfig(q=1, lam=1.0))
+        bands = bootstrap_bands(fit, BootstrapConfig(replications=100, coverage=0.95, master_seed=1))
         assert bands.lower.shape == (139,)
         assert np.all(np.isfinite(bands.upper))
         assert np.all(bands.lower <= bands.upper)
@@ -132,7 +132,7 @@ class TestBands:
     def test_replication_floor(self):
         panel = null_panel(seed=1, T=120)
         with pytest.raises(ConfigError):
-            bootstrap_bands(panel, TvVarConfig(), BootstrapConfig(replications=0))
+            bootstrap_bands(fit_tv_var(panel, TvVarConfig()), BootstrapConfig(replications=0))
 
     def test_dump_files(self, tmp_path, monkeypatch):
         # the dumped cells are exactly the replications the bands were taken over
@@ -152,9 +152,7 @@ class TestBands:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # the all-failed case warns
                 bands = bootstrap_bands(
-                    panel, tv,
-                    BootstrapConfig(replications=100, coverage=0.95, master_seed=2),
-                    estimate=fit, dump_dir=str(out),
+                    fit, BootstrapConfig(replications=100, coverage=0.95, master_seed=2), dump_dir=str(out)
                 )
             files = sorted(p.name for p in out.iterdir())
             assert files == [
@@ -188,7 +186,7 @@ class TestBands:
         tv = TvVarConfig(q=1, lam=1.0)
         fit = fit_tv_var(panel, tv)
         cfg = BootstrapConfig(replications=100, coverage=0.95, master_seed=8)
-        bootstrap_bands(panel, tv, cfg, estimate=fit, dump_dir=str(tmp_path))
+        bootstrap_bands(fit, cfg, dump_dir=str(tmp_path))
         rows: dict[int, list[float]] = {}
         for line in (tmp_path / "replications_000001_000100.csv").read_text().splitlines()[1:]:
             rep, _, cell = line.split(",")
@@ -223,7 +221,7 @@ REFITS = {
 
 
 class TestReplicationOracle:
-    """The workspace kernel against resample_null_panel -> fit_tv_var -> efficiency_path."""
+    """The workspace kernel against a null panel -> fit_tv_var -> efficiency_path."""
 
     @pytest.mark.parametrize("refit", sorted(REFITS))
     def test_replications_match_the_naive_path(self, refit):
@@ -241,7 +239,7 @@ class TestReplicationOracle:
         tv = REFITS[refit]
         fit = fit_tv_var(panel, tv)
         cfg = BootstrapConfig(replications=101, coverage=0.9, master_seed=6)
-        bands = bootstrap_bands(panel, tv, cfg, estimate=fit, n_jobs=n_jobs)
+        bands = bootstrap_bands(fit, cfg, n_jobs=n_jobs)
         lower, upper, flagged = naive_bands(panel, fit, tv, cfg)
         assert same_bits(bands.lower, lower) and same_bits(bands.upper, upper)
         np.testing.assert_array_equal(bands.flagged_counts, flagged)
@@ -266,7 +264,7 @@ class TestReplicationOracle:
         lower, upper, flagged = naive_bands(panel, fit, tv, cfg)
         assert 0 < flagged.min() and flagged.max() < 100
         for n_jobs in (1, 2):
-            bands = bootstrap_bands(panel, tv, cfg, estimate=fit, n_jobs=n_jobs)
+            bands = bootstrap_bands(fit, cfg, n_jobs=n_jobs)
             assert same_bits(bands.lower, lower) and same_bits(bands.upper, upper)
             np.testing.assert_array_equal(bands.flagged_counts, flagged)
 

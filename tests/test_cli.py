@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mkteff import DgpSpec, simulate
 from mkteff.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_config, load_returns_panel, main
 from mkteff.var_base import fit_var_ols
 
@@ -276,6 +277,15 @@ class TestErrors:
         assert "BAD: line 3 is not valid UTF-8" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_bad_row_names_the_asset(self, tmp_path, market_files, capsys):
+        bad = tmp_path / "a.csv"
+        bad.write_text("date,close\n2020-01-02,100\n2020-01-03,oops\n2020-01-04,101\n")
+        argv = ["describe", "--input", f"{bad}:A", "--input", f"{market_files[1][0]}:B",
+                "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == "error: A: line 3: bad price 'oops'\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_all_runs_pipeline(self, tmp_path, market_files):
         cfg = config_file(tmp_path, market_files)
         assert main(["all", "--config", cfg]) == EXIT_OK
@@ -493,6 +503,27 @@ def test_panel_and_regressors_are_f_ordered(tmp_path, market_files):
     returns = load_returns_panel(cfg)
     assert returns.n_assets > 1 and returns.values.flags.f_contiguous
     assert fit_var_ols(returns, 2).regressors.flags.f_contiguous
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    """The README's Library block as written, on price files of a small simulated
+    panel and with a few hundred replications."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert block.count("replications=10_000") == 1
+    panel, _ = simulate(DgpSpec(kind="white-noise", n=3, T=300, seed=3, innovation_sd=0.01))
+    files = []
+    for i, name in enumerate(panel.asset_ids):
+        write_price_csv(tmp_path / f"{name}.csv", 100.0, panel.values[:, i])
+        files.append((str(tmp_path / f"{name}.csv"), name))
+    monkeypatch.chdir(tmp_path)
+    scope = {"files": files}
+    exec(compile(block.replace("replications=10_000", "replications=300"), "README.md", "exec"), scope)
+    assert sorted(scope["granger"]) == sorted(panel.asset_ids)
+    rows = [line.split(",") for line in (tmp_path / "efficiency.csv").read_text(encoding="utf-8").splitlines()]
+    assert len(rows) == 1 + 300 - scope["q"]
+    assert all(row[2] and row[3] for row in rows[1:])  # a band at every date
 
 
 @st.composite

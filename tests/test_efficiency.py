@@ -1,4 +1,3 @@
-import io
 from datetime import date
 
 import numpy as np
@@ -6,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkteff import (
-    TvVarConfig,
-    cumulative_multiplier,
-    efficiency_path,
-    fit_tv_var,
-    joint_degree,
-)
+import mkteff.efficiency
+from mkteff import TvVarConfig, efficiency_path, fit_tv_var
 from mkteff.efficiency import (
     COFACTOR_BOUND,
     CONDITION_LIMIT,
@@ -23,7 +17,6 @@ from mkteff.efficiency import (
     _guarded_inverse,
     _spectral_norm,
 )
-from mkteff.errors import NumericalError
 
 from conftest import make_dates, make_panel
 
@@ -48,62 +41,72 @@ def make_estimate(A_path):
     )
 
 
+def degree(M):
+    """The kernel's degree of one lag sum M = I - sum_l A_l: the spectral norm of M^-1 - I."""
+    return _degrees(np.asarray(M, dtype=float)[None])[0]
+
+
 class TestMultiplier:
+    """The multiplier M^-1 of a lag sum M = I - sum_l A_l, from the guarded inverse."""
+
     def test_zero_coefficients_give_identity(self):
-        out = cumulative_multiplier(np.zeros((1, 3, 3)))
-        np.testing.assert_array_equal(out, np.eye(3))
+        for n in (1, 2, 3):
+            phi, singular = _guarded_inverse(np.eye(n)[None])
+            np.testing.assert_array_equal(phi[0], np.eye(n))
+            assert not singular[0]
 
     def test_scalar_geometric_sum(self):
-        out = cumulative_multiplier(np.array([[[0.5]]]))
-        assert out[0, 0] == pytest.approx(2.0, rel=1e-15)
+        assert _guarded_inverse(np.array([[[0.5]]]))[0][0, 0, 0] == pytest.approx(2.0, rel=1e-15)
 
     def test_two_by_two_hand_inverse(self):
         A = np.array([[0.2, 0.1], [0.0, 0.3]])
-        out = cumulative_multiplier(A)
         # (I - A) = [[0.8, -0.1], [0, 0.7]], det 0.56
         expected = np.array([[0.7 / 0.56, 0.1 / 0.56], [0.0, 0.8 / 0.56]])
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
+        np.testing.assert_allclose(_guarded_inverse((np.eye(2) - A)[None])[0][0], expected, rtol=1e-12)
 
     def test_multiple_lags_summed(self):
-        A = np.array([[[0.2]], [[0.3]]])
-        assert cumulative_multiplier(A)[0, 0] == pytest.approx(2.0, rel=1e-15)
+        A = np.array([[[[0.2]], [[0.3]]]])  # one date, two lags: M^-1 = 1 / (1 - 0.5) = 2
+        assert efficiency_path(make_estimate(A)).zeta[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_near_singular_raises(self):
-        with pytest.raises(NumericalError):
-            cumulative_multiplier(np.array([[[1.0]]]))
+        # a unit root leaves no multiplier: the date is flagged, its degree NaN
+        assert _guarded_inverse(np.array([[[0.0]]]))[1][0]
+        assert np.isnan(degree([[0.0]]))
 
 
 class TestJointDegree:
     def test_identity_is_zero(self):
-        assert joint_degree(np.eye(4)) == 0.0
+        assert degree(np.eye(4)) == 0.0
 
     def test_scalar_case(self):
-        assert joint_degree(np.array([[2.0]])) == pytest.approx(1.0, rel=1e-15)
+        # M^-1 = 1/2: the degree is the absolute deviation from 1
+        assert degree([[2.0]]) == pytest.approx(0.5, rel=1e-15)
 
     def test_rank_one_column(self):
-        phi = np.eye(2) + np.array([[0.0, 3.0], [0.0, 4.0]])
-        # largest singular value of a rank-1 matrix is its column norm: 5
-        assert joint_degree(phi) == pytest.approx(5.0, rel=1e-12)
+        # M^-1 - I = [[0, 3], [0, 4]]: the largest singular value of a rank-1
+        # matrix is its column norm, 5
+        M = np.linalg.inv(np.eye(2) + np.array([[0.0, 3.0], [0.0, 4.0]]))
+        assert degree(M) == pytest.approx(5.0, rel=1e-12)
 
     def test_matches_independent_eigensolver(self, rng):
         for _ in range(20):
-            phi = rng.standard_normal((3, 3))
-            dev = phi - np.eye(3)
+            M = rng.standard_normal((3, 3))
+            dev = np.linalg.inv(M) - np.eye(3)
             oracle = float(np.sqrt(np.linalg.eigvalsh(dev.T @ dev).max()))
-            assert joint_degree(phi) == pytest.approx(oracle, abs=1e-10)
+            assert degree(M) == pytest.approx(oracle, rel=1e-10)
 
     def test_scalar_grid_formula(self):
+        # one asset: M^-1 = 1 / (1 - a), and the degree is |a / (1 - a)|
         for a in np.arange(-0.9, 0.95, 0.1):
-            phi = np.array([[1.0 / (1.0 - a)]])
-            assert joint_degree(phi) == pytest.approx(abs(a / (1.0 - a)), abs=1e-12)
+            assert degree([[1.0 - a]]) == pytest.approx(abs(a / (1.0 - a)), abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_orthogonal_conjugation_invariance(self, seed):
         rng = np.random.default_rng(seed)
-        phi = rng.standard_normal((3, 3))
+        M = rng.standard_normal((3, 3))
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        assert joint_degree(Q @ phi @ Q.T) == pytest.approx(joint_degree(phi), abs=1e-10)
+        assert degree(Q @ M @ Q.T) == pytest.approx(degree(M), rel=1e-8)
 
 
 class TestPath:
@@ -136,23 +139,22 @@ class TestPath:
         assert path.zeta[0] == 0.0
         assert len(path.dates) == 3
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         path = efficiency_path(make_estimate(np.full((3, 1, 1, 1), 0.5)))
         path = path.with_bands(np.array([0.1, 0.1, np.nan]), np.array([0.4, 0.5, np.nan]))
-        buf = io.StringIO()
-        path.write_csv(buf)
-        lines = buf.getvalue().splitlines()
+        path.write_csv(tmp_path / "efficiency.csv")
+        lines = (tmp_path / "efficiency.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "date,zeta,band_low,band_high,singular"
         assert len(lines) == 4
         assert lines[1].endswith(",0")
         assert lines[3].split(",")[2] == ""  # NaN band renders blank
 
-    def test_csv_exact_text(self):
+    def test_csv_exact_text(self, tmp_path):
+        dest = tmp_path / "efficiency.csv"
         dates = make_dates(4, start=date(2021, 3, 1))
         path = EfficiencyPath(dates=dates, zeta=np.array([0.25, np.nan, 1 / 3, 2.0]))
-        buf = io.StringIO()
-        path.write_csv(buf)
-        assert buf.getvalue() == (
+        path.write_csv(dest)
+        assert dest.read_bytes().decode("utf-8") == (
             "date,zeta,band_low,band_high,singular\n"
             "2021-03-01,0.25,,,0\n"
             "2021-03-02,,,,1\n"
@@ -160,9 +162,8 @@ class TestPath:
             "2021-03-04,2.0,,,0\n"
         )
         banded = path.with_bands(np.array([0.1, np.nan, 0.2, 1e-17]), np.array([0.5, 0.7, np.nan, 3.0]))
-        buf = io.StringIO()
-        banded.write_csv(buf)
-        assert buf.getvalue() == (
+        banded.write_csv(dest)
+        assert dest.read_bytes().decode("utf-8") == (
             "date,zeta,band_low,band_high,singular\n"
             "2021-03-01,0.25,0.1,0.5,0\n"
             "2021-03-02,,,0.7,1\n"
@@ -289,10 +290,8 @@ class TestKernel:
         np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
 
     def test_rank_one_lag_sum_has_no_multiplier(self, rng):
-        for _ in range(20):
-            u, v = rng.standard_normal(3), rng.standard_normal(3)
-            with pytest.raises(NumericalError):
-                cumulative_multiplier(np.eye(3) - np.outer(u, v))
+        M = np.stack([np.outer(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(20)])
+        assert np.isnan(_degrees(M)).all()
 
     def test_frobenius_bound_splits_cofactor_and_lapack_routes(self):
         rng = np.random.default_rng(3)
@@ -304,7 +303,7 @@ class TestKernel:
         bound = _frobenius_bound(M, cofactor)
         assert bound[0] <= COFACTOR_BOUND < bound[1]
         assert not np.array_equal(cofactor[1], lapack[1])  # the routes are told apart
-        phi, singular = _guarded_inverse(M, CONDITION_LIMIT)
+        phi, singular = _guarded_inverse(M)
         assert not singular.any()
         np.testing.assert_array_equal(phi[0], cofactor[0])
         np.testing.assert_array_equal(phi[1], lapack[1])
@@ -320,10 +319,12 @@ class TestKernel:
         assert np.isnan(zeta).tolist() == [False, True]
         assert zeta[0] == pytest.approx(0.9e12 - 1.0, rel=1e-12)
 
-    def test_limit_below_cofactor_bound_still_flags(self):
-        # a caller's limit under COFACTOR_BOUND caps the cofactor screen too
+    def test_limit_below_cofactor_bound_still_flags(self, monkeypatch):
+        # a limit under COFACTOR_BOUND caps the cofactor screen too
         M = np.diag([1.0, 1.0, 1.0 / 20.0])
-        assert np.isnan(_degrees(M[None], condition_limit=10.0)[0])
+        assert not np.isnan(_degrees(M[None])[0])
+        monkeypatch.setattr(mkteff.efficiency, "CONDITION_LIMIT", 10.0)
+        assert np.isnan(_degrees(M[None])[0])
 
     def test_rounding_at_the_limit_follows_cond(self):
         # kappa_2 within rounding of the limit: the computed Frobenius bound lands

@@ -66,8 +66,9 @@ class TestLoad:
             load("date,price\n2020-01-01,0.0\n")
 
     def test_malformed_price_reports_line_number(self):
-        with pytest.raises(RowParseError, match="line 3"):
+        with pytest.raises(RowParseError, match="^X: line 3: bad price 'oops'$") as caught:
             load("date,price\n2020-01-01,1\n2020-01-02,oops\n")
+        assert caught.value.line_number == 3
 
     def test_skip_flag_drops_bad_rows(self):
         s = load(

@@ -93,9 +93,10 @@ def test_var_order_and_preliminary_table(returns_panel):
 
 
 def test_causality_and_constancy(returns_panel):
-    g = granger_causality(returns_panel, 1, "SP500")
+    est = fit_var_ols(returns_panel, 1)
+    g = granger_causality(est, "SP500")
     assert g.f_statistic == pytest.approx(EXPECTED_GRANGER_SP500, rel=0.15)
     assert g.p_value < 0.10
-    lc = hansen_lc(returns_panel, 1)
+    lc = hansen_lc(est)
     assert lc.rejects_at(0.01)
     assert lc.lc_statistic == pytest.approx(EXPECTED_LC, rel=0.15)

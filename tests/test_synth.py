@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mkteff import DgpSpec, adf_gls_test, fit_var_ols, newey_west_cov, simulate
+from mkteff import DgpSpec, adf_gls_test, fit_var_ols, simulate
 from mkteff.errors import ConfigError
+from mkteff.var_base import _hac_cov
 
 
 class TestSpec:
@@ -80,7 +81,7 @@ class TestSimulate:
         for seed in range(10):
             panel, _ = simulate(DgpSpec(kind="white-noise", n=3, T=1000, seed=seed))
             est = fit_var_ols(panel, 1)
-            cov = newey_west_cov(est, bandwidth=0)
+            cov = _hac_cov(est.regressors, est.residuals, 0)
             se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
             hits += bool(np.all(np.abs(est.coefficients[1:]).T < 3.0 * se[:, 1:]))
         assert hits >= 8

@@ -1,4 +1,3 @@
-import io
 import warnings
 from datetime import date
 
@@ -281,19 +280,18 @@ class TestSmoothingProfile:
 
 
 class TestExport:
-    def test_long_format(self, rng):
+    def test_long_format(self, rng, tmp_path):
         panel = make_panel(rng.standard_normal((10, 2)))
         fit = fit_tv_var(panel, TvVarConfig(q=1))
-        buf = io.StringIO()
-        export_coefficient_paths(fit, buf)
-        lines = buf.getvalue().splitlines()
+        export_coefficient_paths(fit, tmp_path / "coefficients.csv")
+        lines = (tmp_path / "coefficients.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "date,lag,row,col,value"
         assert len(lines) == 1 + fit.effective_obs * 1 * 2 * 2
         first = lines[1].split(",")
         assert first[0] == fit.dates[0].isoformat()
         assert float(first[4]) == fit.A_path[0, 0, 0, 0]
 
-    def test_exact_text(self):
+    def test_exact_text(self, tmp_path):
         # lag-major, then row, then column; repr of each float, -0.0 kept
         A = np.array([[[[0.5, -0.0], [1e-300, -2.25]], [[3.0, 0.1], [-1.5e17, 7.0]]],
                       [[[0.0, 1 / 3], [-0.125, 2.0]], [[1e-5, -4.0], [0.2, 123456.789]]]])
@@ -302,9 +300,8 @@ class TestExport:
             A_path=A, residuals=np.zeros((2, 2)), config=TvVarConfig(q=2), effective_obs=2,
             lambda_effective=1.0, ridge_jitter=0.0, intercept_pivot=1.0,
         )
-        buf = io.StringIO()
-        export_coefficient_paths(est, buf)
-        assert buf.getvalue() == (
+        export_coefficient_paths(est, tmp_path / "coefficients.csv")
+        assert (tmp_path / "coefficients.csv").read_bytes().decode("utf-8") == (
             "date,lag,row,col,value\n"
             "2021-03-01,1,0,0,0.5\n"
             "2021-03-01,1,0,1,-0.0\n"

@@ -11,11 +11,12 @@ from mkteff import (
     fit_var_ols,
     granger_causality,
     hansen_lc,
-    newey_west_cov,
     select_lag_bic,
 )
 from mkteff.errors import DataError, MktEffError, NumericalError
-from mkteff.var_base import HANSEN_LC_CRITICAL, _auto_bandwidth, _bic, _bic_path, _f_pvalue, _nested_rss, _ols
+from mkteff.var_base import (
+    HANSEN_LC_CRITICAL, _auto_bandwidth, _bic, _bic_path, _f_pvalue, _hac_cov, _nested_rss, _ols,
+)
 
 from conftest import make_panel
 from oracles import granger_causality_pairwise, granger_wald_f, naive_hansen_lc, var_lag_search
@@ -74,7 +75,7 @@ class TestFit:
         rng = np.random.default_rng(2024)
         panel = simulate_var(rng, np.zeros((3, 3)), 2000)
         est = fit_var_ols(panel, 1)
-        cov = newey_west_cov(est, bandwidth=0)
+        cov = _hac_cov(est.regressors, est.residuals, 0)
         se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))  # (n, k)
         lag_block = np.abs(est.coefficients[1:])  # (n*p, n)
         assert np.all(lag_block.T < 3.0 * se[:, 1:])
@@ -134,9 +135,7 @@ class TestLagSelection:
         A[0] = 0.2 * np.eye(3)
         A[1] = 0.3 * np.eye(3)
         for panel in (simulate_var(rng, A, 300), simulate_var(rng, np.zeros((3, 3)), 300)):
-            p_max = 5
-            bics = [fit_var_ols(panel, p, sample_start=p_max).bic for p in range(1, p_max + 1)]
-            assert select_lag_bic(panel, p_max) == 1 + int(np.argmin(bics))
+            assert select_lag_bic(panel, 5) == var_lag_search(panel, 5)[0]
 
     def test_invalid_p_max(self):
         with pytest.raises(DataError):
@@ -211,8 +210,8 @@ class TestNeweyWest:
     def test_bandwidth_zero_equals_white(self, rng):
         panel = simulate_var(rng, 0.3 * np.eye(2), 200)
         est = fit_var_ols(panel, 1)
-        got = newey_west_cov(est, bandwidth=0)
         X, E = est.regressors, est.residuals
+        got = _hac_cov(X, E, 0)
         xtx_inv = np.linalg.inv(X.T @ X)
         for i in range(2):
             meat = (X * E[:, i : i + 1]).T @ (X * E[:, i : i + 1])
@@ -221,25 +220,18 @@ class TestNeweyWest:
     def test_iid_hac_close_to_classical(self):
         rng = np.random.default_rng(77)
         panel = simulate_var(rng, 0.2 * np.eye(2), 3000)
-        est = fit_var_ols(panel, 1)
-        hac = newey_west_cov(est, bandwidth="auto")
+        est = fit_var_ols(panel, 1)  # robust_se: the automatic bandwidth
         X, E = est.regressors, est.residuals
         xtx_inv = np.linalg.inv(X.T @ X)
         for i in range(2):
             s2 = float(E[:, i] @ E[:, i]) / (E.shape[0] - X.shape[1])
             classical = np.sqrt(np.diag(s2 * xtx_inv))
-            ratio = np.sqrt(np.diag(hac[i])) / classical
+            ratio = est.robust_se[i] / classical
             assert np.all(ratio > 0.85) and np.all(ratio < 1.15)
 
     def test_auto_bandwidth_rule(self):
         assert _auto_bandwidth(100) == 4
         assert _auto_bandwidth(1684) == 7
-
-    def test_bad_bandwidth(self):
-        rng = np.random.default_rng(0)
-        est = fit_var_ols(simulate_var(rng, 0.1 * np.eye(2), 100), 1)
-        with pytest.raises(DataError):
-            newey_west_cov(est, bandwidth=-1)
 
 
 class TestGranger:
@@ -247,19 +239,19 @@ class TestGranger:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             panel = simulate_var(rng, 0.2 * np.eye(3), 180)
-            for src in range(3):
-                f_rss = granger_causality(panel, 1, src)
-                f_wald = granger_wald_f(panel, 1, src)
-                assert f_rss.f_statistic == pytest.approx(f_wald, abs=1e-8)
+            est = fit_var_ols(panel, 1)
+            for src in panel.asset_ids:
+                assert granger_causality(est, src).f_statistic == pytest.approx(granger_wald_f(est, src), abs=1e-8)
 
     def test_detects_feedback(self):
         rng = np.random.default_rng(3)
         A = np.array([[0.2, 0.0], [0.5, 0.1]])  # asset 0 drives asset 1
         panel = simulate_var(rng, A, 1500)
-        res = granger_causality(panel, 1, 0)
+        est = fit_var_ols(panel, 1)
+        res = granger_causality(est, "A0")
         assert res.p_value < 0.01
         assert res.df_num == 1
-        quiet = granger_causality(panel, 1, 1)
+        quiet = granger_causality(est, "A1")
         assert quiet.p_value > res.p_value
 
     def test_p_value_is_the_f_upper_tail(self, rng):
@@ -267,8 +259,9 @@ class TestGranger:
 
         panel = simulate_var(rng, 0.2 * np.eye(3), 200)
         for p in (1, 2):
-            for src in range(3):
-                res = granger_causality(panel, p, src)
+            est = fit_var_ols(panel, p)
+            for src in panel.asset_ids:
+                res = granger_causality(est, src)
                 assert res.p_value == stats.f.sf(res.f_statistic, res.df_num, res.df_den)
         for f in (-1e-12, -3.0, 0.0, 0.7, 40.0):
             assert _f_pvalue(f, 2, 150) == stats.f.sf(f, 2, 150)
@@ -276,20 +269,21 @@ class TestGranger:
 
     def test_source_by_label(self, rng):
         panel = simulate_var(rng, 0.1 * np.eye(2), 200)
-        res = granger_causality(panel, 1, "A0")
+        res = granger_causality(fit_var_ols(panel, 1), "A0")
         assert res.source_asset == "A0"
 
     def test_pairwise_variant(self, rng):
         panel = simulate_var(rng, 0.2 * np.eye(3), 300)
-        res = granger_causality_pairwise(panel, 1, 0, 1)
+        est = fit_var_ols(panel, 1)
+        res = granger_causality_pairwise(est, "A0", "A1")
         assert res.df_num == 1
         assert 0.0 <= res.p_value <= 1.0
         with pytest.raises(DataError):
-            granger_causality_pairwise(panel, 1, 0, 0)
+            granger_causality_pairwise(est, "A0", "A0")
 
     def test_degrees_of_freedom(self, rng):
         panel = simulate_var(rng, 0.1 * np.eye(3), 200)
-        res = granger_causality(panel, 2, 0)
+        res = granger_causality(fit_var_ols(panel, 2), "A0")
         teff = 200 - 2
         assert res.df_num == 2 * (3 - 1)
         assert res.df_den == 3 * teff - 3 * (1 + 3 * 2)
@@ -298,14 +292,14 @@ class TestGranger:
 class TestHansenLc:
     def test_parameter_count(self, rng):
         panel = simulate_var(rng, 0.2 * np.eye(3), 300)
-        res = hansen_lc(panel, 1)
+        res = hansen_lc(fit_var_ols(panel, 1))
         assert res.n_params == 3 * (1 + 3 + 1)
         assert res.thresholds[0.01] > res.thresholds[0.05] > res.thresholds[0.10]
 
     def test_constant_parameters_accepted(self):
         rng = np.random.default_rng(42)
         panel = simulate_var(rng, 0.3 * np.eye(2), 400)
-        res = hansen_lc(panel, 1)
+        res = hansen_lc(fit_var_ols(panel, 1))
         assert not res.rejects_at(0.01)
 
     def test_drifting_parameters_rejected(self):
@@ -316,13 +310,13 @@ class TestHansenLc:
         eps = rng.standard_normal((T, 1))
         for t in range(1, T):
             x[t] = a[t] * x[t - 1] + eps[t]
-        res = hansen_lc(make_panel(x), 1)
+        res = hansen_lc(fit_var_ols(make_panel(x), 1))
         assert res.rejects_at(0.01)
 
     def test_beyond_table_warns(self, rng):
         panel = simulate_var(rng, 0.1 * np.eye(4), 400)
         with pytest.warns(UserWarning):
-            res = hansen_lc(panel, 1)  # 4 * (1 + 4 + 1) = 24 > 20
+            res = hansen_lc(fit_var_ols(panel, 1))  # 4 * (1 + 4 + 1) = 24 > 20
         assert res.thresholds[0.05] == HANSEN_LC_CRITICAL[20][1]
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -335,7 +329,7 @@ class TestHansenLc:
         assert est.regressors.flags.f_contiguous == (order == "F" and n > 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # past the table at n=8
-            lc = hansen_lc(panel, p, est).lc_statistic
+            lc = hansen_lc(est).lc_statistic
         assert bits(lc) == bits(naive_hansen_lc(est))
 
     def test_peak_memory(self):
@@ -345,7 +339,7 @@ class TestHansenLc:
         score_bytes = est.nobs * 8 * (est.coefficients.shape[0] + 1) * 8
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            assert traced_peak(hansen_lc, panel, 1, est) <= 2.5 * score_bytes
+            assert traced_peak(hansen_lc, est) <= 2.5 * score_bytes
 
     def test_table_monotone(self):
         rows = [HANSEN_LC_CRITICAL[m] for m in range(1, 21)]
