@@ -5,8 +5,8 @@ with replacement from the centered fitted residuals (rows are drawn jointly so
 contemporaneous cross-asset correlation survives; the lag coefficients are
 zeroed, the intercept is kept). Each replication refits the time-varying model
 with the same configuration and records its degree path; the bands are
-pointwise empirical quantiles across replications, read off one in-place
-sort of the replication-by-date matrix.
+pointwise empirical quantiles across replications, read off each date's K
+smallest and K largest degrees as the paths arrive (``_fold_extremes``).
 
 Each process (the caller, or each pool worker) builds one workspace and reuses
 it for every replication it runs: the refit's banded normal equations and
@@ -86,12 +86,11 @@ def replication_seed(master_seed: int, b: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(b,))
 
 
-def _null_rows(residual_source, nu) -> np.ndarray:
+def _null_rows(resid: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """The rows a null sample draws from: ``nu`` plus each row of the centered residuals."""
-    resid = np.asarray(residual_source, dtype=float)
-    if resid.ndim != 2 or resid.shape[0] < 10:
-        raise ConfigError("residual source must be a matrix with at least 10 rows")
-    return (resid - resid.mean(axis=0)) + np.asarray(nu, dtype=float)
+    if len(resid) < 10:
+        raise DataError(f"too few fitted periods for bands ({len(resid)} < 10); use a longer panel or replications: 0")
+    return (resid - resid.mean(axis=0)) + nu
 
 
 def _draw(rows: np.ndarray, seed, out: np.ndarray) -> np.ndarray:
@@ -131,38 +130,60 @@ def _run_replication(b: int, work: dict | None = None) -> tuple[int, np.ndarray]
     return b, _degrees(np.eye(n) - paths.reshape(S, n, config.q, n).sum(axis=2))
 
 
-def _dump_chunks(dump_dir: str, dates, zstar: np.ndarray) -> None:
-    """Write ``zstar`` (NaN as a blank cell) in files of ``DUMP_CHUNK`` replications."""
+def _dump_rows(dump_dir: str, days: list[str], B: int, done: int, rows: np.ndarray) -> None:
+    """Write replications ``done + 1``.. (NaN as a blank cell) to their files of ``DUMP_CHUNK``."""
     os.makedirs(dump_dir, exist_ok=True)
-    B = zstar.shape[0]
-    days = [f",{d.isoformat()}," for d in dates]
-    for start in range(0, B, DUMP_CHUNK):
-        stop = min(start + DUMP_CHUNK, B)
-        name = os.path.join(dump_dir, f"replications_{start + 1:06d}_{stop:06d}.csv")
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write("replication,date,zeta\n")
-            for b in range(start, stop):
-                cells = [repr(z) if z == z else "" for z in zstar[b].tolist()]
-                fh.write("".join(f"{b + 1}{day}{cell}\n" for day, cell in zip(days, cells)))
+    for b, z in enumerate(rows.tolist(), done):
+        start = b - b % DUMP_CHUNK
+        name = os.path.join(dump_dir, f"replications_{start + 1:06d}_{min(start + DUMP_CHUNK, B):06d}.csv")
+        with open(name, "a" if b > start else "w", encoding="utf-8") as fh:
+            fh.write("" if b > start else "replication,date,zeta\n")
+            fh.write("".join(f"{b + 1}{day}{repr(v) if v == v else ''}\n" for day, v in zip(days, z)))
 
 
-def _sorted_quantiles(z: np.ndarray, k: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Levels ``q`` of each column's first ``k`` cells of the column-sorted ``z``, (len(q), S).
+def _fold_extremes(results, B: int, S: int, K: int, C: int, dump=None) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the B degree rows the iterator ``results`` yields into ``(ext, flagged)``.
 
-    The arithmetic is numpy's default (``linear``) quantile step for step, so
-    the result equals numpy's NaN-ignoring quantile of the unsorted array bit
-    for bit when ``k`` counts each column's non-NaN cells. A column with ``k = 0``
-    reads its last (NaN) row and stays NaN.
+    Column s of ``ext`` (K, 2S) holds date s's K smallest finite degrees, column
+    S + s its K largest negated, both ascending, NaN last; ``flagged`` counts the
+    non-finite ones. Each chunk of C rows, cleaned to NaN and dumped, goes below
+    the K kept rows, and one partition keeps the K smallest of each column.
     """
-    vi = (k - 1) * q[:, None]  # virtual index into each column's k valid cells
+    buf = np.full((K + C, 2 * S), np.nan)
+    flagged = np.zeros(S, dtype=np.intp)
+    for done in range(0, B, C):
+        new = buf[K:K + min(C, B - done), :S]
+        for row, z in zip(new, results):
+            row[:] = z
+        bad = ~np.isfinite(new)
+        new[bad] = np.nan
+        flagged += bad.sum(axis=0)
+        if dump is not None:
+            dump(done, new)
+        np.negative(new, out=buf[K:K + len(new), S:])
+        buf[:K + len(new)].partition(K - 1, axis=0)
+    buf[:K].sort(axis=0)
+    return buf[:K], flagged
+
+
+def _sorted_quantiles(ext: np.ndarray, k: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Levels ``q`` of each date's ``k`` finite degrees, read off ``_fold_extremes``' ``ext``, (len(q), S).
+
+    The arithmetic is numpy's default (``linear``) quantile step for step, so it
+    equals numpy's NaN-ignoring quantile of the unsorted degrees bit for bit.
+    Sorted position p reads the K smallest at p if p < K, else the K largest at
+    k - 1 - p; a date with ``k = 0`` reads a NaN and stays NaN.
+    """
+    K, S = ext.shape[0], ext.shape[1] // 2
+    vi = (k - 1) * q[:, None]  # virtual index into each date's k valid cells
     f = np.floor(vi)
     last = vi >= k - 1  # numpy clamps to the last valid cell and takes gamma = vi + 1
     f[last] = -1.0
     gamma = vi - f
-    i = np.where(last, k - 1, f).astype(np.intp)
-    j = np.where(last, k - 1, f + 1).astype(np.intp)
-    cols = np.arange(z.shape[1])
-    a, b = z[i, cols], z[j, cols]
+    p = np.stack([np.where(last, k - 1, f), np.where(last, k - 1, f + 1)]).astype(np.intp)
+    low = p < K  # the levels read nothing deeper than floor(lo*(B-1)) + 1 from either end
+    ab = ext[np.where(low, p, k - 1 - p), np.where(low, np.arange(S), np.arange(S, 2 * S))]
+    a, b = np.negative(ab, out=ab, where=~low)
     diff = b - a
     out = a + diff * gamma
     np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
@@ -207,7 +228,9 @@ def bootstrap_bands(
         "n_rows": S + fit.config.q,
         "tv_config": fit.config,
     }
-    zstar = np.empty((B, S))
+    lo_q = (1.0 - boot_config.coverage) / 2.0
+    K = min(B, int(np.floor(lo_q * (B - 1))) + 3)  # one row more than the deepest read, for rounding
+    dump = None if dump_dir is None else partial(_dump_rows, dump_dir, [f",{d.isoformat()}," for d in fit.dates], B)
     reps = range(1, B + 1)
     pool = ProcessPoolExecutor(n_jobs, initializer=_init_worker, initargs=(payload,)) if n_jobs > 1 else None
     with pool or nullcontext():
@@ -215,19 +238,13 @@ def bootstrap_bands(
             results = map(partial(_run_replication, work=_workspace(payload)), reps)
         else:  # about four chunks per worker, so the last ones even out the load
             results = pool.map(_run_replication, reps, chunksize=max(1, min(64, -(-B // (4 * n_jobs)))))
-        for b, z in results:
-            zstar[b - 1] = z
+        # chunks of 2K rows keep the partitions' cost per replication flat in B
+        ext, flagged_counts = _fold_extremes((z for _, z in results), B, S, K, max(32, 2 * K), dump)
 
-    zstar[~np.isfinite(zstar)] = np.nan  # any non-finite degree is a flagged cell
-    flagged_counts = np.isnan(zstar).sum(axis=0)
     if S and np.all(flagged_counts == B):
         msg = f"all {B} bootstrap replications failed or were flagged at every date; the bands are empty"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    if dump_dir is not None:  # before the sort, while rows are replications
-        _dump_chunks(dump_dir, fit.dates, zstar)
-    zstar.sort(axis=0)  # in place; NaN sorts last
-    lo_q = (1.0 - boot_config.coverage) / 2.0
-    lower, upper = _sorted_quantiles(zstar, B - flagged_counts, np.array([lo_q, 1.0 - lo_q]))
+    lower, upper = _sorted_quantiles(ext, B - flagged_counts, np.array([lo_q, 1.0 - lo_q]))
     return BandPath(
         dates=fit.dates,
         lower=lower,

@@ -98,14 +98,14 @@ def _day_numbers(dates: Sequence[date]) -> np.ndarray:
 class PriceSeries:
     """One asset's price history: strictly increasing dates, positive prices.
 
-    ``days`` holds the dates as day numbers (``date.toordinal``), on which the
-    order is checked and series are aligned.
+    ``days`` holds the dates as day numbers (``date.toordinal``; computed unless
+    given, as the loader does), on which the order is checked and series are aligned.
     """
 
     asset_id: str
     dates: tuple[date, ...]
     prices: np.ndarray
-    days: np.ndarray = field(init=False, repr=False)
+    days: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         prices = np.asarray(self.prices, dtype=float)
@@ -114,9 +114,9 @@ class PriceSeries:
             raise DataError(
                 f"{self.asset_id}: {len(self.dates)} dates but {prices.shape[0]} prices"
             )
-        days = _day_numbers(self.dates)
-        object.__setattr__(self, "days", days)
-        step = np.diff(days)
+        if self.days is None:
+            object.__setattr__(self, "days", _day_numbers(self.dates))
+        step = np.diff(self.days)
         if not np.all(step > 0):
             i = int(np.argmax(step <= 0))
             cur = self.dates[i + 1]
@@ -342,14 +342,12 @@ def _in_date_order(asset_id: str, dates: list[date], prices: np.ndarray) -> Pric
         raise EmptyInputError(f"{asset_id}: no data rows")
     days = _day_numbers(dates)
     if np.all(days[1:] > days[:-1]):
-        return PriceSeries(asset_id=asset_id, dates=tuple(dates), prices=prices)
+        return PriceSeries(asset_id, tuple(dates), prices, days)
     order = np.argsort(days)
     days = days[order]
     if np.any(days[1:] == days[:-1]):
         return None
-    return PriceSeries(
-        asset_id=asset_id, dates=tuple(map(dates.__getitem__, order.tolist())), prices=prices[order]
-    )
+    return PriceSeries(asset_id, tuple(map(dates.__getitem__, order.tolist())), prices[order], days)
 
 
 def load_price_series(source, asset_id: str, format_options: CsvFormat | None = None) -> PriceSeries:

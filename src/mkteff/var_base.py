@@ -304,6 +304,8 @@ def granger_causality(est: VarEstimate, source: str) -> GrangerResult:
     """
     n, p = est.n_assets, est.p
     k = est.coefficients.shape[0]
+    if source not in est.asset_ids:
+        raise DataError(f"unknown source asset {source!r}; the fit has {', '.join(map(repr, est.asset_ids))}")
     src = est.asset_ids.index(source)
     src_cols = [1 + l * n + src for l in range(p)]
     others = [i for i in range(n) if i != src]

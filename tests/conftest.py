@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -21,6 +22,17 @@ def make_panel(values, kind="returns", asset_ids=None):
 
 def make_series(asset_id, dates, prices):
     return PriceSeries(asset_id=asset_id, dates=tuple(dates), prices=np.asarray(prices, float))
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced while fn(*args) runs, above what was held when it started."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -14,9 +14,12 @@ from mkteff import (
     simulate,
     DgpSpec,
 )
-from mkteff.bootstrap import _draw, _null_rows, _run_replication, _sorted_quantiles, _workspace, replication_seed
-from mkteff.errors import ConfigError, NumericalError
+from mkteff.bootstrap import (
+    _draw, _fold_extremes, _null_rows, _run_replication, _sorted_quantiles, _workspace, replication_seed,
+)
+from mkteff.errors import ConfigError, DataError, NumericalError
 
+from conftest import traced_peak
 from oracles import naive_bands, naive_replication
 
 
@@ -67,7 +70,7 @@ class TestResample:
         assert corr > 0.99
 
     def test_needs_enough_rows(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match=r"too few fitted periods for bands \(5 < 10\)"):
             _null_rows(np.zeros((5, 2)), np.zeros(2))
 
 
@@ -180,8 +183,17 @@ class TestBands:
             np.testing.assert_array_equal(lower, bands.lower)  # NaN matches NaN
             np.testing.assert_array_equal(upper, bands.upper)
 
+    def test_dump_rerun_rewrites_the_files(self, tmp_path):
+        # a dump into a directory that holds an earlier one replaces its files, not appends
+        fit = fit_tv_var(null_panel(seed=4, T=120), TvVarConfig(q=1, lam=1.0))
+        cfg = BootstrapConfig(replications=100, coverage=0.95, master_seed=8)
+        bootstrap_bands(fit, cfg, dump_dir=str(tmp_path))
+        first = (tmp_path / "replications_000001_000100.csv").read_bytes()
+        bootstrap_bands(fit, cfg, dump_dir=str(tmp_path))
+        assert (tmp_path / "replications_000001_000100.csv").read_bytes() == first
+
     def test_dump_keeps_replication_order(self, tmp_path):
-        # the dump is written before the in-place sort: row b is replication b's own path
+        # the dump is written as replications arrive, in order: row b is replication b's own path
         panel = null_panel(seed=4, T=120)
         tv = TvVarConfig(q=1, lam=1.0)
         fit = fit_tv_var(panel, tv)
@@ -194,6 +206,13 @@ class TestBands:
         for b in (1, 37, 100):
             expected = naive_replication(panel, fit, tv, cfg.master_seed, b)
             np.testing.assert_array_equal(np.array(rows[b]).view(np.int64), expected.view(np.int64))
+
+    def test_memory_stays_far_below_the_replication_matrix(self):
+        # the band step keeps each date's extreme order statistics, not a B x S matrix
+        fit = fit_tv_var(null_panel(seed=16, T=400), TvVarConfig(q=1, lam=1.0))
+        cfg = BootstrapConfig(replications=2000, coverage=0.95, master_seed=5)
+        zstar_bytes = 2000 * fit.effective_obs * 8
+        assert traced_peak(bootstrap_bands, fit, cfg) <= zstar_bytes / 3
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -270,32 +289,47 @@ class TestReplicationOracle:
 
 
 class TestSortedQuantiles:
+    """The fold into each date's extremes, read through the position map, against numpy."""
+
     @settings(max_examples=300, deadline=None)
     @given(
-        B=st.integers(1, 400),
+        B=st.integers(1, 2500),
         S=st.integers(1, 6),
         coverage=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        chunk=st.integers(1, 300),
         nan_rate=st.sampled_from([0.0, 0.01, 0.3, 0.9, 1.0]),
         ties=st.booleans(),
         empty_date=st.booleans(),
+        sparse_date=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_nanquantile_of_the_unsorted_array(self, B, S, coverage, nan_rate, ties, empty_date, seed):
+    def test_equals_nanquantile_of_the_unsorted_array(
+        self, B, S, coverage, chunk, nan_rate, ties, empty_date, sparse_date, seed
+    ):
         gen = np.random.default_rng(seed)
         z = np.abs(gen.standard_normal((B, S)))  # degrees: no -0.0, whose order against 0.0 a sort leaves open
         if ties:
-            z = np.round(z, 1)
-        z[gen.random((B, S)) < nan_rate] = np.nan
+            z = np.round(z, 1)  # ties, and exact zeros
+        bad = gen.random((B, S)) < nan_rate
+        z[bad] = gen.choice([np.nan, np.inf, -np.inf], size=bad.sum())
+        lo = (1.0 - coverage) / 2.0
+        K = min(B, int(np.floor(lo * (B - 1))) + 3)
         if empty_date:
             z[:, gen.integers(S)] = np.nan
-        lo = (1.0 - coverage) / 2.0
+        if sparse_date:  # fewer than K finite degrees
+            z[gen.permutation(B)[gen.integers(K):], gen.integers(S)] = np.inf
         levels = np.array([lo, 1.0 - lo])
+        finite = np.where(np.isfinite(z), z, np.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN dates stay NaN
-            expected = np.nanquantile(z, levels, axis=0)
-        k = B - np.isnan(z).sum(axis=0)
-        z.sort(axis=0)
-        assert same_bits(_sorted_quantiles(z, k, levels), expected)
+            expected = np.nanquantile(finite, levels, axis=0)
+        dumped = []
+        ext, flagged = _fold_extremes(iter(z), B, S, K, chunk, lambda done, rows: dumped.append((done, rows.copy())))
+        np.testing.assert_array_equal(flagged, (~np.isfinite(z)).sum(axis=0))
+        assert same_bits(_sorted_quantiles(ext, B - flagged, levels), expected)
+        # the dump sees every row once, in replication order, non-finite cells as NaN
+        assert [done for done, _ in dumped] == np.cumsum([0] + [len(rows) for _, rows in dumped[:-1]]).tolist()
+        assert same_bits(np.concatenate([rows for _, rows in dumped]), finite)
 
 
 class TestSeeds:

@@ -183,6 +183,24 @@ class TestEfficiency:
         assert main(["efficiency", "--config", cfg]) == 4
         assert not (tmp_path / "out" / "efficiency.csv").exists()
 
+    def test_panel_too_short_for_bands_is_data_error(self, tmp_path, capsys):
+        # 11 prices give 10 returns and, with q = 1, 9 fitted periods: too few to resample
+        rng = np.random.default_rng(17)
+        files = []
+        for name in ("one", "two"):
+            p = tmp_path / f"{name}.csv"
+            write_price_csv(p, 50.0, rng.normal(0, 0.01, 10))
+            files.append((str(p), name))
+        cfg = config_file(tmp_path, files)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "efficiency.csv").write_text("an earlier run\n")
+        before = _snapshot(out)
+        assert main(["efficiency", "--config", cfg, "--q", "1", "--replications", "100"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "too few fitted periods for bands (9 < 10); use a longer panel or replications: 0" in err
+        assert _snapshot(out) == before
+
     def test_flag_overrides_beat_config(self, tmp_path, market_files):
         cfg = config_file(tmp_path, market_files)
         out2 = str(tmp_path / "other")

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,19 +17,8 @@ from mkteff.var_base import (
     HANSEN_LC_CRITICAL, _auto_bandwidth, _bic, _bic_path, _f_pvalue, _hac_cov, _nested_rss, _ols,
 )
 
-from conftest import make_panel
+from conftest import make_panel, traced_peak
 from oracles import granger_causality_pairwise, granger_wald_f, naive_hansen_lc, var_lag_search
-
-
-def traced_peak(fn, *args) -> int:
-    """Peak bytes traced while fn(*args) runs, above what was held when it started."""
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
 
 
 def bits(x) -> np.ndarray:
@@ -253,6 +241,11 @@ class TestGranger:
         assert res.df_num == 1
         quiet = granger_causality(est, "A1")
         assert quiet.p_value > res.p_value
+
+    def test_unknown_source_names_the_ids(self, rng):
+        est = fit_var_ols(simulate_var(rng, 0.2 * np.eye(2), 120), 1)
+        with pytest.raises(DataError, match=re.escape("unknown source asset 'nope'; the fit has 'A0', 'A1'")):
+            granger_causality(est, "nope")
 
     def test_p_value_is_the_f_upper_tail(self, rng):
         from scipy import stats
