@@ -9,11 +9,12 @@ pointwise empirical quantiles across replications, read off each date's K
 smallest and K largest degrees as the paths arrive (``_fold_extremes``).
 
 Each process (the caller, or each pool worker) builds one workspace and reuses
-it for every replication it runs: the refit's banded normal equations and
-right-hand sides, and one (T, n) draw buffer: about 0.5 MB at paper scale
-(n=3, T=1686, q=1), the factor LAPACK writes on each solve included. A replication
-runs the arithmetic of a null draw, ``fit_tv_var`` and ``efficiency_path`` on
-those buffers, so its degrees equal theirs bit for bit.
+it for every replication it runs: the refit's right-hand sides and one (T, n)
+draw buffer, about 0.2 MB at paper scale (n=3, T=1686, q=1). Each solve
+assembles its banded normal equations (0.16 MB there) into a new array, factors
+it in place and frees it before the paths. A replication runs the arithmetic of
+a null draw, ``fit_tv_var`` and ``efficiency_path`` on those buffers, so its
+degrees equal theirs bit for bit.
 
 Every replication b derives its generator from
 ``numpy.random.SeedSequence(master_seed, spawn_key=(b,))`` , a fixed, documented

@@ -75,6 +75,11 @@ class EfficiencyPath:
             )
 
 
+# Dates per batch of ``efficiency_path``: no date's degree depends on the other
+# dates of its batch, so batches only bound the temporaries; a paper-scale path
+# is one batch
+DEGREE_CHUNK = 2048
+
 # Frobenius bound up to which a 3x3 block keeps its cofactor inverse; at this
 # conditioning it agrees with LU to about 1e-14
 COFACTOR_BOUND = 1e2
@@ -201,6 +206,9 @@ def efficiency_path(estimate: TvVarEstimate) -> EfficiencyPath:
     Dates where the lag sum is within ``CONDITION_LIMIT`` of singular are
     flagged and carry NaN instead of a clipped value.
     """
-    n = estimate.A_path.shape[-1]
-    zeta = _degrees(np.eye(n) - estimate.A_path.sum(axis=1))
+    A = estimate.A_path
+    eye = np.eye(A.shape[-1])
+    zeta = np.empty(A.shape[0])
+    for s in range(0, A.shape[0], DEGREE_CHUNK):
+        zeta[s : s + DEGREE_CHUNK] = _degrees(eye - A[s : s + DEGREE_CHUNK].sum(axis=1))
     return EfficiencyPath(dates=estimate.dates, zeta=zeta)

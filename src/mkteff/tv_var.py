@@ -39,7 +39,7 @@ __all__ = [
 
 _RIDGE_JITTER = 1e-10
 # Cap on the cells (n*q + 1) * (T - q) * n*q of the banded normal equations:
-# 2**26 float64 cells are 512 MB, and factoring holds a second copy
+# 2**26 float64 cells are 512 MB, which the factor overwrites in place
 MAX_BAND_CELLS = 2**26
 _LAMBDA_FLOOR, _LAMBDA_CAP = 1e-8, 1e12
 
@@ -113,35 +113,58 @@ def _upper_factor(cb: np.ndarray) -> np.ndarray:
     return cb
 
 
-def _factor_banded(ab: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    """Lower-band Cholesky with a one-shot ridge fallback; returns U in upper storage."""
-    cb, info = dpbtrf(ab, lower=1)
-    if info == 0:
-        return _upper_factor(cb), 0.0
-    bumped = ab.copy()  # info > 0: a leading minor is not positive definite
-    bumped[0] += _RIDGE_JITTER
-    cb, info = dpbtrf(bumped, lower=1)
-    if info == 0:
-        return _upper_factor(cb), _RIDGE_JITTER
+def _normal_band(Z: np.ndarray, lam: float) -> np.ndarray:
+    """The banded normal-equation matrix in lower band storage (row d the d-th
+    subdiagonal, row m the coupling), in a new array ``dpbtrf`` factors in place."""
+    S, m = Z.shape
+    ab = np.zeros((m + 1, S * m), order="F")
+    border = Z.ravel()
+    pen = np.full(S, 2.0 * lam)
+    pen[0] -= lam
+    pen[-1] -= lam
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by the caller
+        diag = np.multiply(Z, Z, out=ab[0].reshape(S, m))
+        diag += pen[:, None]
+        # row d holds the d-th subdiagonal of each period's outer product Z[s] Z[s]':
+        # one product along the flattened regressors, then the d cells per period
+        # that pair two periods are put back to zero
+        for d in range(1, m):
+            np.multiply(border[:-d], border[d:], out=ab[d, :-d])
+            ab[d].reshape(S, m)[:, m - d :] = 0.0
+    ab[m, :-m] = -lam  # coupling between consecutive periods, same coefficient
+    return ab
+
+
+def _factor_banded(Z: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+    """Lower-band Cholesky of ``_normal_band`` with a one-shot ridge fallback;
+    returns U in upper storage and the ridge used."""
+    for jitter in (0.0, _RIDGE_JITTER):
+        ab = _normal_band(Z, lam)  # afresh for the fallback: a failed factor overwrote the band
+        if not np.isfinite(ab).all():
+            raise NumericalError("normal equations are not finite; rescale the returns")
+        if jitter:
+            ab[0] += jitter
+        cb, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info == 0:  # otherwise (info > 0) a leading minor is not positive definite
+            return _upper_factor(cb), jitter
     raise NumericalError(
         "normal equations numerically singular "
-        f"(smallest diagonal {ab[0].min():.3e}); try a larger lam than {lam:g}"
+        f"(smallest diagonal {_normal_band(Z, lam)[0].min():.3e}); try a larger lam than {lam:g}"
     )
 
 
 class _PathSolver:
     """Workspace for the normal equations of S periods, n equations and q lags.
 
-    It owns the lower-banded matrix ``ab`` and the right-hand sides ``B``; every
-    ``solve`` refills both in place, so a bootstrap worker refits on one
-    workspace. ``ab`` is factored into a new array and the ridge fallback bumps
-    a copy, so no solve leaves state behind for the next.
+    It owns the right-hand sides ``B``, which every ``solve`` refills in place
+    and LAPACK overwrites with the solution, so a bootstrap worker refits on one
+    workspace. Each solve assembles the band into a new array, factors it in
+    place and frees it before the paths are allocated; the ridge fallback
+    bumps a band assembled afresh, so no solve leaves state behind for the next.
     """
 
     def __init__(self, S: int, n: int, q: int):
-        m = n * q
-        self.ab = np.zeros((m + 1, S * m))
-        self.B = np.empty((S * m, n + 1), order="F")  # LAPACK's layout, so dpbtrs solves it in place
+        self.B = np.empty((S * n * q, n + 1), order="F")  # LAPACK's layout, so dpbtrs solves it in place
 
     def solve(self, Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, float, float]:
         """Solve all equations against one shared factorization.
@@ -154,29 +177,17 @@ class _PathSolver:
         """
         S, n = Y.shape
         m = Z.shape[1]
-        ab, B = self.ab, self.B
-        pen = np.full(S, 2.0 * lam)
-        pen[0] -= lam
-        pen[-1] -= lam
+        B = self.B
         border = Z.ravel()
         B[:, 0] = border
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
-            diag = np.multiply(Z, Z, out=ab[0].reshape(S, m))
-            diag += pen[:, None]
-            # row d holds the d-th subdiagonal of each period's outer product Z[s] Z[s]':
-            # one product along the flattened regressors, then the d cells per period
-            # that pair two periods are put back to zero
-            for d in range(1, m):
-                np.multiply(border[:-d], border[d:], out=ab[d, :-d])
-                ab[d].reshape(S, m)[:, m - d :] = 0.0
             for i in range(n):
                 np.multiply(Z, Y[:, i, None], out=B[:, 1 + i].reshape(S, m))
-        ab[m, :-m] = -lam  # coupling between consecutive periods, same coefficient
-        if not (np.isfinite(ab).all() and np.isfinite(B).all()):
+        if not np.isfinite(B).all():
             raise NumericalError("normal equations are not finite; rescale the returns")
-        cb, jitter = _factor_banded(ab, lam)
+        cb, jitter = _factor_banded(Z, lam)
         sol, _ = dpbtrs(cb, B, overwrite_b=1)
-        del cb  # the factor is as large as ab; free it before the paths
+        del cb  # the factor is the band itself; free it before the paths
         u = sol[:, 0]
         schur = S - border @ u
         # the intercept is unidentified when every period can absorb it into its
@@ -234,7 +245,8 @@ def _check_panel(panel: AlignedPanel, q: int) -> None:
 def _paths_to_A(paths: np.ndarray, n: int, q: int) -> np.ndarray:
     """(S, n, n*q) equation-major coefficients to (S, q, n, n) lag matrices."""
     S = paths.shape[0]
-    return paths.reshape(S, n, q, n).transpose(0, 2, 1, 3).copy()
+    # for q = 1 the transpose only moves a unit axis, and the view is already C-ordered
+    return np.ascontiguousarray(paths.reshape(S, n, q, n).transpose(0, 2, 1, 3))
 
 
 def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarEstimate:

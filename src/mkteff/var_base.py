@@ -56,6 +56,9 @@ HANSEN_LC_CRITICAL: dict[int, tuple[float, float, float]] = {
     20: (4.22, 4.52, 5.13),
 }
 
+# Columns of the running score sums that ``hansen_lc`` solves against V at once
+_SOLVE_BLOCK = 256
+
 
 @dataclass(frozen=True, eq=False)
 class VarEstimate:
@@ -351,8 +354,14 @@ def hansen_lc(est: VarEstimate) -> HansenLcResult:
         np.subtract(resid[:, i] ** 2, sig2[i], out=F[:, i * (k + 1) + k])
     V = F.T @ F
     S = np.cumsum(F, axis=0, out=F)  # F becomes the running score sums
+    # V^-1 S' a block of columns at a time, so LAPACK's working copies stay one
+    # block wide; a one-column tail joins the block before it, because a
+    # one-column solve takes another BLAS path and differs in the last ulps
+    VinvS = np.empty((m, teff))
+    edges = [*range(0, max(teff - 1, 1), _SOLVE_BLOCK), teff]
     try:
-        VinvS = np.linalg.solve(V, S.T)
+        for a, b in zip(edges, edges[1:]):
+            VinvS[:, a:b] = np.linalg.solve(V, S[a:b].T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("score covariance singular: collinear scores") from exc
     lc = float(np.einsum("tm,mt->", S, VinvS) / teff)

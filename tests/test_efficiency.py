@@ -10,6 +10,7 @@ from mkteff import TvVarConfig, efficiency_path, fit_tv_var
 from mkteff.efficiency import (
     COFACTOR_BOUND,
     CONDITION_LIMIT,
+    DEGREE_CHUNK,
     EfficiencyPath,
     _cofactor_inverse,
     _degrees,
@@ -138,6 +139,23 @@ class TestPath:
         assert np.isnan(path.zeta[1])
         assert path.zeta[0] == 0.0
         assert len(path.dates) == 3
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_chunks_match_the_whole_stack(self, n):
+        # three batches of dates: an exactly singular date in the first stops its
+        # batched LU (and the whole stack's), a NaN date sits in the second
+        S = 2 * DEGREE_CHUNK + 300
+        gen = np.random.default_rng(n)
+        A = (0.4 / n) * gen.standard_normal((S, 2, n, n))
+        A[100] = 0.0
+        A[100, 0, 0, 0] = 1.0  # row 0 of the lag sum is exactly zero
+        A[DEGREE_CHUNK + 50, 1, n - 1, 0] = np.nan
+        M = np.eye(n) - A.sum(axis=1)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(M[:DEGREE_CHUNK])
+        zeta = efficiency_path(make_estimate(A)).zeta
+        assert np.isnan(zeta).nonzero()[0].tolist() == [100, DEGREE_CHUNK + 50]
+        assert zeta.tobytes() == _degrees(M).tobytes()
 
     def test_csv_round_trip(self, tmp_path):
         path = efficiency_path(make_estimate(np.full((3, 1, 1, 1), 0.5)))

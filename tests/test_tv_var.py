@@ -1,3 +1,4 @@
+import re
 import warnings
 from datetime import date
 
@@ -203,10 +204,32 @@ class TestUpperBandOracle:
                 assert_same_bits(_fit_paths(Y, Z, cfg, solver), _fit_paths(Y, Z, cfg, UpperBandSolver()))
 
     def test_factor_freed_before_the_paths(self, rng):
+        # the workspace is traced too: a solve holds the right-hand sides, then the
+        # band (factored in place), then the paths; a factor copy or a band kept
+        # next to the paths would each add about one band
         S, n = 3000, 8
         Y, Z = 0.01 * rng.standard_normal((S, n)), 0.01 * rng.standard_normal((S, n))
-        solver = _PathSolver(S, n, 1)
-        assert traced_peak(solver.solve, Y, Z, 1.0) <= 1.6 * solver.ab.nbytes
+        band_bytes = (n + 1) * S * n * 8
+        rhs_bytes = S * n * (n + 1) * 8
+        peak = traced_peak(lambda: _PathSolver(S, n, 1).solve(Y, Z, 1.0))
+        assert peak - rhs_bytes <= 1.3 * band_bytes
+
+    def test_back_to_back_solves_leave_no_state(self):
+        # every solve factors a band of its own: what an earlier solve or its
+        # ridge fallback left behind changes no bit of the next
+        gen = np.random.default_rng(5)
+        S, n, q = 40, 2, 2
+        x = gen.standard_normal(S)
+        singular = np.column_stack([x, x, x, x])  # equal regressors: the ridge fallback
+        solver = _PathSolver(S, n, q)
+        jitters = []
+        for Z, lam in [(gen.standard_normal((S, n * q)), 0.5), (singular, 1.0),
+                       (gen.standard_normal((S, n * q)), 2.0), (singular, 1.0)]:
+            Y = gen.standard_normal((S, n))
+            got = solver.solve(Y, Z, lam)
+            assert_same_bits(got, UpperBandSolver().solve(Y, Z, lam))
+            jitters.append(got[2])
+        assert [j > 0.0 for j in jitters] == [False, True, False, True]
 
     def test_ridge_fallback(self):
         # two equal regressors with equal and opposite constant coefficients fit
@@ -217,6 +240,19 @@ class TestUpperBandOracle:
         got = _PathSolver(40, 2, 1).solve(Y, Z, 1.0)
         assert got[2] > 0.0
         assert_same_bits(got, UpperBandSolver().solve(Y, Z, 1.0))
+
+
+    def test_ridge_fallback_that_fails_names_the_unbumped_diagonal(self):
+        # at this scale the ridge is below the diagonal's rounding, so the bumped
+        # band fails too; the message reads the band as assembled, not the factor
+        gen = np.random.default_rng(2)
+        x, Y = 1e6 * gen.standard_normal(40), gen.standard_normal((40, 2))
+        Z = np.column_stack([x, x])
+        pen = np.full(40, 2.0)
+        pen[[0, -1]] = 1.0
+        want = re.escape(f"smallest diagonal {(Z * Z + pen[:, None]).min():.3e}")
+        with pytest.raises(NumericalError, match=want):
+            _PathSolver(40, 2, 1).solve(Y, Z, 1.0)
 
 
 class TestInvariance:

@@ -12,9 +12,10 @@ from mkteff import (
     hansen_lc,
     select_lag_bic,
 )
+from mkteff import var_base
 from mkteff.errors import DataError, MktEffError, NumericalError
 from mkteff.var_base import (
-    HANSEN_LC_CRITICAL, _auto_bandwidth, _bic, _bic_path, _f_pvalue, _hac_cov, _nested_rss, _ols,
+    _SOLVE_BLOCK, HANSEN_LC_CRITICAL, _auto_bandwidth, _bic, _bic_path, _f_pvalue, _hac_cov, _nested_rss, _ols,
 )
 
 from conftest import make_panel, traced_peak
@@ -324,6 +325,45 @@ class TestHansenLc:
             warnings.simplefilter("ignore", UserWarning)  # past the table at n=8
             lc = hansen_lc(est).lc_statistic
         assert bits(lc) == bits(naive_hansen_lc(est))
+
+    @staticmethod
+    def recorded_solves(monkeypatch, est):
+        """Lc of ``hansen_lc`` and the (V, right-hand side, solution) of each solve it made."""
+        calls, solve = [], np.linalg.solve
+
+        def recording(a, b):
+            calls.append((a, b, solve(a, b)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(var_base.np.linalg, "solve", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # past the table at n=8
+            lc = hansen_lc(est).lc_statistic
+        monkeypatch.undo()
+        return lc, calls
+
+    # below one block, an exact multiple of it, and one column past a multiple
+    @pytest.mark.parametrize("teff", [_SOLVE_BLOCK // 2, 2 * _SOLVE_BLOCK, 2 * _SOLVE_BLOCK + 1])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_blocked_solve_matches_one_solve(self, monkeypatch, n, teff):
+        est = fit_var_ols(make_panel(np.random.default_rng(teff + n).standard_normal((teff + 1, n))), 1)
+        assert est.nobs == teff
+        lc, calls = self.recorded_solves(monkeypatch, est)
+        assert bits(lc) == bits(naive_hansen_lc(est))
+        V = calls[0][0]
+        whole = np.linalg.solve(V, np.concatenate([b for _, b, _ in calls], axis=1))
+        assert np.array_equal(bits(np.concatenate([x for _, _, x in calls], axis=1)), bits(whole))
+
+    def test_no_solve_exceeds_one_block(self, monkeypatch):
+        # tracemalloc cannot see numpy.linalg's working copies, so the bound on
+        # them is checked on the calls: every solve is at most one block (plus a
+        # merged one-column tail) wide, and none is one column wide
+        teff = 3 * _SOLVE_BLOCK + 1
+        est = fit_var_ols(make_panel(np.random.default_rng(8).standard_normal((teff + 1, 8))), 1)
+        widths = [b.shape[1] for _, b, _ in self.recorded_solves(monkeypatch, est)[1]]
+        assert sum(widths) == teff
+        assert max(widths) <= _SOLVE_BLOCK + 1
+        assert min(widths) >= 2
 
     def test_peak_memory(self):
         # one score matrix, turned into its running sums in place
