@@ -9,7 +9,7 @@ forward-filling would fabricate zero returns on non-trading days.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
@@ -82,55 +82,51 @@ class CsvFormat:
         if self.date_column < 0 or self.price_column < 0:
             raise ConfigError("csv.date_column and csv.price_column must be non-negative")
 
-    def parse_dates(self, cells: Iterable[str]) -> Iterator[date]:
-        """The date in each cell, ignoring blanks around it; a bad cell raises ValueError."""
+    def parse_days(self, cells: Iterable[str]) -> Iterator[int]:
+        """The day number (``date.toordinal``) of the date in each cell, ignoring
+        blanks around it; a bad cell raises ValueError."""
         texts = map(str.strip, cells)
         if self.date_format == "iso":
-            return map(date.fromisoformat, texts)
-        return (datetime.strptime(text, self.date_format).date() for text in texts)
-
-
-def _day_numbers(dates: Sequence[date]) -> np.ndarray:
-    return np.fromiter(map(date.toordinal, dates), np.int64, len(dates))
+            return map(date.toordinal, map(date.fromisoformat, texts))
+        return (datetime.strptime(text, self.date_format).toordinal() for text in texts)
 
 
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
     """One asset's price history: strictly increasing dates, positive prices.
 
-    ``days`` holds the dates as day numbers (``date.toordinal``; computed unless
-    given, as the loader does), on which the order is checked and series are aligned.
+    ``days`` holds the dates as day numbers (``date.toordinal``, int64), on which
+    the order is checked and series are aligned; ``dates`` reads them back.
     """
 
     asset_id: str
-    dates: tuple[date, ...]
+    days: np.ndarray
     prices: np.ndarray
-    days: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        days = np.asarray(self.days, dtype=np.int64)
         prices = np.asarray(self.prices, dtype=float)
+        object.__setattr__(self, "days", days)
         object.__setattr__(self, "prices", prices)
-        if len(self.dates) != prices.shape[0]:
-            raise DataError(
-                f"{self.asset_id}: {len(self.dates)} dates but {prices.shape[0]} prices"
-            )
-        if self.days is None:
-            object.__setattr__(self, "days", _day_numbers(self.dates))
-        step = np.diff(self.days)
+        if days.shape[0] != prices.shape[0]:
+            raise DataError(f"{self.asset_id}: {days.shape[0]} dates but {prices.shape[0]} prices")
+        step = np.diff(days)
         if not np.all(step > 0):
             i = int(np.argmax(step <= 0))
-            cur = self.dates[i + 1]
+            cur = date.fromordinal(int(days[i + 1]))
             if step[i] == 0:
                 raise DuplicateDateError(f"{self.asset_id}: duplicate date {cur}")
             raise DataError(f"{self.asset_id}: dates not increasing at {cur}")
-        if prices.size and not np.all(prices > 0):
-            bad = self.dates[int(np.argmax(~(prices > 0)))]
-            raise NonPositivePriceError(
-                f"{self.asset_id}: non-positive price on {bad}"
-            )
+        if not np.all(prices > 0):
+            bad = date.fromordinal(int(days[np.argmax(~(prices > 0))]))
+            raise NonPositivePriceError(f"{self.asset_id}: non-positive price on {bad}")
+
+    @property
+    def dates(self) -> tuple[date, ...]:
+        return tuple(map(date.fromordinal, self.days.tolist()))
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return self.days.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +256,8 @@ def _read_lines(source, asset_id: str) -> list[str]:
 _BLOCK_ROWS = 1024
 
 
-def _parse_columns(rows: list[str], fmt: CsvFormat) -> tuple[list[date], np.ndarray] | None:
-    """Dates and prices of stripped, non-blank ``rows``, parsed a column at a time.
+def _parse_columns(rows: list[str], fmt: CsvFormat) -> tuple[np.ndarray, np.ndarray] | None:
+    """Day numbers and prices of stripped, non-blank ``rows``, parsed a column at a time.
 
     Returns None if the rows differ in width or any row breaks a cell rule (too
     few columns, a bad date, a bad, non-finite or non-positive price);
@@ -270,10 +266,11 @@ def _parse_columns(rows: list[str], fmt: CsvFormat) -> tuple[list[date], np.ndar
     width = min(map(str.count, rows, repeat(fmt.delimiter)), default=0) + 1
     if "\n" in fmt.delimiter or width <= max(fmt.date_column, fmt.price_column):
         return None
-    dates: list[date] = []
+    days = np.empty(len(rows), np.int64)
     prices = np.empty(len(rows))
     for at in range(0, len(rows), _BLOCK_ROWS):
         block = rows[at : at + _BLOCK_ROWS]
+        cut = slice(at, at + len(block))
         # One flat list of cells. Rows hold no "\n", so no match of the delimiter
         # spans two rows; and as every row has at least ``width`` cells, the total
         # says whether each has exactly that many.
@@ -281,26 +278,24 @@ def _parse_columns(rows: list[str], fmt: CsvFormat) -> tuple[list[date], np.ndar
         if len(cells) != len(block) * width:
             return None
         try:
-            dates += fmt.parse_dates(cells[fmt.date_column :: width])
-            prices[at : at + len(block)] = np.fromiter(
-                map(float, cells[fmt.price_column :: width]), float, len(block)
-            )
+            days[cut] = np.fromiter(fmt.parse_days(cells[fmt.date_column :: width]), np.int64, len(block))
+            prices[cut] = np.fromiter(map(float, cells[fmt.price_column :: width]), float, len(block))
         except ValueError:
             return None
     if not np.all((prices > 0) & np.isfinite(prices)):
         return None
-    return dates, prices
+    return days, prices
 
 
-def _parse_rows(body: list[str], fmt: CsvFormat, asset_id: str) -> tuple[list[date], np.ndarray]:
+def _parse_rows(body: list[str], fmt: CsvFormat, asset_id: str) -> tuple[np.ndarray, np.ndarray]:
     """Row-by-row parse of the stripped lines after the header, in file order.
 
     The first row that breaks a rule aborts with its line number, or is skipped
     with ``skip_bad_rows`` where the rule allows it.
     """
-    dates: list[date] = []
+    days: list[int] = []
     prices: list[float] = []
-    seen: set[date] = set()
+    seen: set[int] = set()
     ncol = max(fmt.date_column, fmt.price_column) + 1
     for lineno, line in enumerate(body, start=2):
         if not line:
@@ -311,7 +306,7 @@ def _parse_rows(body: list[str], fmt: CsvFormat, asset_id: str) -> tuple[list[da
                 continue
             raise RowParseError(asset_id, lineno, f"expected at least {ncol} columns, got {len(parts)}")
         try:
-            d = next(fmt.parse_dates((parts[fmt.date_column],)))
+            day = next(fmt.parse_days((parts[fmt.date_column],)))
         except ValueError as exc:
             if fmt.skip_bad_rows:
                 continue
@@ -327,27 +322,25 @@ def _parse_rows(body: list[str], fmt: CsvFormat, asset_id: str) -> tuple[list[da
                 continue
             raise RowParseError(asset_id, lineno, f"non-finite price {parts[fmt.price_column]!r}")
         if p <= 0:
-            raise NonPositivePriceError(f"{asset_id}: non-positive price {p} on {d} (line {lineno})")
-        if d in seen:
-            raise DuplicateDateError(f"{asset_id}: duplicate date {d} (line {lineno})")
-        seen.add(d)
-        dates.append(d)
+            raise NonPositivePriceError(
+                f"{asset_id}: non-positive price {p} on {date.fromordinal(day)} (line {lineno})")
+        if day in seen:
+            raise DuplicateDateError(f"{asset_id}: duplicate date {date.fromordinal(day)} (line {lineno})")
+        seen.add(day)
+        days.append(day)
         prices.append(p)
-    return dates, np.array(prices, dtype=float)
+    return np.array(days, dtype=np.int64), np.array(prices, dtype=float)
 
 
-def _in_date_order(asset_id: str, dates: list[date], prices: np.ndarray) -> PriceSeries | None:
-    """The series sorted by date, or None if a date repeats."""
-    if not dates:
+def _in_date_order(asset_id: str, days: np.ndarray, prices: np.ndarray) -> PriceSeries | None:
+    """The series sorted by day number, or None if a day repeats."""
+    if not days.size:
         raise EmptyInputError(f"{asset_id}: no data rows")
-    days = _day_numbers(dates)
-    if np.all(days[1:] > days[:-1]):
-        return PriceSeries(asset_id, tuple(dates), prices, days)
     order = np.argsort(days)
     days = days[order]
     if np.any(days[1:] == days[:-1]):
         return None
-    return PriceSeries(asset_id, tuple(map(dates.__getitem__, order.tolist())), prices[order], days)
+    return PriceSeries(asset_id, days, prices[order])
 
 
 def load_price_series(source, asset_id: str, format_options: CsvFormat | None = None) -> PriceSeries:

@@ -42,6 +42,7 @@ _RIDGE_JITTER = 1e-10
 # 2**26 float64 cells are 512 MB, which the factor overwrites in place
 MAX_BAND_CELLS = 2**26
 _LAMBDA_FLOOR, _LAMBDA_CAP = 1e-8, 1e12
+_SHIFT_COLUMNS = 4096  # per chunk of the row shift: two chunks at paper scale (n*q = 3)
 
 SOLVER_BANDED = "banded-cholesky"
 LAMBDA_MODES = ("fixed", "two-pass")
@@ -103,13 +104,17 @@ def _lagged_design(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _upper_factor(cb: np.ndarray) -> np.ndarray:
-    """Turn a lower-band factor L into U = L' in upper band storage, in place:
-    U's row m - r is L's row r shifted right by r."""
+    """Turn a lower-band factor L into U = L' in upper band storage, in place: U's row
+    m - r is L's row r shifted right by r, one chunk of columns at a time, right to left."""
     m, N = cb.shape[0] - 1, cb.shape[1]
     for r in range(m // 2 + 1):
-        low = cb[r, : N - r].copy()
-        cb[r, m - r :] = cb[m - r, : N - m + r]
-        cb[m - r, r:] = low
+        s = m - r
+        for b in range(N, r, -_SHIFT_COLUMNS):
+            a = max(b - _SHIFT_COLUMNS, r)
+            low = cb[r, a - r : b - r].copy()
+            if b > s:
+                cb[r, max(a, s) : b] = cb[s, max(a, s) - s : b - s]
+            cb[s, a:b] = low
     return cb
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "DETREND_CONSTANT",
     "DETREND_TREND",
     "CRITICAL_VALUES",
+    "CONDITION_LIMIT",
     "AdfGlsResult",
     "gls_detrend",
     "adf_gls_test",
@@ -41,6 +42,10 @@ CRITICAL_VALUES = {
     DETREND_TREND: {0.01: -3.96, 0.05: -3.41, 0.10: -3.13},
     DETREND_CONSTANT: {0.01: -2.58, 0.05: -1.94, 0.10: -1.62},
 }
+
+# Largest cond(X'X) of the final regression whose t-ratio is taken: inv(X'X) loses
+# about log10(cond(X'X)) of float64's 16 digits, so past 1e12 fewer than 4 are left
+CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -152,17 +157,14 @@ def adf_gls_test(y: np.ndarray, max_lag: int | None = None, model: str = DETREND
     best_k = int(np.argmin(_lag_bics(yt, dy, max_lag)))
 
     target, X = _adf_columns(yt, dy, best_k, best_k)
-    beta, _, rank, _ = np.linalg.lstsq(X, target, rcond=None)
-    if rank < X.shape[1]:
-        raise DataError("degenerate regression: collinear lag structure")
+    beta, _, rank, sv = np.linalg.lstsq(X, target, rcond=None)
+    # cond(X'X) = (sv[0] / sv[-1])**2, so inv(X'X) loses its digits long before lstsq loses rank
+    if rank < X.shape[1] or sv[0] > math.sqrt(CONDITION_LIMIT) * sv[-1]:
+        raise DataError(f"degenerate regression: collinear lag structure (cond(X'X) above {CONDITION_LIMIT:g})")
     resid = target - X @ beta
     dof = len(target) - X.shape[1]
     s2 = float(resid @ resid) / dof
-    try:  # X'X squares the condition number, so it can be singular where lstsq kept full rank
-        xtx_inv = np.linalg.inv(X.T @ X)
-    except np.linalg.LinAlgError:
-        raise DataError("degenerate regression: collinear lag structure") from None
-    se = math.sqrt(s2 * xtx_inv[0, 0])
+    se = math.sqrt(s2 * np.linalg.inv(X.T @ X)[0, 0])
     statistic = float(beta[0] / se)
     return AdfGlsResult(
         statistic=statistic,

@@ -21,7 +21,9 @@ def make_panel(values, kind="returns", asset_ids=None):
 
 
 def make_series(asset_id, dates, prices):
-    return PriceSeries(asset_id=asset_id, dates=tuple(dates), prices=np.asarray(prices, float))
+    """A PriceSeries on ``dates``, which it stores as day numbers."""
+    days = np.fromiter(map(date.toordinal, dates), np.int64)
+    return PriceSeries(asset_id=asset_id, days=days, prices=np.asarray(prices, float))
 
 
 def traced_peak(fn, *args) -> int:

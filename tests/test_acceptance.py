@@ -282,3 +282,30 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         identical,
         f"3 runs byte-identical, {elapsed:.0f}s",
     )
+
+
+def test_criterion_11_bands_detect_a_drift():
+    # the paper's shape (n=3, T=1686, q=1, B=300); every own-lag coefficient
+    # drifts from 0 to 0.5, so the true degree rises from 0 to 1
+    t0 = time.perf_counter()
+    shares, cors = [], []
+    for seed in range(3):
+        panel, truth = simulate(
+            DgpSpec(kind="tv-var-linear-drift", n=3, T=1686, q=1, seed=110_000 + seed,
+                    innovation_sd=0.01, coefficients=0.0, coefficients_end=0.5)
+        )
+        fit = fit_tv_var(panel, TvVarConfig(q=1, lam=1.0))
+        zhat = efficiency_path(fit).zeta
+        bands = bootstrap_bands(fit, BootstrapConfig(replications=300, coverage=0.95, master_seed=seed))
+        above = zhat > bands.upper  # NaN compares False: a flagged date is not above
+        third = len(zhat) // 3
+        shares.append((above[:third].mean(), above[-third:].mean()))
+        cors.append(float(np.corrcoef(zhat, truth.zeta[1:])[0, 1]))
+    elapsed = time.perf_counter() - t0
+    check(
+        "criterion 11 bands detect a drifting coefficient",
+        all(last > first for first, last in shares) and min(cors) > 0.8,
+        "share above the upper band, first/last third: "
+        + ", ".join(f"{first:.3f}/{last:.3f}" for first, last in shares)
+        + f"; corr with the true degree {', '.join(f'{c:.3f}' for c in cors)}; {elapsed:.1f}s",
+    )

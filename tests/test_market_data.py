@@ -1,6 +1,7 @@
 import gc
 import io
 import math
+import tracemalloc
 import warnings
 from datetime import date, timedelta
 from unittest import mock
@@ -94,6 +95,21 @@ class TestLoad:
     def test_invalid_format_is_config_error(self, fmt, name):
         with pytest.raises(ConfigError, match=name):
             load("date,price\n2020-01-01,1\n", fmt=CsvFormat(**fmt))
+
+    def test_loaded_series_holds_only_its_arrays(self):
+        # about one wide-panel file: the series keeps its day numbers and prices
+        # and no date object per row (those alone took 2.5 times the two arrays)
+        rows = [f"{date.fromordinal(730120 + t)},{100 + t % 97}.25\n" for t in range(8400)]
+        source = io.StringIO("date,close\n" + "".join(rows))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            s = load_price_series(source, "X")
+            kept = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert len(s) == 8400 and s.dates[-1] == date.fromordinal(730120 + 8399)
+        assert kept <= 1.2 * (s.days.nbytes + s.prices.nbytes)
 
     def test_unsorted_input_is_sorted(self):
         s = load("date,price\n2020-01-02,2\n2020-01-01,1\n")

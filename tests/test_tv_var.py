@@ -1,6 +1,7 @@
 import re
 import warnings
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 from mkteff import (
     TvVarConfig, TvVarEstimate, efficiency_path, export_coefficient_paths, fit_tv_var, fit_var_ols,
 )
+from mkteff import tv_var
 from mkteff.errors import ConfigError, DataError, NumericalError
 from mkteff.tv_var import MAX_BAND_CELLS, _check_panel, _fit_paths, _PathSolver
 
 from conftest import make_panel
-from oracles import UpperBandSolver, build_stacked_system, penalized_objective, solve_dense
+from oracles import UpperBandSolver, build_stacked_system, penalized_objective, solve_dense, whole_row_shift
 from test_var_base import bits, simulate_var, traced_peak
 
 
@@ -253,6 +255,24 @@ class TestUpperBandOracle:
         want = re.escape(f"smallest diagonal {(Z * Z + pen[:, None]).min():.3e}")
         with pytest.raises(NumericalError, match=want):
             _PathSolver(40, 2, 1).solve(Y, Z, 1.0)
+
+
+class TestUpperFactor:
+    @pytest.mark.parametrize("width", [1, 2, 5, 4096])
+    def test_chunks_match_the_whole_row_shift(self, width):
+        gen = np.random.default_rng(width)
+        with mock.patch.object(tv_var, "_SHIFT_COLUMNS", width):
+            for m in range(10):
+                for N in sorted({m + 1, m + 2, 2 * m + 3, 37, 100}):
+                    cb = np.asfortranarray(gen.standard_normal((m + 1, N)))
+                    want = whole_row_shift(cb.copy(order="F"))
+                    assert np.array_equal(bits(tv_var._upper_factor(cb)), bits(want))
+
+    def test_shift_holds_one_chunk_at_a_time(self, rng):
+        # S = 3000, n*q = 8: a whole-row shift held 0.22 of the band in temporaries
+        S, m = 3000, 8
+        cb = np.asfortranarray(rng.standard_normal((m + 1, S * m)))
+        assert traced_peak(tv_var._upper_factor, cb) <= 0.05 * cb.nbytes
 
 
 class TestInvariance:

@@ -9,6 +9,7 @@ from mkteff import adf_gls_test, gls_detrend
 from mkteff import unit_root
 from mkteff.errors import DataError
 from mkteff.unit_root import (
+    CONDITION_LIMIT,
     CRITICAL_VALUES,
     DETREND_CONSTANT,
     DETREND_TREND,
@@ -124,6 +125,30 @@ class TestAdfGls:
         y = np.cumsum(np.r_[np.full(60, -3.0), -4.0])
         with pytest.raises(DataError, match="collinear lag structure"):
             adf_gls_test(y, 5, DETREND_TREND)
+
+    @pytest.mark.parametrize(
+        "freq, noise, refused",
+        [(0.01, 1e-9, True), (0.1, 1e-6, False)],
+        ids=["past-the-limit", "under-the-limit"],
+    )
+    def test_ill_conditioned_refit_is_a_data_error(self, freq, noise, refused):
+        # a slow sine with a trace of noise: the lagged differences are nearly
+        # collinear, and lstsq keeps full rank. Past the limit (cond(X'X) 1.3e17),
+        # inv(X'X) gives a finite t-ratio (-0.06) with no accurate digit
+        t = np.arange(200)
+        y = np.sin(freq * t) + noise * np.random.default_rng(0).standard_normal(200)
+        yt = gls_detrend(y, DETREND_CONSTANT)
+        dy = np.diff(yt)
+        k = int(np.argmin(_lag_bics(yt, dy, 3)))
+        _, X = _adf_columns(yt, dy, k, k)
+        sv = np.linalg.svd(X, compute_uv=False)
+        assert k == 3 and np.linalg.matrix_rank(X) == X.shape[1]
+        assert ((sv[0] / sv[-1]) ** 2 > CONDITION_LIMIT) == refused
+        if refused:
+            with pytest.raises(DataError, match=r"collinear lag structure \(cond\(X'X\) above 1e\+12\)"):
+                adf_gls_test(y, 3, DETREND_CONSTANT)
+        else:
+            assert np.isfinite(adf_gls_test(y, 3, DETREND_CONSTANT).statistic)
 
     def test_needs_enough_observations(self):
         with pytest.raises(DataError):
