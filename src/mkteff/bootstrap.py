@@ -13,8 +13,9 @@ it for every replication it runs: the refit's right-hand sides and one (T, n)
 draw buffer, about 0.2 MB at paper scale (n=3, T=1686, q=1). Each solve
 assembles its banded normal equations (0.16 MB there) into a new array, factors
 it in place and frees it before the paths. A replication runs the arithmetic of
-a null draw, ``fit_tv_var`` and ``efficiency_path`` on those buffers, so its
-degrees equal theirs bit for bit.
+a null draw and ``fit_tv_var`` on those buffers and takes the degrees of a lag
+matrix view of its paths as ``efficiency_path`` does, ``DEGREE_CHUNK`` dates at
+a time: its degrees equal theirs bit for bit, with temporaries one chunk wide.
 
 Every replication b derives its generator from
 ``numpy.random.SeedSequence(master_seed, spawn_key=(b,))`` , a fixed, documented
@@ -35,8 +36,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .efficiency import _degrees
-from .tv_var import TvVarEstimate, _fit_paths, _lagged_design, _PathSolver
+from .efficiency import _path_degrees
+from .tv_var import TvVarEstimate, _fit_paths, _lag_matrices, _lagged_design, _PathSolver
 
 __all__ = [
     "BootstrapConfig",
@@ -88,10 +89,14 @@ def replication_seed(master_seed: int, b: int) -> np.random.SeedSequence:
 
 
 def _null_rows(resid: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """The rows a null sample draws from: ``nu`` plus each row of the centered residuals."""
+    """The rows a null sample draws from: ``nu`` plus each row of the centered
+    residuals, all finite, so that every draw of whole rows is finite."""
     if len(resid) < 10:
         raise DataError(f"too few fitted periods for bands ({len(resid)} < 10); use a longer panel or replications: 0")
-    return (resid - resid.mean(axis=0)) + nu
+    rows = (resid - resid.mean(axis=0)) + nu
+    if not np.isfinite(rows).all():
+        raise DataError("panel contains missing or non-finite cells")
+    return rows
 
 
 def _draw(rows: np.ndarray, seed, out: np.ndarray) -> np.ndarray:
@@ -102,8 +107,8 @@ def _draw(rows: np.ndarray, seed, out: np.ndarray) -> np.ndarray:
 
 def _workspace(payload: dict) -> dict:
     """The payload plus the solver and draw buffer that every replication of a process reuses."""
-    T, n, q = payload["n_rows"], payload["rows"].shape[1], payload["tv_config"].q
-    return {**payload, "solver": _PathSolver(T - q, n, q), "draws": np.empty((T, n))}
+    (S, n), q = payload["rows"].shape, payload["tv_config"].q  # the null panel has S + q rows
+    return {**payload, "solver": _PathSolver(S, n, q), "draws": np.empty((S + q, n))}
 
 
 # Worker-side workspace for process pools, set once per worker by the initializer.
@@ -119,16 +124,12 @@ def _run_replication(b: int, work: dict | None = None) -> tuple[int, np.ndarray]
     w = _WORK if work is None else work
     config = w["tv_config"]
     x = _draw(w["rows"], replication_seed(w["master_seed"], b), w["draws"])
-    if not np.isfinite(x).all():
-        raise DataError("panel contains missing or non-finite cells")
     Y, Z = _lagged_design(x, config.q)
-    S, n = Y.shape
     try:
         paths = _fit_paths(Y, Z, config, w["solver"])[1]
     except NumericalError:
-        return b, np.full(S, np.nan)
-    # the lag sum of the (S, q, n, n) lag matrices, read off the equation-major paths
-    return b, _degrees(np.eye(n) - paths.reshape(S, n, config.q, n).sum(axis=2))
+        return b, np.full(Y.shape[0], np.nan)
+    return b, _path_degrees(_lag_matrices(paths, config.q))
 
 
 def _dump_rows(dump_dir: str, days: list[str], B: int, done: int, rows: np.ndarray) -> None:
@@ -223,12 +224,8 @@ def bootstrap_bands(
     if B < 100:
         raise ConfigError("band estimation needs at least 100 replications")
     S = fit.effective_obs
-    payload = {
-        "rows": _null_rows(fit.residuals, fit.nu),
-        "master_seed": boot_config.master_seed,
-        "n_rows": S + fit.config.q,
-        "tv_config": fit.config,
-    }
+    rows = _null_rows(fit.residuals, fit.nu)
+    payload = {"rows": rows, "master_seed": boot_config.master_seed, "tv_config": fit.config}
     lo_q = (1.0 - boot_config.coverage) / 2.0
     K = min(B, int(np.floor(lo_q * (B - 1))) + 3)  # one row more than the deepest read, for rounding
     dump = None if dump_dir is None else partial(_dump_rows, dump_dir, [f",{d.isoformat()}," for d in fit.dates], B)

@@ -75,7 +75,7 @@ class EfficiencyPath:
             )
 
 
-# Dates per batch of ``efficiency_path``: no date's degree depends on the other
+# Dates per batch of ``_path_degrees``: no date's degree depends on the other
 # dates of its batch, so batches only bound the temporaries; a paper-scale path
 # is one batch
 DEGREE_CHUNK = 2048
@@ -200,15 +200,20 @@ def _degrees(M: np.ndarray) -> np.ndarray:
     return zeta
 
 
+def _path_degrees(A: np.ndarray) -> np.ndarray:
+    """Degree per date of a lag-matrix path A (S, q, n, n), any strides, taken
+    ``DEGREE_CHUNK`` dates at a time; NaN on flagged dates."""
+    eye = np.eye(A.shape[-1])
+    zeta = np.empty(A.shape[0])
+    for s in range(0, A.shape[0], DEGREE_CHUNK):
+        zeta[s : s + DEGREE_CHUNK] = _degrees(eye - A[s : s + DEGREE_CHUNK].sum(axis=1))
+    return zeta
+
+
 def efficiency_path(estimate: TvVarEstimate) -> EfficiencyPath:
     """Per-date degree along a fitted coefficient path.
 
     Dates where the lag sum is within ``CONDITION_LIMIT`` of singular are
     flagged and carry NaN instead of a clipped value.
     """
-    A = estimate.A_path
-    eye = np.eye(A.shape[-1])
-    zeta = np.empty(A.shape[0])
-    for s in range(0, A.shape[0], DEGREE_CHUNK):
-        zeta[s : s + DEGREE_CHUNK] = _degrees(eye - A[s : s + DEGREE_CHUNK].sum(axis=1))
-    return EfficiencyPath(dates=estimate.dates, zeta=zeta)
+    return EfficiencyPath(dates=estimate.dates, zeta=_path_degrees(estimate.A_path))

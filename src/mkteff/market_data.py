@@ -382,7 +382,7 @@ def align(series: Sequence[PriceSeries]) -> AlignedPanel:
     cols = [s.prices[np.searchsorted(s.days, common)] for s in series]
     return AlignedPanel(
         dates=tuple(map(date.fromordinal, common.tolist())),
-        values=np.array(cols, dtype=float).T,  # F-order: hansen_lc sums in memory order
+        values=np.array(cols, dtype=float).T,  # F-order; hansen_lc fixes its own layout, so Lc does not depend on it
         asset_ids=tuple(s.asset_id for s in series),
         kind="prices",
     )

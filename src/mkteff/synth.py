@@ -15,7 +15,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .efficiency import _degrees
+from .efficiency import _path_degrees
 from .errors import ConfigError, typed
 from .market_data import AlignedPanel
 
@@ -149,10 +149,8 @@ class DgpTruth:
 
 def _panel_and_truth(nu, values, A_path) -> tuple[AlignedPanel, DgpTruth]:
     """Returns panel plus ground truth, with the degree implied by each lag stack."""
-    n = A_path.shape[-1]
-    zeta = _degrees(np.eye(n) - A_path.sum(axis=1))
-    panel = AlignedPanel(synthetic_dates(values.shape[0]), values, _ids(n), "returns")
-    return panel, DgpTruth(nu=nu, A_path=A_path, zeta=zeta)
+    panel = AlignedPanel(synthetic_dates(values.shape[0]), values, _ids(A_path.shape[-1]), "returns")
+    return panel, DgpTruth(nu=nu, A_path=A_path, zeta=_path_degrees(A_path))
 
 
 def _recur(nu, A_path_full, eps, q):

@@ -247,11 +247,10 @@ def _check_panel(panel: AlignedPanel, q: int) -> None:
         )
 
 
-def _paths_to_A(paths: np.ndarray, n: int, q: int) -> np.ndarray:
-    """(S, n, n*q) equation-major coefficients to (S, q, n, n) lag matrices."""
-    S = paths.shape[0]
-    # for q = 1 the transpose only moves a unit axis, and the view is already C-ordered
-    return np.ascontiguousarray(paths.reshape(S, n, q, n).transpose(0, 2, 1, 3))
+def _lag_matrices(paths: np.ndarray, q: int) -> np.ndarray:
+    """(S, n, n*q) equation-major coefficients as a (S, q, n, n) view of lag matrices."""
+    S, n, _ = paths.shape
+    return paths.reshape(S, n, q, n).transpose(0, 2, 1, 3)
 
 
 def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarEstimate:
@@ -282,7 +281,8 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
         dates=panel.dates[q:],
         asset_ids=panel.asset_ids,
         nu=nu,
-        A_path=_paths_to_A(paths, n, q),
+        # for q = 1 the transpose only moves a unit axis, and the view is already C-ordered
+        A_path=np.ascontiguousarray(_lag_matrices(paths, q)),
         residuals=resid,
         config=config,
         effective_obs=Y.shape[0],

@@ -342,13 +342,13 @@ def hansen_lc(est: VarEstimate) -> HansenLcResult:
     like a random walk.
     """
     X = est.regressors
-    resid = est.residuals
+    resid = np.ascontiguousarray(est.residuals)  # sig2 sums in memory order too
     teff, k = X.shape
     n = resid.shape[1]
     sig2 = (resid**2).mean(axis=0)
     m = n * (k + 1)
-    # one score matrix, in X's memory order: the einsum below sums in memory order
-    F = np.empty_like(X, shape=(teff, m))
+    # one score matrix, Fortran order whatever X's: the einsum below sums in memory order
+    F = np.empty((teff, m), order="F")
     for i in range(n):
         np.multiply(X, resid[:, i : i + 1], out=F[:, i * (k + 1) : i * (k + 1) + k])
         np.subtract(resid[:, i] ** 2, sig2[i], out=F[:, i * (k + 1) + k])

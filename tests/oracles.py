@@ -43,7 +43,7 @@ from mkteff.market_data import (
     NonPositivePriceError, PriceSeries, RowParseError,
 )
 from mkteff.tv_var import (
-    _RIDGE_JITTER, TvVarConfig, TvVarEstimate, _check_panel, _lagged_design, _paths_to_A, fit_tv_var,
+    _RIDGE_JITTER, TvVarConfig, TvVarEstimate, _check_panel, _lag_matrices, _lagged_design, fit_tv_var,
 )
 from mkteff.unit_root import _adf_columns
 from mkteff.var_base import GrangerResult, VarEstimate, _ols, _stacked_rss
@@ -116,7 +116,7 @@ def solve_dense(panel: AlignedPanel, q: int, lam: float) -> tuple[np.ndarray, np
     system = build_stacked_system(panel, q, lam)
     sol = np.linalg.lstsq(system.design.toarray(), system.rhs, rcond=None)[0]
     n, S = system.n, system.periods
-    return sol[:n], _paths_to_A(sol[n:].reshape(S, n, n * q), n, q)
+    return sol[:n], _lag_matrices(sol[n:].reshape(S, n, n * q), q)
 
 
 def _A_to_paths(A_path: np.ndarray) -> np.ndarray:

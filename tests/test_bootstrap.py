@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mkteff.bootstrap
+import mkteff.efficiency
 from mkteff import (
     BootstrapConfig,
     TvVarConfig,
@@ -72,6 +74,17 @@ class TestResample:
     def test_needs_enough_rows(self):
         with pytest.raises(DataError, match=r"too few fitted periods for bands \(5 < 10\)"):
             _null_rows(np.zeros((5, 2)), np.zeros(2))
+
+    def test_non_finite_pool_refused_before_any_refit(self, monkeypatch):
+        # every draw takes whole rows of the pool, so the pool is checked once, up front
+        fit = fit_tv_var(null_panel(seed=4, T=120), TvVarConfig(q=1, lam=1.0))
+        resid = fit.residuals.copy()
+        resid[17, 1] = np.nan
+        refits = []
+        monkeypatch.setattr(mkteff.bootstrap, "_fit_paths", lambda *args: refits.append(args))
+        with pytest.raises(DataError, match="panel contains missing or non-finite cells"):
+            bootstrap_bands(dataclasses.replace(fit, residuals=resid), BootstrapConfig(replications=100))
+        assert refits == []
 
 
 class TestBands:
@@ -226,11 +239,8 @@ def same_bits(a, b):
     return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
 
 
-def workspace(panel, fit, tv, master_seed):
-    return _workspace({
-        "rows": _null_rows(fit.residuals, fit.nu), "master_seed": master_seed,
-        "n_rows": panel.n_periods, "tv_config": tv,
-    })
+def workspace(fit, tv, master_seed):
+    return _workspace({"rows": _null_rows(fit.residuals, fit.nu), "master_seed": master_seed, "tv_config": tv})
 
 
 REFITS = {
@@ -247,9 +257,37 @@ class TestReplicationOracle:
         panel = null_panel(seed=12, T=150, n=3)
         tv = REFITS[refit]
         fit = fit_tv_var(panel, tv)
-        work = workspace(panel, fit, tv, 8)  # one workspace for every replication
+        work = workspace(fit, tv, 8)  # one workspace for every replication
         for b in range(1, 31):
             assert same_bits(_run_replication(b, work)[1], naive_replication(panel, fit, tv, 8, b))
+
+    @pytest.mark.parametrize("refit", sorted(REFITS))
+    def test_chunked_degrees_match_the_naive_path(self, refit, monkeypatch):
+        # a degree chunk of 32 dates splits each replication's S = 148 or 149 dates in five
+        panel = null_panel(seed=13, T=150, n=3)
+        tv = REFITS[refit]
+        fit = fit_tv_var(panel, tv)
+        work = workspace(fit, tv, 5)
+        widths, degrees = [], mkteff.efficiency._degrees
+        monkeypatch.setattr(mkteff.efficiency, "DEGREE_CHUNK", 32)
+        monkeypatch.setattr(mkteff.efficiency, "_degrees", lambda M: widths.append(len(M)) or degrees(M))
+        for b in range(1, 11):
+            widths.clear()
+            z = _run_replication(b, work)[1]
+            assert widths == [32] * 4 + [fit.effective_obs - 128]
+            assert same_bits(z, naive_replication(panel, fit, tv, 5, b))
+
+    def test_degree_temporaries_stay_one_chunk_wide(self, monkeypatch):
+        # n = 8, S = 3000: the banded normal equations (9/8 of an S x n x n stack), then
+        # the paths (one stack) are held. Degree temporaries one chunk of 256 dates wide
+        # add well under a stack to the paths; all S dates at once add about three
+        panel = null_panel(seed=17, T=3001, n=8)
+        fit = fit_tv_var(panel, TvVarConfig(q=1, lam=1.0))
+        work = workspace(fit, fit.config, 3)
+        _run_replication(1, work)
+        monkeypatch.setattr(mkteff.efficiency, "DEGREE_CHUNK", 256)
+        stack = fit.effective_obs * 8 * 8 * 8
+        assert traced_peak(_run_replication, 2, work) <= 1.6 * stack
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("refit", sorted(REFITS))
@@ -272,7 +310,7 @@ class TestReplicationOracle:
         resid = fit.residuals.copy()
         resid[30], resid[70] = 1e160, -1e160
         fit = dataclasses.replace(fit, residuals=resid)
-        work = workspace(panel, fit, tv, 9)
+        work = workspace(fit, tv, 9)
         failed = []
         for b in range(1, 41):
             z = _run_replication(b, work)[1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mkteff import DgpSpec, adf_gls_test, fit_var_ols, simulate
+from mkteff.efficiency import DEGREE_CHUNK, _degrees
 from mkteff.errors import ConfigError
 from mkteff.var_base import _hac_cov
 
@@ -55,6 +56,14 @@ class TestSimulate:
     def test_constant_var_truth_zeta(self):
         _, truth = simulate(DgpSpec(kind="constant-var", n=1, T=50, coefficients=0.5, seed=0))
         np.testing.assert_allclose(truth.zeta, 1.0, rtol=1e-12)
+
+    def test_truth_past_one_degree_chunk(self):
+        # the truth's degrees are taken a chunk of dates at a time, with one call's bits
+        spec = DgpSpec(kind="tv-var-random-walk-coeffs", n=3, T=DEGREE_CHUNK + 300, q=2, seed=7,
+                       coef_innovation_sd=0.02)
+        _, truth = simulate(spec)
+        whole = _degrees(np.eye(3) - truth.A_path.sum(axis=1))
+        assert truth.zeta.tobytes() == whole.tobytes()
 
     def test_linear_drift_truth_path(self):
         spec = DgpSpec(

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -24,6 +25,12 @@ from oracles import granger_causality_pairwise, granger_wald_f, naive_hansen_lc,
 
 def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def oracle_lc(est) -> float:
+    """``naive_hansen_lc`` on a Fortran-order copy of the regressors: the oracle's
+    scores take their order, and ``hansen_lc`` sums Fortran-order scores."""
+    return naive_hansen_lc(dataclasses.replace(est, regressors=np.asfortranarray(est.regressors)))
 
 
 def simulate_var(rng, A, T, sd=1.0, nu=None, burn=200):
@@ -316,7 +323,7 @@ class TestHansenLc:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n, p", [(1, 3), (2, 1), (3, 2), (8, 1)])
     def test_bits_of_the_block_oracle(self, order, n, p):
-        # same memory order as the regressors, so the Lc sum runs in the oracle's order
+        # C-ordered panels too are checked against the oracle on Fortran-order regressors
         values = np.random.default_rng(10 * n + p).standard_normal((1200, n))
         panel = make_panel(np.asarray(values, order=order))
         est = fit_var_ols(panel, p)
@@ -324,7 +331,23 @@ class TestHansenLc:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # past the table at n=8
             lc = hansen_lc(est).lc_statistic
-        assert bits(lc) == bits(naive_hansen_lc(est))
+        assert bits(lc) == bits(oracle_lc(est))
+
+    @pytest.mark.parametrize("n, p", [(2, 1), (3, 2), (8, 1)])
+    def test_bits_do_not_depend_on_memory_order(self, n, p):
+        # C- and Fortran-order copies of one panel, and of the fit's regressors and
+        # residuals, give one Lc bit for bit
+        values = np.random.default_rng(10 * n + p).standard_normal((1200, n))
+        fits = [fit_var_ols(make_panel(np.asarray(values, order=order)), p) for order in "CF"]
+        X, resid = fits[0].regressors, fits[0].residuals
+        fits += [
+            dataclasses.replace(fits[0], regressors=np.asarray(X, order=x), residuals=np.asarray(resid, order=r))
+            for x in "CF" for r in "CF"
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # past the table at n=8
+            lcs = {bits(hansen_lc(est).lc_statistic).item() for est in fits}
+        assert len(lcs) == 1
 
     @staticmethod
     def recorded_solves(monkeypatch, est):
@@ -349,7 +372,7 @@ class TestHansenLc:
         est = fit_var_ols(make_panel(np.random.default_rng(teff + n).standard_normal((teff + 1, n))), 1)
         assert est.nobs == teff
         lc, calls = self.recorded_solves(monkeypatch, est)
-        assert bits(lc) == bits(naive_hansen_lc(est))
+        assert bits(lc) == bits(oracle_lc(est))
         V = calls[0][0]
         whole = np.linalg.solve(V, np.concatenate([b for _, b, _ in calls], axis=1))
         assert np.array_equal(bits(np.concatenate([x for _, _, x in calls], axis=1)), bits(whole))
