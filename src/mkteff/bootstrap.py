@@ -129,7 +129,7 @@ def _run_replication(b: int, work: dict | None = None) -> tuple[int, np.ndarray]
         paths = _fit_paths(Y, Z, config, w["solver"])[1]
     except NumericalError:
         return b, np.full(Y.shape[0], np.nan)
-    return b, _path_degrees(_lag_matrices(paths, config.q))
+    return b, _path_degrees(_lag_matrices(paths, config.q))[0]
 
 
 def _dump_rows(dump_dir: str, days: list[str], B: int, done: int, rows: np.ndarray) -> None:

@@ -14,6 +14,7 @@ failure; on an error the output directory is left as it was.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import shutil
@@ -394,6 +395,7 @@ def _efficiency_stage(run: PipelineRun) -> int:
         seeds={"master_seed": cfg.master_seed},
         bands=cfg.replications > 0,
         singular_dates=int(path.singular.sum()),
+        max_frobenius_bound=path.max_frobenius_bound,
     )
     if cfg.replications > 0:
         dump_dir = run.output("replications") if cfg.dump_replications else None
@@ -520,5 +522,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
 
 
+def run(argv: list[str] | None = None) -> int:
+    """The program's entry point: ``main``, then ``gc.freeze()`` however it ends.
+
+    Freezing moves every live object into the permanent generation, so the
+    collections at interpreter shutdown no longer walk the numpy and scipy
+    heap, while the stdio flush and atexit finalizers still run. It comes after
+    the run, so the run's own collections, peak memory and pool workers are as
+    they were. ``main`` never freezes: tests and library callers run it in
+    their own process. Under ``python -X dev`` nothing is frozen, because a
+    frozen heap also silences the ResourceWarning of a file left open at exit.
+    """
+    try:
+        return main(argv)
+    finally:
+        if not sys.flags.dev_mode:
+            gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -34,6 +34,9 @@ class EfficiencyPath:
     zeta: np.ndarray
     band_low: np.ndarray | None = None
     band_high: np.ndarray | None = None
+    # the largest ||M||_F ||M^-1||_F of the lag sum M over unflagged dates, between
+    # kappa_2 and n kappa_2; None when every date is flagged
+    max_frobenius_bound: float | None = None
     singular: np.ndarray = field(init=False)  # bool per date: zeta is not finite
 
     def __post_init__(self):
@@ -101,20 +104,23 @@ def _frobenius_bound(M: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return _frobenius_norm(M) * _frobenius_norm(phi)
 
 
-def _lapack_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched LU inverses; only dates the Frobenius bound puts over half the limit
-    (the half absorbs rounding in the inverse) get the exact ``np.linalg.cond``."""
+def _lapack_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched LU inverses, flags and Frobenius bounds; only dates the bound puts over
+    half the limit (the half absorbs rounding in the inverse) get the exact
+    ``np.linalg.cond``."""
     try:
         phi = np.linalg.inv(M)
     except np.linalg.LinAlgError:  # an exactly singular date stops the batched LU
         phi = np.full(M.shape, np.nan)
-    exact = ~(_frobenius_bound(M, phi) <= 0.5 * CONDITION_LIMIT)
+    bound = _frobenius_bound(M, phi)
+    exact = ~(bound <= 0.5 * CONDITION_LIMIT)
     singular = exact & ~np.isfinite(M).all(axis=(1, 2))
     checked = exact & ~singular
     singular[checked] = ~(np.linalg.cond(M[checked]) <= CONDITION_LIMIT)
     cleared = checked & ~singular
     phi[cleared] = np.linalg.inv(M[cleared])
-    return phi, singular
+    bound[cleared] = _frobenius_bound(M[cleared], phi[cleared])
+    return phi, singular, bound
 
 
 def _cofactor_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,8 +138,9 @@ def _cofactor_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj.transpose(2, 0, 1), det
 
 
-def _guarded_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a stack (S, n, n), flagged where kappa_2 exceeds the limit or is undefined.
+def _guarded_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverses of a stack (S, n, n), flagged where kappa_2 exceeds the limit or is
+    undefined, and the Frobenius bound of each date's inverse.
 
     For n = 3 dates whose Frobenius bound is at most ``COFACTOR_BOUND`` (or half a
     smaller limit, so the screen never clears a date the guard would flag) and whose
@@ -146,13 +153,14 @@ def _guarded_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):  # det = 0 and non-finite entries void the bound
         phi, det = _cofactor_inverse(M)
         size = _frobenius_norm(M)
-        keep = size * _frobenius_norm(phi) <= min(COFACTOR_BOUND, 0.5 * CONDITION_LIMIT)
+        bound = size * _frobenius_norm(phi)
+        keep = bound <= min(COFACTOR_BOUND, 0.5 * CONDITION_LIMIT)
         keep &= np.abs(det) >= DET_FLOOR * size**3
     rest = ~keep
     singular = np.zeros(M.shape[0], dtype=bool)
     if rest.any():
-        phi[rest], singular[rest] = _lapack_inverse(M[rest])
-    return phi, singular
+        phi[rest], singular[rest], bound[rest] = _lapack_inverse(M[rest])
+    return phi, singular, bound
 
 
 def _top_eigenvalue_gram(D: np.ndarray) -> np.ndarray:
@@ -190,24 +198,28 @@ def _spectral_norm(D: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-def _degrees(M: np.ndarray) -> np.ndarray:
-    """Degree per date of a stack M = I - sum_l A_l (S, n, n); NaN on flagged dates."""
-    dev, singular = _guarded_inverse(M)
+def _degrees(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degree and Frobenius bound per date of a stack M = I - sum_l A_l (S, n, n);
+    both NaN on flagged dates."""
+    dev, singular, bound = _guarded_inverse(M)
     dev -= np.eye(M.shape[-1])
     dev[singular] = 0.0  # keeps void inverses out of the eigensolver
     zeta = _spectral_norm(dev)
-    zeta[singular | ~np.isfinite(zeta)] = np.nan
-    return zeta
+    flagged = singular | ~np.isfinite(zeta)
+    zeta[flagged] = np.nan
+    bound[flagged] = np.nan
+    return zeta, bound
 
 
-def _path_degrees(A: np.ndarray) -> np.ndarray:
-    """Degree per date of a lag-matrix path A (S, q, n, n), any strides, taken
-    ``DEGREE_CHUNK`` dates at a time; NaN on flagged dates."""
+def _path_degrees(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degree and Frobenius bound per date of a lag-matrix path A (S, q, n, n), any
+    strides, taken ``DEGREE_CHUNK`` dates at a time; both NaN on flagged dates."""
     eye = np.eye(A.shape[-1])
-    zeta = np.empty(A.shape[0])
+    zeta, bound = np.empty(A.shape[0]), np.empty(A.shape[0])
     for s in range(0, A.shape[0], DEGREE_CHUNK):
-        zeta[s : s + DEGREE_CHUNK] = _degrees(eye - A[s : s + DEGREE_CHUNK].sum(axis=1))
-    return zeta
+        chunk = slice(s, s + DEGREE_CHUNK)
+        zeta[chunk], bound[chunk] = _degrees(eye - A[chunk].sum(axis=1))
+    return zeta, bound
 
 
 def efficiency_path(estimate: TvVarEstimate) -> EfficiencyPath:
@@ -216,4 +228,7 @@ def efficiency_path(estimate: TvVarEstimate) -> EfficiencyPath:
     Dates where the lag sum is within ``CONDITION_LIMIT`` of singular are
     flagged and carry NaN instead of a clipped value.
     """
-    return EfficiencyPath(dates=estimate.dates, zeta=_path_degrees(estimate.A_path))
+    zeta, bound = _path_degrees(estimate.A_path)
+    bound = bound[np.isfinite(bound)]
+    return EfficiencyPath(dates=estimate.dates, zeta=zeta,
+                          max_frobenius_bound=float(bound.max()) if bound.size else None)

@@ -150,7 +150,7 @@ class DgpTruth:
 def _panel_and_truth(nu, values, A_path) -> tuple[AlignedPanel, DgpTruth]:
     """Returns panel plus ground truth, with the degree implied by each lag stack."""
     panel = AlignedPanel(synthetic_dates(values.shape[0]), values, _ids(A_path.shape[-1]), "returns")
-    return panel, DgpTruth(nu=nu, A_path=A_path, zeta=_path_degrees(A_path))
+    return panel, DgpTruth(nu=nu, A_path=A_path, zeta=_path_degrees(A_path)[0])
 
 
 def _recur(nu, A_path_full, eps, q):

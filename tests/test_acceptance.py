@@ -40,7 +40,7 @@ def test_criterion_1_scalar_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for a in (-0.9, -0.5, 0.0, 0.5, 0.9):
-        got = _degrees(np.array([[[1.0 - a]]]))[0]  # the lag sum I - A = 1 - a
+        got = _degrees(np.array([[[1.0 - a]]]))[0][0]  # the lag sum I - A = 1 - a
         worst = max(worst, abs(got - abs(a / (1.0 - a))))
     elapsed = time.perf_counter() - t0
     check(

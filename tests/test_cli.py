@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkteff import DgpSpec, simulate
-from mkteff.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_config, load_returns_panel, main
+from mkteff.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_config, load_returns_panel, main, run
 from mkteff.var_base import fit_var_ols
 
 
@@ -128,6 +129,7 @@ class TestEfficiency:
         assert manifest["lambda_effective"] == 1.0
         assert 0.0 < manifest["intercept_pivot"] <= 1.0
         assert manifest["singular_dates"] == 0
+        assert 1.0 <= manifest["max_frobenius_bound"] < 1e3
         assert "bootstrap_flagged_cells" not in manifest
 
     def test_bands_and_event_marker(self, tmp_path, market_files):
@@ -265,6 +267,96 @@ class TestSimulate:
         assert main(["simulate", "--spec", spec, "--output-dir", b]) == EXIT_OK
         assert (tmp_path / "a" / "panel.csv").read_bytes() == (tmp_path / "b" / "panel.csv").read_bytes()
         assert (tmp_path / "a" / "truth.csv").read_bytes() == (tmp_path / "b" / "truth.csv").read_bytes()
+
+
+class TestEntryPoint:
+    """``run``, the program's entry, freezes the heap once ``main`` has ended, however
+    it ended; ``main`` never freezes. ``gc.freeze`` is replaced here, so the test
+    process's own heap is never frozen."""
+
+    # what run() adds after main ends: nothing when the tests themselves run under -X dev
+    AFTER_MAIN = ["main ended"] + ([] if sys.flags.dev_mode else ["freeze"])
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        import mkteff.cli as cli_mod
+
+        events, real_main = [], cli_mod.main
+
+        def traced_main(argv=None):
+            try:
+                return real_main(argv)
+            finally:
+                events.append("main ended")
+
+        monkeypatch.setattr(cli_mod, "main", traced_main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        return events
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], EXIT_OK),  # argparse's SystemExit
+        (["describe", "--config", "nope.json"], EXIT_CONFIG),
+        (["all", "--input", "ghost.csv:G", "--input", "g2.csv:H"], EXIT_DATA),
+    ])
+    def test_freezes_once_main_has_ended(self, events, argv, code, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        try:
+            got = run(argv)
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert events == self.AFTER_MAIN
+
+    def test_freezes_after_an_unexpected_exception(self, events, monkeypatch):
+        import mkteff.cli as cli_mod
+
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_mod, "build_config", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            run(["describe"])
+        assert events == self.AFTER_MAIN
+
+    def test_main_never_freezes(self, tmp_path, market_files, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        frozen = gc.get_freeze_count()
+        cfg = config_file(tmp_path, market_files, bootstrap={"replications": 100, "master_seed": 1})
+        assert main(["all", "--config", cfg]) == EXIT_OK
+        assert calls == [] and gc.get_freeze_count() == frozen
+
+    def test_console_script_is_run(self):
+        root = os.path.join(os.path.dirname(__file__), "..")
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            pyproject = fh.read()  # a string match: Python 3.10 has no tomllib
+        assert '\nmkteff = "mkteff.cli:run"\n' in pyproject
+
+    @pytest.mark.parametrize("dev_mode", [False, True])
+    def test_dev_mode_keeps_the_heap_unfrozen(self, dev_mode):
+        # a frozen heap would silence the ResourceWarning of a handle open at exit
+        import mkteff
+
+        src = os.path.dirname(os.path.dirname(mkteff.__file__))
+        code = (
+            "import gc, mkteff.cli\n"
+            "try:\n    mkteff.cli.run(['--version'])\nexcept SystemExit:\n    pass\n"
+            "print(gc.get_freeze_count() > 0)"
+        )
+        argv = [sys.executable, *(["-X", "dev"] if dev_mode else []), "-c", code]
+        proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                              check=True, timeout=120)
+        assert proc.stdout.splitlines()[-1] == str(not dev_mode)
+
+    def test_module_run_prints_the_version(self):
+        import mkteff
+
+        src = os.path.dirname(os.path.dirname(mkteff.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "mkteff.cli", "--version"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == f"mkteff {mkteff.__version__}\n"
 
 
 class TestErrors:

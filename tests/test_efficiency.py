@@ -44,7 +44,7 @@ def make_estimate(A_path):
 
 def degree(M):
     """The kernel's degree of one lag sum M = I - sum_l A_l: the spectral norm of M^-1 - I."""
-    return _degrees(np.asarray(M, dtype=float)[None])[0]
+    return _degrees(np.asarray(M, dtype=float)[None])[0][0]
 
 
 class TestMultiplier:
@@ -52,7 +52,7 @@ class TestMultiplier:
 
     def test_zero_coefficients_give_identity(self):
         for n in (1, 2, 3):
-            phi, singular = _guarded_inverse(np.eye(n)[None])
+            phi, singular, _ = _guarded_inverse(np.eye(n)[None])
             np.testing.assert_array_equal(phi[0], np.eye(n))
             assert not singular[0]
 
@@ -140,6 +140,29 @@ class TestPath:
         assert path.zeta[0] == 0.0
         assert len(path.dates) == 3
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("exact_zero", [False, True])
+    def test_max_frobenius_bound_brackets_the_largest_condition(self, n, exact_zero):
+        # ||M||_F ||M^-1||_F lies between kappa_2 and n kappa_2 at each date; an
+        # exactly singular date sends every date through the second LU, a NaN date
+        # and a unit root are flagged and left out
+        gen = np.random.default_rng(10 * n + exact_zero)
+        A = 0.3 * gen.standard_normal((400, 1, n, n))
+        A[50, 0] = np.eye(n) - np.diag(np.geomspace(1.0, 1e-6, n))  # kappa_2 = 1e6, LAPACK route
+        A[60, 0, 0, 0] = np.nan
+        if exact_zero:
+            A[70, 0] = np.eye(n)
+        path = efficiency_path(make_estimate(A))
+        assert path.singular[[60, 70]].tolist() == [True, exact_zero]
+        M = np.eye(n) - A[~path.singular].sum(axis=1)
+        kappa = np.linalg.cond(M).max()
+        assert kappa == pytest.approx(1e6, rel=1e-6)  # set by date 50
+        assert kappa * (1 - 1e-9) <= path.max_frobenius_bound <= n * kappa * (1 + 1e-9)
+
+    def test_max_frobenius_bound_absent_when_every_date_is_flagged(self):
+        path = efficiency_path(make_estimate(np.ones((3, 1, 1, 1))))
+        assert path.singular.all() and path.max_frobenius_bound is None
+
     @pytest.mark.parametrize("n", [3, 8])
     def test_chunks_match_the_whole_stack(self, n):
         # three batches of dates: an exactly singular date in the first stops its
@@ -155,7 +178,7 @@ class TestPath:
             np.linalg.inv(M[:DEGREE_CHUNK])
         zeta = efficiency_path(make_estimate(A)).zeta
         assert np.isnan(zeta).nonzero()[0].tolist() == [100, DEGREE_CHUNK + 50]
-        assert zeta.tobytes() == _degrees(M).tobytes()
+        assert zeta.tobytes() == _degrees(M)[0].tobytes()
 
     def test_csv_round_trip(self, tmp_path):
         path = efficiency_path(make_estimate(np.full((3, 1, 1, 1), 0.5)))
@@ -264,10 +287,15 @@ class TestKernel:
         M = stack_with_condition(rng, S, n, kappas)
         if exact_zero:
             M[rng.integers(S)] = 0.0  # stops the batched LU
-        zeta = _degrees(M)
+        zeta, bound = _degrees(M)
         want_zeta, want_singular = svd_oracle(M)
         np.testing.assert_array_equal(np.isnan(zeta), want_singular)
         np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
+        # the bound is void where flagged, between kappa_2 and n kappa_2 elsewhere
+        np.testing.assert_array_equal(np.isnan(bound), want_singular)
+        kappa = np.linalg.cond(M[~want_singular])
+        assert np.all(bound[~want_singular] >= kappa * (1 - 1e-3))
+        assert np.all(bound[~want_singular] <= n * kappa * (1 + 1e-3))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -280,7 +308,7 @@ class TestKernel:
         rng = np.random.default_rng(seed)
         gaps = np.where(rng.random(S) < 0.2, 0.0, 10.0 ** rng.uniform(-12.0, -2.0, S))
         M = stack_with_double_top(rng, S, gaps)
-        zeta = _degrees(M)
+        zeta, _ = _degrees(M)
         want_zeta, want_singular = svd_oracle(M)
         np.testing.assert_array_equal(np.isnan(zeta), want_singular)
         np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
@@ -302,14 +330,14 @@ class TestKernel:
                 M[s] = (Q * [scale, 0.0, 0.0]) @ Q.T
             else:
                 M[s] = scale * np.outer(rng.standard_normal(3), rng.standard_normal(3))
-        zeta = _degrees(M)
+        zeta, _ = _degrees(M)
         want_zeta, want_singular = svd_oracle(M)
         np.testing.assert_array_equal(np.isnan(zeta), want_singular)
         np.testing.assert_allclose(zeta, want_zeta, rtol=1e-12, atol=0.0)
 
     def test_rank_one_lag_sum_has_no_multiplier(self, rng):
         M = np.stack([np.outer(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(20)])
-        assert np.isnan(_degrees(M)).all()
+        assert np.isnan(_degrees(M)[0]).all()
 
     def test_frobenius_bound_splits_cofactor_and_lapack_routes(self):
         rng = np.random.default_rng(3)
@@ -321,11 +349,11 @@ class TestKernel:
         bound = _frobenius_bound(M, cofactor)
         assert bound[0] <= COFACTOR_BOUND < bound[1]
         assert not np.array_equal(cofactor[1], lapack[1])  # the routes are told apart
-        phi, singular = _guarded_inverse(M)
+        phi, singular, _ = _guarded_inverse(M)
         assert not singular.any()
         np.testing.assert_array_equal(phi[0], cofactor[0])
         np.testing.assert_array_equal(phi[1], lapack[1])
-        zeta = _degrees(M)
+        zeta, _ = _degrees(M)
         assert zeta[1] == _spectral_norm(lapack[1:] - np.eye(3))[0]
 
     def test_guard_boundary_is_exact_two_norm(self):
@@ -333,32 +361,32 @@ class TestKernel:
         over = np.diag([1.0, 1.0, 1.0 / 1.1e12])
         frobenius = np.linalg.norm(under) * np.linalg.norm(np.linalg.inv(under))
         assert frobenius > CONDITION_LIMIT  # the screen alone would flag it
-        zeta = _degrees(np.stack([under, over]))
+        zeta, _ = _degrees(np.stack([under, over]))
         assert np.isnan(zeta).tolist() == [False, True]
         assert zeta[0] == pytest.approx(0.9e12 - 1.0, rel=1e-12)
 
     def test_limit_below_cofactor_bound_still_flags(self, monkeypatch):
         # a limit under COFACTOR_BOUND caps the cofactor screen too
         M = np.diag([1.0, 1.0, 1.0 / 20.0])
-        assert not np.isnan(_degrees(M[None])[0])
+        assert not np.isnan(_degrees(M[None])[0][0])
         monkeypatch.setattr(mkteff.efficiency, "CONDITION_LIMIT", 10.0)
-        assert np.isnan(_degrees(M[None])[0])
+        assert np.isnan(_degrees(M[None])[0][0])
 
     def test_rounding_at_the_limit_follows_cond(self):
         # kappa_2 within rounding of the limit: the computed Frobenius bound lands
         # just under it, np.linalg.cond just over it
         M = np.array([[0.46496026515031164, 0.2997095266784889], [0.7001977356422369, 0.4513416471488002]])
-        assert np.isnan(_degrees(M[None])[0]) == (not np.linalg.cond(M) <= CONDITION_LIMIT)
+        assert np.isnan(_degrees(M[None])[0][0]) == (not np.linalg.cond(M) <= CONDITION_LIMIT)
 
     def test_exactly_singular_date_in_long_batch(self, rng):
         M = stack_with_condition(rng, 500, 3, 10.0 ** rng.uniform(0.0, 3.0, 500))
         M[250] = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(M)
-        zeta = _degrees(M)
+        zeta, _ = _degrees(M)
         assert np.isnan(zeta).tolist() == [s == 250 for s in range(500)]
         rest = np.delete(np.arange(500), 250)
-        alone = _degrees(M[rest])
+        alone, _ = _degrees(M[rest])
         np.testing.assert_array_equal(zeta[rest], alone)
 
     def test_nan_lag_sum_is_flagged(self):

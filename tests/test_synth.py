@@ -62,7 +62,7 @@ class TestSimulate:
         spec = DgpSpec(kind="tv-var-random-walk-coeffs", n=3, T=DEGREE_CHUNK + 300, q=2, seed=7,
                        coef_innovation_sd=0.02)
         _, truth = simulate(spec)
-        whole = _degrees(np.eye(3) - truth.A_path.sum(axis=1))
+        whole, _ = _degrees(np.eye(3) - truth.A_path.sum(axis=1))
         assert truth.zeta.tobytes() == whole.tobytes()
 
     def test_linear_drift_truth_path(self):
