@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import date
@@ -230,7 +229,10 @@ def bootstrap_bands(
     K = min(B, int(np.floor(lo_q * (B - 1))) + 3)  # one row more than the deepest read, for rounding
     dump = None if dump_dir is None else partial(_dump_rows, dump_dir, [f",{d.isoformat()}," for d in fit.dates], B)
     reps = range(1, B + 1)
-    pool = ProcessPoolExecutor(n_jobs, initializer=_init_worker, initargs=(payload,)) if n_jobs > 1 else None
+    pool = None
+    if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: a serial run never loads multiprocessing
+        pool = ProcessPoolExecutor(n_jobs, initializer=_init_worker, initargs=(payload,))
     with pool or nullcontext():
         if pool is None:
             results = map(partial(_run_replication, work=_workspace(payload)), reps)

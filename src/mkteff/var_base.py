@@ -14,7 +14,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .errors import DataError, NumericalError
 from .market_data import AlignedPanel
@@ -327,9 +326,66 @@ def granger_causality(est: VarEstimate, source: str) -> GrangerResult:
     )
 
 
+def _stirling_rest(z: float) -> float:
+    """lgamma(z) minus Stirling's (z - 1/2) log z - z + log(2 pi)/2, by its series from z = 10."""
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - 0.5 * math.log(2.0 * math.pi)
+    w = 1.0 / (z * z)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w * (1 / 1188 - w * 691 / 360360))))) / z
+
+
+def _log1pmx(e: float, one_plus_e: float) -> float:
+    """log(1 + e) - e, with 1 + e passed in as formed without rounding e first."""
+    return (math.log1p(e) if abs(e) < 0.5 else math.log(one_plus_e)) - e
+
+
+def _beta_cf(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """I_x(a, b) / (x^a y^b / B(a, b)) for lam = a - (a + b) x >= 0, y = 1 - x.
+
+    The continued fraction BFRAC of DiDonato & Morris (1992, ACM TOMS 18,
+    Algorithm 708). It takes lam as given, so x's rounding is not amplified by a.
+    """
+    p, s, c, c0, c1 = 1.0, a + 1.0, 1.0 + lam, b / a, 1.0 + 1.0 / a
+    an, bn, anp1, bnp1, r = 0.0, 1.0, 1.0, c / c1, c1 / c
+    for n in range(1, 10_000):
+        t, w = n / a, n * (b - n) * x
+        alpha = p * (p + c0) * (a / s) ** 2 * w * x
+        beta = n + w / s + (1.0 + t) / (c1 + 2.0 * t) * (c + n * (1.0 + y))
+        p, s = 1.0 + t, s + 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= 2.0**-51 * r:  # 2 eps: a tighter test may never be met
+            return r
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
+    raise NumericalError("F tail: continued fraction did not converge")
+
+
 def _f_pvalue(f_stat: float, df_num: int, df_den: int) -> float:
-    """Upper tail of the F(df_num, df_den) law; 1 for a negative statistic."""
-    return float(fdtrc(df_num, df_den, max(f_stat, 0.0)))
+    """Upper tail of the F(df_num, df_den) law: 1 for F <= 0, 0 for +inf, NaN for NaN.
+
+    It is I_x(a, b), a = df_den/2, b = df_num/2, x = df_den / (df_den + df_num F):
+    the tail with lam >= 0 by ``_beta_cf``, times x^a y^b / B(a, b) taken as
+    Stirling's form, whose large terms cancel in closed form (Algorithm 708's BRCOMP).
+    """
+    if math.isnan(f_stat):
+        return math.nan
+    if f_stat <= 0.0:
+        return 1.0
+    a, b = 0.5 * df_den, 0.5 * df_num
+    s = df_den + df_num * f_stat
+    x = df_den / s
+    if x == 0.0:
+        return 0.0
+    y = df_num * f_stat / s
+    lam = 2.0 * a * b * (f_stat - 1.0) / s  # a - (a + b) x, without the cancellation
+    expo = a * _log1pmx(-lam / a, (df_num + df_den) / s) + b * _log1pmx(lam / b, f_stat * (df_num + df_den) / s)
+    front = math.sqrt(a * b / (2.0 * math.pi * (a + b))) * math.exp(
+        expo + _stirling_rest(a + b) - _stirling_rest(a) - _stirling_rest(b)
+    )
+    if lam >= 0.0:
+        return front * _beta_cf(a, b, x, y, lam)
+    return 1.0 - front * _beta_cf(b, a, y, x, -lam)
 
 
 def hansen_lc(est: VarEstimate) -> HansenLcResult:

@@ -159,19 +159,20 @@ class TestEfficiency:
 
     def test_byte_identical_reruns_and_worker_counts(self, tmp_path, market_files):
         outputs, manifests = [], []
-        for run, jobs in ((1, 1), (2, 1), (3, 2)):
+        # run 4 sets two workers by --n-jobs over a one-worker config
+        for run, jobs, flags in ((1, 1, []), (2, 1, []), (3, 2, []), (4, 1, ["--n-jobs", "2"])):
             out_dir = str(tmp_path / f"out{run}")
             cfg = config_file(
                 tmp_path, market_files,
                 bootstrap={"replications": 100, "master_seed": 33, "n_jobs": jobs},
                 output_dir=out_dir,
             )
-            assert main(["efficiency", "--config", cfg]) == EXIT_OK
+            assert main(["efficiency", "--config", cfg, *flags]) == EXIT_OK
             outputs.append((tmp_path / f"out{run}" / "efficiency.csv").read_bytes())
             manifest = json.loads((tmp_path / f"out{run}" / "manifest.json").read_text())
             manifests.append({k: v for k, v in manifest.items() if k != "config"})
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert manifests[0] == manifests[1] == manifests[2]  # flag counts included
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+        assert manifests[0] == manifests[1] == manifests[2] == manifests[3]  # flag counts included
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, market_files, monkeypatch):
         import mkteff.cli as cli_mod
@@ -476,10 +477,11 @@ class TestAll:
         import mkteff
 
         src = os.path.dirname(os.path.dirname(mkteff.__file__))
+        heavy = ("scipy.stats", "scipy.sparse", "scipy.optimize", "scipy.special",
+                 "multiprocessing", "concurrent.futures.process")
         code = (
-            "import sys, mkteff.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'sparse'], ['scipy', 'optimize'])))"
+            f"import sys, mkteff.cli; heavy = {heavy!r}; "
+            "print(sorted(m for m in sys.modules if (m + '.').startswith(tuple(h + '.' for h in heavy))))"
         )
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -23,6 +23,62 @@ from conftest import make_panel, traced_peak
 from oracles import granger_causality_pairwise, granger_wald_f, naive_hansen_lc, var_lag_search
 
 
+# The F(df_num, df_den) upper tail at the exact binary value of F, to 40
+# significant digits. Computed once with mpmath at 60 digits by the incomplete
+# beta's continued fraction, and agreeing with mpmath.betainc to 1e-47 or better.
+# Rows: both benchmark workloads' df, (2, 5043) and (7, 60032), and df_num 1-60
+# against df_den 12-1e6, at p from about 1e-300 to 1 - 1.2e-9.
+F_TAIL_REFERENCE = [
+    (2, 5043, 794.422, "1.200442048619502455808459361445959335786e-300"),
+    (2, 5043, 505.252, "1.000004585614563356410130340231588276551e-200"),
+    (2, 5043, 117.798, "1.000060501367068773376345338956475273745e-50"),
+    (2, 5043, 23.1313, "1.000005443926482384623610207027775278132e-10"),
+    (2, 5043, 4.60938, "9.999981032482579967858911867567646727305e-3"),
+    (2, 5043, 0.693242, "5.000002302168920405982990884875099352496e-1"),
+    (2, 5043, 1.2e-09, "9.999999988000000007202855520106665754204e-1"),
+    (7, 60032, 204.036, "1.20172211123132083061531047132287582476e-300"),
+    (7, 60032, 136.709, "1.00058194095294082963647167273503890909e-200"),
+    (7, 60032, 36.0855, "1.000120007191451561176605029231711966565e-50"),
+    (7, 60032, 8.70336, "1.000015195327867727241088696458599760681e-10"),
+    (7, 60032, 2.63963, "9.99988835103980539176764665454596567837e-3"),
+    (7, 60032, 0.906555, "4.999996979786489443733688106104530007765e-1"),
+    (7, 60032, 0.00162978, "9.999999987999983536916426399817204469094e-1"),
+    (1, 12, 9.08245e+50, "1.200000440185578808425416495313300293714e-300"),
+    (1, 12, 4.34577e+17, "9.999978684256910021528752029639497245285e-101"),
+    (1, 12, 4.74723, "4.999990439939037857520513546508023398148e-2"),
+    (1, 12, 0.0164731, "8.99999849610971374024680081715049724781e-1"),
+    (1, 12, 2.35807e-18, "9.999999988000006996633662506191390784141e-1"),
+    (60, 12, 2.10326e+50, "1.20000631346418791869598305911613980979e-300"),
+    (60, 12, 1.00637e+17, "9.999889801845093510232141305964680884383e-101"),
+    (60, 12, 2.38417, "4.999965750341106910600385166772084007213e-2"),
+    (60, 12, 0.603344, "9.000001490318201322556165104788589321378e-1"),
+    (60, 12, 0.1097, "9.999999988000839781755188973568332987852e-1"),
+    (3, 100, 34625700.0, "1.199951726058180101764710650396384896139e-300"),
+    (3, 100, 3441.56, "9.999706542524992105669333788820294434676e-101"),
+    (3, 100, 2.69553, "5.000026594276687360305881280483099709906e-2"),
+    (3, 100, 0.194391, "9.000002988478754971493320489719681343036e-1"),
+    (3, 100, 9.05656e-07, "9.999999988000010033396144101970821914224e-1"),
+    (56, 59401, 26.4657, "2.001249526508862076221215201681020289481e-269"),
+    (56, 59401, 16.026, "1.001259855225892816271238239170862197871e-150"),
+    (56, 59401, 1.0899, "2.9999236821487953074986627353464937118e-1"),
+    (30, 100000, 50.9284, "1.199913317722801110589984352872334549179e-300"),
+    (30, 100000, 18.9989, "9.996232971959058967319979872293891801783e-101"),
+    (30, 100000, 1.45921, "5.000128504007699496286794915712487618086e-2"),
+    (30, 100000, 0.686616, "8.999997796322515094653440524192427492849e-1"),
+    (30, 100000, 0.122013, "9.999999988000518860286493736087362390706e-1"),
+    (1, 1000000, 1374.45, "1.201581057778343678530034695312975120249e-300"),
+    (1, 1000000, 454.046, "1.000178855189840551277319812360524322815e-100"),
+    (1, 1000000, 3.84147, "4.999994393501295542999791581023424967535e-2"),
+    (1, 1000000, 0.0157908, "8.999999436615906757199198068117589055792e-1"),
+    (1, 1000000, 2.26195e-18, "9.999999987999994274559767344527373319838e-1"),
+    (60, 1000000, 27.1453, "1.1989869582888579802129511035929204696e-300"),
+    (60, 1000000, 10.9034, "9.987261247223706962533557109684892929793e-101"),
+    (60, 1000000, 1.31805, "4.999826003480041144209166146663801540884e-2"),
+    (60, 1000000, 0.77431, "9.000003843596799592798135829752935969743e-1"),
+    (60, 1000000, 0.260077, "9.999999987999623983772958818607652679414e-1"),
+]
+
+
 def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float).view(np.int64)
 
@@ -256,17 +312,25 @@ class TestGranger:
             granger_causality(est, "nope")
 
     def test_p_value_is_the_f_upper_tail(self, rng):
-        from scipy import stats
+        from scipy.special import fdtrc
 
+        for d1, d2, f, ref in F_TAIL_REFERENCE:
+            p, exact = _f_pvalue(f, d1, d2), float(ref)
+            assert abs(p - exact) <= (1e-11 if d2 <= 100_000 else 1e-10) * exact, (d1, d2, f)
+            if exact >= 1e-200:
+                assert abs(p - fdtrc(d1, d2, f)) <= 2e-10 * exact, (d1, d2, f)
         panel = simulate_var(rng, 0.2 * np.eye(3), 200)
-        for p in (1, 2):
-            est = fit_var_ols(panel, p)
+        for lag in (1, 2):
+            est = fit_var_ols(panel, lag)
             for src in panel.asset_ids:
                 res = granger_causality(est, src)
-                assert res.p_value == stats.f.sf(res.f_statistic, res.df_num, res.df_den)
-        for f in (-1e-12, -3.0, 0.0, 0.7, 40.0):
-            assert _f_pvalue(f, 2, 150) == stats.f.sf(f, 2, 150)
-        assert _f_pvalue(-1e-12, 2, 150) == 1.0
+                assert res.p_value == _f_pvalue(res.f_statistic, res.df_num, res.df_den)
+                assert res.p_value == pytest.approx(fdtrc(res.df_num, res.df_den, res.f_statistic), rel=2e-10)
+        for f in (0.0, -0.0, -1e-12, -3.0, -np.inf):
+            assert _f_pvalue(f, 2, 150) == 1.0
+        assert np.isnan(_f_pvalue(np.nan, 2, 150))
+        assert _f_pvalue(np.inf, 2, 150) == 0.0
+        assert _f_pvalue(1e308, 60, 12) == 0.0  # df_num * F overflows
 
     def test_source_by_label(self, rng):
         panel = simulate_var(rng, 0.1 * np.eye(2), 200)
