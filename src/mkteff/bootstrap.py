@@ -118,7 +118,7 @@ def _init_worker(payload: dict) -> None:
     _WORK.update(_workspace(payload))
 
 
-def _run_replication(b: int, work: dict | None = None) -> tuple[int, np.ndarray]:
+def _run_replication(b: int, work: dict | None = None) -> np.ndarray:
     """Replication b's degree path, all NaN if the refit fails; a pool worker reads ``_WORK``."""
     w = _WORK if work is None else work
     config = w["tv_config"]
@@ -127,8 +127,8 @@ def _run_replication(b: int, work: dict | None = None) -> tuple[int, np.ndarray]
     try:
         paths = _fit_paths(Y, Z, config, w["solver"])[1]
     except NumericalError:
-        return b, np.full(Y.shape[0], np.nan)
-    return b, _path_degrees(_lag_matrices(paths, config.q))[0]
+        return np.full(Y.shape[0], np.nan)
+    return _path_degrees(_lag_matrices(paths, config.q))[0]
 
 
 def _dump_rows(dump_dir: str, days: list[str], B: int, done: int, rows: np.ndarray) -> None:
@@ -239,7 +239,7 @@ def bootstrap_bands(
         else:  # about four chunks per worker, so the last ones even out the load
             results = pool.map(_run_replication, reps, chunksize=max(1, min(64, -(-B // (4 * n_jobs)))))
         # chunks of 2K rows keep the partitions' cost per replication flat in B
-        ext, flagged_counts = _fold_extremes((z for _, z in results), B, S, K, max(32, 2 * K), dump)
+        ext, flagged_counts = _fold_extremes(results, B, S, K, max(32, 2 * K), dump)
 
     if S and np.all(flagged_counts == B):
         msg = f"all {B} bootstrap replications failed or were flagged at every date; the bands are empty"

@@ -42,7 +42,6 @@ _RIDGE_JITTER = 1e-10
 # 2**26 float64 cells are 512 MB, which the factor overwrites in place
 MAX_BAND_CELLS = 2**26
 _LAMBDA_FLOOR, _LAMBDA_CAP = 1e-8, 1e12
-_SHIFT_COLUMNS = 4096  # per chunk of the row shift: two chunks at paper scale (n*q = 3)
 
 SOLVER_BANDED = "banded-cholesky"
 LAMBDA_MODES = ("fixed", "two-pass")
@@ -103,21 +102,6 @@ def _lagged_design(values: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return Y, Z
 
 
-def _upper_factor(cb: np.ndarray) -> np.ndarray:
-    """Turn a lower-band factor L into U = L' in upper band storage, in place: U's row
-    m - r is L's row r shifted right by r, one chunk of columns at a time, right to left."""
-    m, N = cb.shape[0] - 1, cb.shape[1]
-    for r in range(m // 2 + 1):
-        s = m - r
-        for b in range(N, r, -_SHIFT_COLUMNS):
-            a = max(b - _SHIFT_COLUMNS, r)
-            low = cb[r, a - r : b - r].copy()
-            if b > s:
-                cb[r, max(a, s) : b] = cb[s, max(a, s) - s : b - s]
-            cb[s, a:b] = low
-    return cb
-
-
 def _normal_band(Z: np.ndarray, lam: float) -> np.ndarray:
     """The banded normal-equation matrix in lower band storage (row d the d-th
     subdiagonal, row m the coupling), in a new array ``dpbtrf`` factors in place."""
@@ -142,7 +126,7 @@ def _normal_band(Z: np.ndarray, lam: float) -> np.ndarray:
 
 def _factor_banded(Z: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     """Lower-band Cholesky of ``_normal_band`` with a one-shot ridge fallback;
-    returns U in upper storage and the ridge used."""
+    returns the factor L in lower band storage, in the band's own array, and the ridge used."""
     for jitter in (0.0, _RIDGE_JITTER):
         ab = _normal_band(Z, lam)  # afresh for the fallback: a failed factor overwrote the band
         if not np.isfinite(ab).all():
@@ -151,7 +135,7 @@ def _factor_banded(Z: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
             ab[0] += jitter
         cb, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         if info == 0:  # otherwise (info > 0) a leading minor is not positive definite
-            return _upper_factor(cb), jitter
+            return cb, jitter
     raise NumericalError(
         "normal equations numerically singular "
         f"(smallest diagonal {_normal_band(Z, lam)[0].min():.3e}); try a larger lam than {lam:g}"
@@ -191,10 +175,12 @@ class _PathSolver:
         if not np.isfinite(B).all():
             raise NumericalError("normal equations are not finite; rescale the returns")
         cb, jitter = _factor_banded(Z, lam)
-        sol, _ = dpbtrs(cb, B, overwrite_b=1)
+        sol, _ = dpbtrs(cb, B, lower=1, overwrite_b=1)
         del cb  # the factor is the band itself; free it before the paths
         u = sol[:, 0]
-        schur = S - border @ u
+        # the border products are summed by einsum, in an order fixed by numpy: BLAS
+        # ddot splits a long dot product across threads, so its last bits vary with them
+        schur = S - np.einsum("i,i->", border, u)
         # the intercept is unidentified when every period can absorb it into its
         # own coefficients (happens once per-period unknowns reach the period count)
         if not schur > 1e-10 * S:
@@ -205,7 +191,7 @@ class _PathSolver:
         paths = np.empty((S, n, m))
         for i in range(n):
             v = sol[:, 1 + i]
-            nu[i] = (Y[:, i].sum() - border @ v) / schur
+            nu[i] = (Y[:, i].sum() - np.einsum("i,i->", border, v)) / schur
             np.subtract(v.reshape(S, m), (nu[i] * u).reshape(S, m), out=paths[:, i, :])
         return nu, paths, jitter, schur / S
 

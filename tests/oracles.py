@@ -12,9 +12,8 @@ panel built as a new array and the public fit and degree-path functions, where
 the package refits on one reused workspace per process. The Hansen statistic
 is built from a list of per-equation score blocks, where the package fills one
 score matrix in place, and the banded normal equations are assembled and
-factored in upper band storage, where the package factors them in lower
-storage and shifts the factor into upper storage a chunk of columns at a time
-(the oracle shifts whole rows). A price file is
+factored and solved in upper band storage, where the package factors and
+solves them in lower storage, so the two agree to rounding. A price file is
 parsed row by row, with each date kept in a set, and series are joined on
 sets of dates and per-series lookups, where the package parses a whole column
 at a time and joins on day numbers.
@@ -254,17 +253,6 @@ def naive_hansen_lc(estimate: VarEstimate) -> float:
     S = F.cumsum(axis=0)
     V = F.T @ F
     return float(np.einsum("tm,mt->", S, np.linalg.solve(V, S.T)) / X.shape[0])
-
-
-def whole_row_shift(cb: np.ndarray) -> np.ndarray:
-    """``tv_var._upper_factor`` one whole row pair at a time: U's row m - r is L's
-    row r shifted right by r, in place."""
-    m, N = cb.shape[0] - 1, cb.shape[1]
-    for r in range(m // 2 + 1):
-        low = cb[r, : N - r].copy()
-        cb[r, m - r :] = cb[m - r, : N - m + r]
-        cb[m - r, r:] = low
-    return cb
 
 
 class UpperBandSolver:

@@ -103,7 +103,8 @@ def test_criterion_4_null_coverage():
         )
         fit = fit_tv_var(panel, tv)
         zhat = efficiency_path(fit).zeta
-        bands = bootstrap_bands(fit, BootstrapConfig(replications=B, coverage=0.95, master_seed=50_000 + i))
+        boot = BootstrapConfig(replications=B, coverage=0.95, master_seed=50_000 + i)
+        bands = bootstrap_bands(fit, boot, n_jobs=2)  # bands are the same for any worker count
         for name, band, outside in (("upper", bands.upper, np.greater), ("lower", bands.lower, np.less)):
             ok = np.isfinite(zhat) & np.isfinite(band)
             tails[name].append((int(outside(zhat[ok], band[ok]).sum()), int(ok.sum())))

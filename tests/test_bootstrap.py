@@ -259,7 +259,7 @@ class TestReplicationOracle:
         fit = fit_tv_var(panel, tv)
         work = workspace(fit, tv, 8)  # one workspace for every replication
         for b in range(1, 31):
-            assert same_bits(_run_replication(b, work)[1], naive_replication(panel, fit, tv, 8, b))
+            assert same_bits(_run_replication(b, work), naive_replication(panel, fit, tv, 8, b))
 
     @pytest.mark.parametrize("refit", sorted(REFITS))
     def test_chunked_degrees_match_the_naive_path(self, refit, monkeypatch):
@@ -273,7 +273,7 @@ class TestReplicationOracle:
         monkeypatch.setattr(mkteff.efficiency, "_degrees", lambda M: widths.append(len(M)) or degrees(M))
         for b in range(1, 11):
             widths.clear()
-            z = _run_replication(b, work)[1]
+            z = _run_replication(b, work)
             assert widths == [32] * 4 + [fit.effective_obs - 128]
             assert same_bits(z, naive_replication(panel, fit, tv, 5, b))
 
@@ -313,7 +313,7 @@ class TestReplicationOracle:
         work = workspace(fit, tv, 9)
         failed = []
         for b in range(1, 41):
-            z = _run_replication(b, work)[1]
+            z = _run_replication(b, work)
             assert same_bits(z, naive_replication(panel, fit, tv, 9, b))
             failed.append(bool(np.isnan(z).all()))
         assert any(failed[b] and not failed[b + 1] for b in range(39))  # a fit right after a failure
