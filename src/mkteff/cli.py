@@ -526,8 +526,8 @@ def run(argv: list[str] | None = None) -> int:
     """The program's entry point: ``main``, then ``gc.freeze()`` however it ends.
 
     Freezing moves every live object into the permanent generation, so the
-    collections at interpreter shutdown no longer walk the numpy and scipy
-    heap, while the stdio flush and atexit finalizers still run. It comes after
+    collections at interpreter shutdown no longer walk the heap the imports
+    leave, while the stdio flush and atexit finalizers still run. It comes after
     the run, so the run's own collections, peak memory and pool workers are as
     they were. ``main`` never freezes: tests and library callers run it in
     their own process. Under ``python -X dev`` nothing is frozen, because a

@@ -21,14 +21,36 @@ it against a dense lstsq solve of the full stacked design (tests/oracles.py).
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from dataclasses import dataclass
 from datetime import date
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import ConfigError, DataError, NumericalError
 from .market_data import AlignedPanel
+
+
+def _load_flapack():
+    """``dpbtrf`` and ``dpbtrs`` from scipy's f2py LAPACK extension, loaded from
+    its file: the functions ``scipy.linalg.lapack`` re-exports, without running
+    ``scipy.linalg``'s init, whose array-API layer imports most of numpy's lazy
+    submodules."""
+    scipy = importlib.util.find_spec("scipy")  # locates the package without importing it
+    if scipy is None:
+        raise ImportError("scipy is not installed")
+    where = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {where}")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dpbtrf, flapack.dpbtrs
+
+
+dpbtrf, dpbtrs = _load_flapack()
 
 __all__ = [
     "TvVarConfig",

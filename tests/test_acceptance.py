@@ -113,20 +113,29 @@ def test_criterion_4_null_coverage():
     elapsed = time.perf_counter() - t0
     # dates within a panel are strongly dependent, so each tail's sampling error
     # is read off the spread of the independent panels' rates
-    spread = []
+    spread, pooled, stderr = [], {}, {}
     for name, counts in tails.items():
         hits, dates = np.array(counts).sum(axis=0)
         per_panel = np.array([h / d for h, d in counts if d])
         sd = per_panel.std(ddof=1)
+        pooled[name], stderr[name] = hits / dates, sd / np.sqrt(len(per_panel))
         spread.append(
-            f"{name} tail pooled {hits / dates:.4f}, per-panel rates sd {sd:.4f} "
-            f"(standard error {sd / np.sqrt(len(per_panel)):.4f}), "
+            f"{name} tail pooled {pooled[name]:.4f}, per-panel rates sd {sd:.4f} "
+            f"(standard error {stderr[name]:.4f}), "
             f"{(per_panel > 0).mean():.2f} of panels with any, max {per_panel.max():.4f}"
         )
     check(
         "criterion 4 null band coverage",
         0.005 <= rate <= 0.06,
         f"pooled exceedance {rate:.4f} over {total} dates; {'; '.join(spread)}; {elapsed:.0f}s",
+    )
+    # the lower tail's nominal share is 0.025 too; it is checked within 4 standard
+    # errors read off the panels' spread
+    lo, hi = 0.025 - 4 * stderr["lower"], 0.025 + 4 * stderr["lower"]
+    check(
+        "criterion 4 null band lower tail",
+        lo <= pooled["lower"] <= hi,
+        f"pooled {pooled['lower']:.4f}; interval 0.025 +/- 4 x {stderr['lower']:.4f} = [{lo:.4f}, {hi:.4f}]",
     )
 
 

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -108,6 +111,28 @@ class TestBands:
             assert np.array_equal(serial.lower, parallel.lower)
             assert np.array_equal(serial.upper, parallel.upper)
             assert np.array_equal(serial.flagged_counts, parallel.flagged_counts)
+
+    def test_workers_started_fresh_give_the_same_bits(self):
+        # spawned workers (and forkserver ones, Python 3.14's default on Linux)
+        # import the package themselves and load LAPACK from its file
+        src = os.path.dirname(os.path.dirname(mkteff.bootstrap.__file__))
+        code = (
+            "import multiprocessing\n"
+            "import numpy as np\n"
+            "from mkteff import BootstrapConfig, DgpSpec, TvVarConfig, bootstrap_bands, fit_tv_var, simulate\n"
+            "multiprocessing.set_start_method('spawn', force=True)\n"
+            "panel, _ = simulate(DgpSpec(kind='white-noise', n=3, T=400, seed=8, innovation_sd=0.01))\n"
+            "fit = fit_tv_var(panel, TvVarConfig(q=1, lam=1.0))\n"
+            "cfg = BootstrapConfig(replications=200, coverage=0.95, master_seed=13)\n"
+            "serial, spawned = (bootstrap_bands(fit, cfg, n_jobs=j) for j in (1, 2))\n"
+            "for a, b in ((serial.upper, spawned.upper), (serial.lower, spawned.lower)):\n"
+            "    assert np.array_equal(a.view(np.int64), b.view(np.int64))\n"
+            "print(np.isfinite(serial.upper).all())"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
     def test_all_failed_replications_warn(self, monkeypatch):
         import mkteff.bootstrap as boot_mod

@@ -477,15 +477,17 @@ class TestAll:
         import mkteff
 
         src = os.path.dirname(os.path.dirname(mkteff.__file__))
-        heavy = ("scipy.stats", "scipy.sparse", "scipy.optimize", "scipy.special",
-                 "multiprocessing", "concurrent.futures.process")
+        # scipy's LAPACK extension is loaded from its file: no scipy package init, and
+        # none of the numpy submodules scipy.linalg's array-API layer imports
+        heavy = ("scipy", "numpy.f2py", "numpy.testing", "unittest", "multiprocessing", "concurrent.futures.process")
         code = (
-            f"import sys, mkteff.cli; heavy = {heavy!r}; "
-            "print(sorted(m for m in sys.modules if (m + '.').startswith(tuple(h + '.' for h in heavy))))"
+            f"import sys, mkteff.cli; heavy = {heavy!r}; flapack = 'scipy.linalg._flapack'; "
+            "print(sorted(m for m in sys.modules if (m + '.').startswith(tuple(h + '.' for h in heavy)) "
+            "and m != flapack), flapack in sys.modules)"
         )
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == "[] True"
 
     def test_loads_and_selects_once(self, tmp_path, market_files, monkeypatch):
         import mkteff.cli as cli_mod

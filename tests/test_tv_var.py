@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import os
 import re
 import subprocess
@@ -14,7 +16,7 @@ from mkteff import (
     TvVarConfig, TvVarEstimate, efficiency_path, export_coefficient_paths, fit_tv_var, fit_var_ols,
 )
 from mkteff.errors import ConfigError, DataError, NumericalError
-from mkteff.tv_var import MAX_BAND_CELLS, _check_panel, _fit_paths, _PathSolver
+from mkteff.tv_var import MAX_BAND_CELLS, _check_panel, _fit_paths, _load_flapack, _PathSolver
 
 from conftest import make_panel
 from oracles import UpperBandSolver, build_stacked_system, penalized_objective, solve_dense
@@ -296,6 +298,55 @@ class TestUpperBandOracle:
             for threads in ("1", "2")
         ]
         assert digests[0] == digests[1] != ""
+
+    @pytest.mark.parametrize("scipy_first", [False, True])
+    def test_same_bits_as_scipy_linalg_lapack(self, scipy_first):
+        # tv_var loads scipy's LAPACK extension from its file; the factor and the
+        # solve give the bits of scipy.linalg.lapack's dpbtrf/dpbtrs, on a band
+        # that factors and on one that takes the ridge fallback (info > 0), whether
+        # scipy.linalg was imported before the package or after it
+        import mkteff
+
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            f"if {scipy_first}: import scipy.linalg\n"
+            "from mkteff import tv_var\n"
+            f"assert ('scipy.linalg' in sys.modules) == {scipy_first}\n"
+            "from scipy.linalg.lapack import dpbtrf, dpbtrs\n"
+            "S, n, q = 30, 3, 2\n"
+            "def calls(Y, Z, lam):\n"
+            "    return [*tv_var._factor_banded(Z, lam), *tv_var._PathSolver(S, n, q).solve(Y, Z, lam)]\n"
+            "gen = np.random.default_rng(4)\n"
+            "x = gen.standard_normal(S)\n"
+            "jitters = []\n"
+            "for Z, lam in [(gen.standard_normal((S, n * q)), 0.7), (np.column_stack([x] * (n * q)), 1.0)]:\n"
+            "    Y = gen.standard_normal((S, n))\n"
+            "    ours = calls(Y, Z, lam)\n"
+            "    own = tv_var.dpbtrf, tv_var.dpbtrs\n"
+            "    tv_var.dpbtrf, tv_var.dpbtrs = dpbtrf, dpbtrs\n"
+            "    scipys = calls(Y, Z, lam)\n"
+            "    tv_var.dpbtrf, tv_var.dpbtrs = own\n"
+            "    for a, b in zip(ours, scipys, strict=True):\n"
+            "        a, b = np.asarray(a, float), np.asarray(b, float)\n"
+            "        assert np.array_equal(a.view(np.int64), b.view(np.int64))\n"
+            "    jitters.append(ours[1])\n"
+            "    ab = tv_var._normal_band(Z, lam)\n"
+            "    assert tv_var.dpbtrf(ab, lower=1, overwrite_ab=1)[0] is ab  # factored in place\n"
+            "print(jitters)"
+        )
+        src = os.path.dirname(os.path.dirname(mkteff.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0.0, 1e-10]"
+
+    def test_missing_lapack_extension_names_the_directory(self, tmp_path, monkeypatch):
+        scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            _load_flapack()
 
 
 class TestInvariance:
