@@ -67,19 +67,13 @@ class BootstrapConfig:
 
 @dataclass(frozen=True, eq=False)
 class BandPath:
-    """Pointwise null-distribution quantiles of the degree, per date."""
+    """Pointwise null-distribution quantiles of the degree, per date of the fit."""
 
-    dates: tuple[date, ...]
+    dates: tuple[date, ...]  # fit.dates; kept, with replications, for perfbench/tracer.py
     lower: np.ndarray
     upper: np.ndarray
-    coverage: float
     replications: int
     flagged_counts: np.ndarray  # singular/failed replications excluded per date
-
-    def __post_init__(self):
-        both = np.isfinite(self.lower) & np.isfinite(self.upper)
-        if np.any(self.lower[both] > self.upper[both]):
-            raise ValueError("lower band exceeds upper band")
 
 
 def replication_seed(master_seed: int, b: int) -> np.random.SeedSequence:
@@ -204,7 +198,7 @@ def bootstrap_bands(
     fit : TvVarEstimate
         The observed panel's fit. It supplies the intercept and the residual
         pool, and every replication is refit with ``fit.config`` on a null
-        panel of the observed length, ``fit.effective_obs + fit.config.q`` rows.
+        panel of the observed length, ``len(fit.dates) + fit.config.q`` rows.
     boot_config : BootstrapConfig
         Replication count (at least 100), coverage, master seed.
     n_jobs : int
@@ -222,7 +216,6 @@ def bootstrap_bands(
     B = boot_config.replications
     if B < 100:
         raise ConfigError("band estimation needs at least 100 replications")
-    S = fit.effective_obs
     rows = _null_rows(fit.residuals, fit.nu)
     payload = {"rows": rows, "master_seed": boot_config.master_seed, "tv_config": fit.config}
     lo_q = (1.0 - boot_config.coverage) / 2.0
@@ -239,9 +232,9 @@ def bootstrap_bands(
         else:  # about four chunks per worker, so the last ones even out the load
             results = pool.map(_run_replication, reps, chunksize=max(1, min(64, -(-B // (4 * n_jobs)))))
         # chunks of 2K rows keep the partitions' cost per replication flat in B
-        ext, flagged_counts = _fold_extremes(results, B, S, K, max(32, 2 * K), dump)
+        ext, flagged_counts = _fold_extremes(results, B, len(fit.dates), K, max(32, 2 * K), dump)
 
-    if S and np.all(flagged_counts == B):
+    if np.all(flagged_counts == B):
         msg = f"all {B} bootstrap replications failed or were flagged at every date; the bands are empty"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
     lower, upper = _sorted_quantiles(ext, B - flagged_counts, np.array([lo_q, 1.0 - lo_q]))
@@ -249,7 +242,6 @@ def bootstrap_bands(
         dates=fit.dates,
         lower=lower,
         upper=upper,
-        coverage=boot_config.coverage,
         replications=B,
         flagged_counts=flagged_counts,
     )

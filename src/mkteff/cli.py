@@ -47,9 +47,9 @@ from .unit_root import DETREND_CONSTANT, DETREND_TREND, adf_gls_test
 from .var_base import fit_var_ols, granger_causality, hansen_lc, select_lag_bic
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+EXIT_CONFIG = ConfigError.exit_code
+EXIT_DATA = DataError.exit_code
+EXIT_NUMERIC = NumericalError.exit_code
 
 
 class Field(NamedTuple):
@@ -402,7 +402,7 @@ def _efficiency_stage(run: PipelineRun) -> int:
         bands = bootstrap_bands(fit, cfg.bootstrap, n_jobs=cfg.n_jobs, dump_dir=dump_dir)
         path = path.with_bands(bands.lower, bands.upper)
         run.manifest["bootstrap_flagged_cells"] = int(bands.flagged_counts.sum())
-        run.manifest["bootstrap_flagged_max_per_date"] = int(bands.flagged_counts.max(initial=0))
+        run.manifest["bootstrap_flagged_max_per_date"] = int(bands.flagged_counts.max())
     path.write_csv(run.output("efficiency.csv"))
     run.write(
         "efficiency.svg",
@@ -511,15 +511,9 @@ def main(argv: list[str] | None = None) -> int:
         doc = _load_json(args.config) if args.config else {}
         cfg = build_config(doc, args)
         return run_pipeline(cfg, args.command)
-    except ConfigError as exc:
+    except (ConfigError, DataError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return exc.exit_code
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -84,7 +84,8 @@ class EfficiencyPath:
 DEGREE_CHUNK = 2048
 
 # Frobenius bound up to which a 3x3 block keeps its cofactor inverse; at this
-# conditioning it agrees with LU to about 1e-14
+# conditioning it agrees with LU to about 1e-14. It must stay at most half of
+# CONDITION_LIMIT, so that the screen never clears a date the guard would flag
 COFACTOR_BOUND = 1e2
 # A 3x3 block within the bound has |det| >= ||M||_F^3 / (3 sqrt(3) COFACTOR_BOUND^2),
 # about 1.9e-5 ||M||_F^3. A determinant under this floor times ||M||_F^3 is rounding
@@ -142,8 +143,7 @@ def _guarded_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Inverses of a stack (S, n, n), flagged where kappa_2 exceeds the limit or is
     undefined, and the Frobenius bound of each date's inverse.
 
-    For n = 3 dates whose Frobenius bound is at most ``COFACTOR_BOUND`` (or half a
-    smaller limit, so the screen never clears a date the guard would flag) and whose
+    For n = 3 dates whose Frobenius bound is at most ``COFACTOR_BOUND`` and whose
     determinant clears ``DET_FLOOR`` keep the cofactor inverse; every other date,
     and every date for n != 3, takes the LAPACK route. The inverses of flagged
     dates are void.
@@ -154,7 +154,7 @@ def _guarded_inverse(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         phi, det = _cofactor_inverse(M)
         size = _frobenius_norm(M)
         bound = size * _frobenius_norm(phi)
-        keep = bound <= min(COFACTOR_BOUND, 0.5 * CONDITION_LIMIT)
+        keep = bound <= COFACTOR_BOUND
         keep &= np.abs(det) >= DET_FLOOR * size**3
     rest = ~keep
     singular = np.zeros(M.shape[0], dtype=bool)

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package, and the typed read of JSON
 config values that raises ``ConfigError``.
 
-The CLI maps these onto distinct exit codes, so estimators should raise the
-most specific class that applies.
+Each class carries the exit code the CLI ends with, so estimators should
+raise the most specific class that applies.
 """
 
 from datetime import date
@@ -14,14 +14,17 @@ class MktEffError(Exception):
 
 class DataError(MktEffError):
     """Invalid or degenerate input data (bad rows, empty panels, zero variance)."""
+    exit_code = 3
 
 
 class ConfigError(MktEffError):
     """Invalid configuration or specification values."""
+    exit_code = 2
 
 
 class NumericalError(MktEffError):
     """Numerical failure during estimation (singular systems, failed factorizations)."""
+    exit_code = 4
 
 
 _KIND_NAMES = {

@@ -178,7 +178,7 @@ class AlignedPanel:
             raise EmptyIntersectionError("no dates remain after date-range filter")
         return AlignedPanel(
             dates=tuple(self.dates[i] for i in keep),
-            values=self.values[keep],
+            values=np.asfortranarray(self.values[keep]),  # the layout align built
             asset_ids=self.asset_ids,
             kind=self.kind,
         )
@@ -382,7 +382,8 @@ def align(series: Sequence[PriceSeries]) -> AlignedPanel:
     cols = [s.prices[np.searchsorted(s.days, common)] for s in series]
     return AlignedPanel(
         dates=tuple(map(date.fromordinal, common.tolist())),
-        values=np.array(cols, dtype=float).T,  # F-order; hansen_lc fixes its own layout, so Lc does not depend on it
+        # F-order; describe's sd, the VAR's HAC errors and adjusted R2 and the bands' centring sum in memory order
+        values=np.array(cols, dtype=float).T,
         asset_ids=tuple(s.asset_id for s in series),
         kind="prices",
     )

@@ -43,8 +43,7 @@ def _companion_radius(A: np.ndarray) -> float:
     q, n, _ = A.shape
     comp = np.zeros((n * q, n * q))
     comp[:n] = np.concatenate(list(A), axis=1)
-    if q > 1:
-        comp[n:, : n * (q - 1)] = np.eye(n * (q - 1))
+    comp[n:, : n * (q - 1)] = np.eye(n * (q - 1))
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 

@@ -105,12 +105,10 @@ class TvVarEstimate:
     """
 
     dates: tuple[date, ...]
-    asset_ids: tuple[str, ...]
     nu: np.ndarray  # (n,)
     A_path: np.ndarray  # (S, q, n, n)
     residuals: np.ndarray  # (S, n)
     config: TvVarConfig
-    effective_obs: int
     lambda_effective: float
     ridge_jitter: float
     intercept_pivot: float
@@ -232,7 +230,7 @@ def _fit_paths(
         resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
         sigma_e2 = float((resid**2).mean())
         increments = np.diff(paths, axis=0)
-        sigma_v2 = float((increments**2).mean()) if increments.size else 0.0
+        sigma_v2 = float((increments**2).mean())
         if sigma_v2 > 0 and sigma_e2 > 0:
             lam_eff = min(max(sigma_e2 / sigma_v2, _LAMBDA_FLOOR), _LAMBDA_CAP)
         else:
@@ -287,13 +285,11 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
     resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
     return TvVarEstimate(
         dates=panel.dates[q:],
-        asset_ids=panel.asset_ids,
         nu=nu,
         # for q = 1 the transpose only moves a unit axis, and the view is already C-ordered
         A_path=np.ascontiguousarray(_lag_matrices(paths, q)),
         residuals=resid,
         config=config,
-        effective_obs=Y.shape[0],
         lambda_effective=lam_eff,
         ridge_jitter=jitter,
         intercept_pivot=pivot,

@@ -201,7 +201,7 @@ class TestBands:
                 "replications_000041_000080.csv",
                 "replications_000081_000100.csv",
             ]
-            position = {d.isoformat(): s for s, d in enumerate(bands.dates)}
+            position = {d.isoformat(): s for s, d in enumerate(fit.dates)}
             zstar = np.full((100, 119), -1.0)
             for name in files:
                 lines = (out / name).read_text().splitlines()
@@ -249,7 +249,7 @@ class TestBands:
         # the band step keeps each date's extreme order statistics, not a B x S matrix
         fit = fit_tv_var(null_panel(seed=16, T=400), TvVarConfig(q=1, lam=1.0))
         cfg = BootstrapConfig(replications=2000, coverage=0.95, master_seed=5)
-        zstar_bytes = 2000 * fit.effective_obs * 8
+        zstar_bytes = 2000 * len(fit.dates) * 8
         assert traced_peak(bootstrap_bands, fit, cfg) <= zstar_bytes / 3
 
     def test_config_validation(self):
@@ -299,7 +299,7 @@ class TestReplicationOracle:
         for b in range(1, 11):
             widths.clear()
             z = _run_replication(b, work)
-            assert widths == [32] * 4 + [fit.effective_obs - 128]
+            assert widths == [32] * 4 + [len(fit.dates) - 128]
             assert same_bits(z, naive_replication(panel, fit, tv, 5, b))
 
     def test_degree_temporaries_stay_one_chunk_wide(self, monkeypatch):
@@ -311,7 +311,7 @@ class TestReplicationOracle:
         work = workspace(fit, fit.config, 3)
         _run_replication(1, work)
         monkeypatch.setattr(mkteff.efficiency, "DEGREE_CHUNK", 256)
-        stack = fit.effective_obs * 8 * 8 * 8
+        stack = len(fit.dates) * 8 * 8 * 8
         assert traced_peak(_run_replication, 2, work) <= 1.6 * stack
 
     @pytest.mark.parametrize("n_jobs", [1, 2])

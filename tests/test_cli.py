@@ -523,6 +523,16 @@ class TestAll:
         assert manifest["selected_var_order"] == report["selected_p"] == manifest["tv_order"]
         assert manifest["bands"] is True and "bootstrap_flagged_cells" in manifest
 
+    def test_date_range_keeping_every_date_changes_nothing(self, tmp_path, market_files):
+        # the first and last price dates of market_files
+        span = {"start": "2020-01-01", "end": (date(2020, 1, 1) + timedelta(days=160)).isoformat()}
+        bootstrap = {"replications": 100, "master_seed": 5}
+        for name, extra in (("plain", {}), ("span", {"date_range": span})):
+            cfg = config_file(tmp_path, market_files, bootstrap=bootstrap, output_dir=str(tmp_path / name), **extra)
+            assert main(["all", "--config", cfg]) == EXIT_OK
+        for name in ("efficiency.csv", "var_report.json", "summary.json"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "span" / name).read_bytes(), name
+
     def test_plot_failure_leaves_no_outputs(self, tmp_path, market_files, monkeypatch):
         import mkteff.cli as cli_mod
         from mkteff.errors import NumericalError
@@ -611,11 +621,14 @@ class TestAll:
 
 
 def test_panel_and_regressors_are_f_ordered(tmp_path, market_files):
-    """The Hansen Lc sum runs in memory order, so its bits depend on this layout."""
+    """describe's sd, the VAR's HAC errors and adjusted R2 and the bootstrap's residual
+    centring sum in memory order, so their bits depend on this layout; a date window keeps it."""
     with open(config_file(tmp_path, market_files), encoding="utf-8") as fh:
         cfg = build_config(json.load(fh), argparse.Namespace())
     returns = load_returns_panel(cfg)
     assert returns.n_assets > 1 and returns.values.flags.f_contiguous
+    cfg.date_start = date(2020, 2, 1)
+    assert load_returns_panel(cfg).values.flags.f_contiguous
     assert fit_var_ols(returns, 2).regressors.flags.f_contiguous
 
 

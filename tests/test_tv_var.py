@@ -105,7 +105,7 @@ class TestFit:
         panel = simulate_var(rng, 0.4 * np.eye(2), 120)
         fit = fit_tv_var(panel, TvVarConfig(q=1, lam=2.0))
         values = panel.values
-        for s in range(fit.effective_obs):
+        for s in range(len(fit.dates)):
             t = 1 + s
             pred = fit.nu + fit.A_path[s, 0] @ values[t - 1]
             np.testing.assert_allclose(values[t] - pred, fit.residuals[s], atol=1e-10)
@@ -113,7 +113,7 @@ class TestFit:
     def test_effective_obs_and_dates(self, rng):
         panel = make_panel(rng.standard_normal((50, 2)))
         fit = fit_tv_var(panel, TvVarConfig(q=3))
-        assert fit.effective_obs == 47
+        assert len(fit.dates) == 47
         assert fit.A_path.shape == (47, 3, 2, 2)
         assert fit.dates == panel.dates[3:]
 
@@ -416,7 +416,7 @@ class TestExport:
         export_coefficient_paths(fit, tmp_path / "coefficients.csv")
         lines = (tmp_path / "coefficients.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "date,lag,row,col,value"
-        assert len(lines) == 1 + fit.effective_obs * 1 * 2 * 2
+        assert len(lines) == 1 + len(fit.dates) * 1 * 2 * 2
         first = lines[1].split(",")
         assert first[0] == fit.dates[0].isoformat()
         assert float(first[4]) == fit.A_path[0, 0, 0, 0]
@@ -426,8 +426,8 @@ class TestExport:
         A = np.array([[[[0.5, -0.0], [1e-300, -2.25]], [[3.0, 0.1], [-1.5e17, 7.0]]],
                       [[[0.0, 1 / 3], [-0.125, 2.0]], [[1e-5, -4.0], [0.2, 123456.789]]]])
         est = TvVarEstimate(
-            dates=(date(2021, 3, 1), date(2021, 3, 2)), asset_ids=("a", "b"), nu=np.zeros(2),
-            A_path=A, residuals=np.zeros((2, 2)), config=TvVarConfig(q=2), effective_obs=2,
+            dates=(date(2021, 3, 1), date(2021, 3, 2)), nu=np.zeros(2),
+            A_path=A, residuals=np.zeros((2, 2)), config=TvVarConfig(q=2),
             lambda_effective=1.0, ridge_jitter=0.0, intercept_pivot=1.0,
         )
         export_coefficient_paths(est, tmp_path / "coefficients.csv")
