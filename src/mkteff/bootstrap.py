@@ -8,14 +8,15 @@ with the same configuration and records its degree path; the bands are
 pointwise empirical quantiles across replications, read off each date's K
 smallest and K largest degrees as the paths arrive (``_fold_extremes``).
 
-Each process (the caller, or each pool worker) builds one workspace and reuses
-it for every replication it runs: the refit's right-hand sides and one (T, n)
-draw buffer, about 0.2 MB at paper scale (n=3, T=1686, q=1). Each solve
-assembles its banded normal equations (0.16 MB there) into a new array, factors
-it in place and frees it before the paths. A replication runs the arithmetic of
-a null draw and ``fit_tv_var`` on those buffers and takes the degrees of a lag
-matrix view of its paths as ``efficiency_path`` does, ``DEGREE_CHUNK`` dates at
-a time: its degrees equal theirs bit for bit, with temporaries one chunk wide.
+A replication keeps nothing between calls: it draws its null panel into a new
+(T, n) array, and each solve of its refit allocates the right-hand sides and
+the banded normal equations (0.16 MB each at paper scale, n=3, T=1686, q=1),
+factors the band in place and frees it before the paths. So the pool's workers
+run the function the caller runs, on the same bound arguments, with no
+initializer. A replication runs the arithmetic of a null draw and
+``fit_tv_var`` and takes the degrees of a lag matrix view of its paths as
+``efficiency_path`` does, ``DEGREE_CHUNK`` dates at a time: its degrees equal
+theirs bit for bit, with temporaries one chunk wide.
 
 Every replication b derives its generator from
 ``numpy.random.SeedSequence(master_seed, spawn_key=(b,))`` , a fixed, documented
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 from .efficiency import _path_degrees
-from .tv_var import TvVarEstimate, _fit_paths, _lag_matrices, _lagged_design, _PathSolver
+from .tv_var import TvVarConfig, TvVarEstimate, _fit_paths, _lag_matrices, _lagged_design
 
 __all__ = [
     "BootstrapConfig",
@@ -92,34 +93,19 @@ def _null_rows(resid: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _draw(rows: np.ndarray, seed, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (T, n) with T of ``rows`` drawn with replacement."""
-    picks = np.random.default_rng(seed).integers(0, rows.shape[0], size=out.shape[0])
-    return np.take(rows, picks, axis=0, out=out)
+def _draw(rows: np.ndarray, seed, T: int) -> np.ndarray:
+    """T of ``rows`` drawn with replacement, (T, n)."""
+    picks = np.random.default_rng(seed).integers(0, rows.shape[0], size=T)
+    return np.take(rows, picks, axis=0)
 
 
-def _workspace(payload: dict) -> dict:
-    """The payload plus the solver and draw buffer that every replication of a process reuses."""
-    (S, n), q = payload["rows"].shape, payload["tv_config"].q  # the null panel has S + q rows
-    return {**payload, "solver": _PathSolver(S, n, q), "draws": np.empty((S + q, n))}
-
-
-# Worker-side workspace for process pools, set once per worker by the initializer.
-_WORK: dict = {}
-
-
-def _init_worker(payload: dict) -> None:
-    _WORK.update(_workspace(payload))
-
-
-def _run_replication(b: int, work: dict | None = None) -> np.ndarray:
-    """Replication b's degree path, all NaN if the refit fails; a pool worker reads ``_WORK``."""
-    w = _WORK if work is None else work
-    config = w["tv_config"]
-    x = _draw(w["rows"], replication_seed(w["master_seed"], b), w["draws"])
+def _run_replication(rows: np.ndarray, master_seed: int, config: TvVarConfig, b: int) -> np.ndarray:
+    """Replication b's degree path, all NaN if the refit fails; its null panel
+    has the observed length, a row per row of ``rows`` plus ``config.q``."""
+    x = _draw(rows, replication_seed(master_seed, b), rows.shape[0] + config.q)
     Y, Z = _lagged_design(x, config.q)
     try:
-        paths = _fit_paths(Y, Z, config, w["solver"])[1]
+        paths = _fit_paths(Y, Z, config)[1]
     except NumericalError:
         return np.full(Y.shape[0], np.nan)
     return _path_degrees(_lag_matrices(paths, config.q))[0]
@@ -217,20 +203,20 @@ def bootstrap_bands(
     if B < 100:
         raise ConfigError("band estimation needs at least 100 replications")
     rows = _null_rows(fit.residuals, fit.nu)
-    payload = {"rows": rows, "master_seed": boot_config.master_seed, "tv_config": fit.config}
     lo_q = (1.0 - boot_config.coverage) / 2.0
     K = min(B, int(np.floor(lo_q * (B - 1))) + 3)  # one row more than the deepest read, for rounding
     dump = None if dump_dir is None else partial(_dump_rows, dump_dir, [f",{d.isoformat()}," for d in fit.dates], B)
+    run = partial(_run_replication, rows, boot_config.master_seed, fit.config)
     reps = range(1, B + 1)
     pool = None
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a serial run never loads multiprocessing
-        pool = ProcessPoolExecutor(n_jobs, initializer=_init_worker, initargs=(payload,))
+        pool = ProcessPoolExecutor(n_jobs)
     with pool or nullcontext():
         if pool is None:
-            results = map(partial(_run_replication, work=_workspace(payload)), reps)
+            results = map(run, reps)
         else:  # about four chunks per worker, so the last ones even out the load
-            results = pool.map(_run_replication, reps, chunksize=max(1, min(64, -(-B // (4 * n_jobs)))))
+            results = pool.map(run, reps, chunksize=max(1, min(64, -(-B // (4 * n_jobs)))))
         # chunks of 2K rows keep the partitions' cost per replication flat in B
         ext, flagged_counts = _fold_extremes(results, B, len(fit.dates), K, max(32, 2 * K), dump)
 

@@ -123,6 +123,8 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     return doc
@@ -241,8 +243,11 @@ def _staged(output_dir: str):
 
     The old ``manifest.json`` is removed before the first rename and the new one is
     renamed last, so a directory that holds a manifest holds that run's complete output."""
-    os.makedirs(output_dir, exist_ok=True)
-    stage = tempfile.mkdtemp(prefix=".mkteff-", dir=output_dir)
+    try:
+        os.makedirs(output_dir, exist_ok=True)
+        stage = tempfile.mkdtemp(prefix=".mkteff-", dir=output_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {output_dir}: {exc}") from exc
     manifest = os.path.join(output_dir, "manifest.json")
     try:
         yield stage
@@ -304,7 +309,7 @@ def var_table_text(est, granger_results, lc) -> str:
         g = granger_results[a]
         granger_cells.append(f"{format(g.f_statistic, '.4f') + _stars(g.p_value):>14}")
     lines.append(f"{'granger_F':<{width}}" + "".join(granger_cells))
-    lc_stars = "***" if lc.rejects_at(0.01) else ("**" if lc.rejects_at(0.05) else ("*" if lc.rejects_at(0.10) else ""))
+    lc_stars = "*" * sum(lc.rejects_at(level) for level in (0.01, 0.05, 0.10))  # a rejection at 1% is one at 5% and 10% too
     lines.append(f"{'Lc':<{width}}{format(lc.lc_statistic, '.4f') + lc_stars:>14}")
     return "\n".join(lines) + "\n"
 

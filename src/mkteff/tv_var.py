@@ -87,8 +87,8 @@ class TvVarConfig:
     def __post_init__(self):
         if self.q < 1:
             raise ConfigError("q must be at least 1")
-        if not self.lam > 0:
-            raise ConfigError("lam must be positive")
+        if not 0.0 < self.lam < np.inf:
+            raise ConfigError(f"lam must be positive and finite, got {self.lam!r}")
         if self.lambda_mode not in LAMBDA_MODES:
             raise ConfigError(f"unknown lambda_mode {self.lambda_mode!r}")
 
@@ -162,70 +162,55 @@ def _factor_banded(Z: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     )
 
 
-class _PathSolver:
-    """Workspace for the normal equations of S periods, n equations and q lags.
+def _solve(Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Solve all equations against one shared factorization.
 
-    It owns the right-hand sides ``B``, which every ``solve`` refills in place
-    and LAPACK overwrites with the solution, so a bootstrap worker refits on one
-    workspace. Each solve assembles the band into a new array, factors it in
-    place and frees it before the paths are allocated; the ridge fallback
-    bumps a band assembled afresh, so no solve leaves state behind for the next.
+    Returns (nu (n,), paths (S, n, m), jitter_used, intercept_pivot). The
+    intercept border is eliminated by a Schur complement: with D the banded
+    coefficient block, b the border column and c its diagonal, solving
+    D [u V] = [b R] gives nu_i = (sum_t y_ti - b'V_i) / (c - b'u) and the path
+    V_i - nu_i * u; the pivot is (c - b'u) / S. Every buffer is the call's own:
+    the right-hand sides, which LAPACK overwrites with the solution, and the
+    band, factored in place and freed before the paths are allocated.
     """
-
-    def __init__(self, S: int, n: int, q: int):
-        self.B = np.empty((S * n * q, n + 1), order="F")  # LAPACK's layout, so dpbtrs solves it in place
-
-    def solve(self, Y: np.ndarray, Z: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Solve all equations against one shared factorization.
-
-        Returns (nu (n,), paths (S, n, m), jitter_used, intercept_pivot). The
-        intercept border is eliminated by a Schur complement: with D the banded
-        coefficient block, b the border column and c its diagonal, solving
-        D [u V] = [b R] gives nu_i = (sum_t y_ti - b'V_i) / (c - b'u) and the path
-        V_i - nu_i * u; the pivot is (c - b'u) / S.
-        """
-        S, n = Y.shape
-        m = Z.shape[1]
-        B = self.B
-        border = Z.ravel()
-        B[:, 0] = border
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
-            for i in range(n):
-                np.multiply(Z, Y[:, i, None], out=B[:, 1 + i].reshape(S, m))
-        if not np.isfinite(B).all():
-            raise NumericalError("normal equations are not finite; rescale the returns")
-        cb, jitter = _factor_banded(Z, lam)
-        sol, _ = dpbtrs(cb, B, lower=1, overwrite_b=1)
-        del cb  # the factor is the band itself; free it before the paths
-        u = sol[:, 0]
-        # the border products are summed by einsum, in an order fixed by numpy: BLAS
-        # ddot splits a long dot product across threads, so its last bits vary with them
-        schur = S - np.einsum("i,i->", border, u)
-        # the intercept is unidentified when every period can absorb it into its
-        # own coefficients (happens once per-period unknowns reach the period count)
-        if not schur > 1e-10 * S:
-            raise NumericalError(
-                f"intercept pivot {schur:.3e} is numerically singular; try a larger lam"
-            )
-        nu = np.empty(n)
-        paths = np.empty((S, n, m))
+    S, n = Y.shape
+    m = Z.shape[1]
+    B = np.empty((S * m, n + 1), order="F")  # LAPACK's layout, so dpbtrs solves it in place
+    border = Z.ravel()
+    B[:, 0] = border
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported just below
         for i in range(n):
-            v = sol[:, 1 + i]
-            nu[i] = (Y[:, i].sum() - np.einsum("i,i->", border, v)) / schur
-            np.subtract(v.reshape(S, m), (nu[i] * u).reshape(S, m), out=paths[:, i, :])
-        return nu, paths, jitter, schur / S
+            np.multiply(Z, Y[:, i, None], out=B[:, 1 + i].reshape(S, m))
+    if not np.isfinite(B).all():
+        raise NumericalError("normal equations are not finite; rescale the returns")
+    cb, jitter = _factor_banded(Z, lam)
+    sol, _ = dpbtrs(cb, B, lower=1, overwrite_b=1)
+    del cb  # the factor is the band itself; free it before the paths
+    u = sol[:, 0]
+    # the border products are summed by einsum, in an order fixed by numpy: BLAS
+    # ddot splits a long dot product across threads, so its last bits vary with them
+    schur = S - np.einsum("i,i->", border, u)
+    # the intercept is unidentified when every period can absorb it into its
+    # own coefficients (happens once per-period unknowns reach the period count)
+    if not schur > 1e-10 * S:
+        raise NumericalError(f"intercept pivot {schur:.3e} is numerically singular; try a larger lam")
+    nu = np.empty(n)
+    paths = np.empty((S, n, m))
+    for i in range(n):
+        v = sol[:, 1 + i]
+        nu[i] = (Y[:, i].sum() - np.einsum("i,i->", border, v)) / schur
+        np.subtract(v.reshape(S, m), (nu[i] * u).reshape(S, m), out=paths[:, i, :])
+    return nu, paths, jitter, schur / S
 
 
-def _fit_paths(
-    Y: np.ndarray, Z: np.ndarray, config: TvVarConfig, solver: _PathSolver
-) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+def _fit_paths(Y: np.ndarray, Z: np.ndarray, config: TvVarConfig) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """Solve at ``config.lam``; in two-pass mode re-estimate the ratio from the
     first pass's residuals and increments and solve again.
 
     Returns (nu, paths, lambda_effective, jitter_used, intercept_pivot).
     """
     lam_eff = config.lam
-    nu, paths, jitter, pivot = solver.solve(Y, Z, lam_eff)
+    nu, paths, jitter, pivot = _solve(Y, Z, lam_eff)
     if config.lambda_mode == "two-pass":
         resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
         sigma_e2 = float((resid**2).mean())
@@ -235,7 +220,7 @@ def _fit_paths(
             lam_eff = min(max(sigma_e2 / sigma_v2, _LAMBDA_FLOOR), _LAMBDA_CAP)
         else:
             lam_eff = _LAMBDA_CAP
-        nu, paths, jitter, pivot = solver.solve(Y, Z, lam_eff)
+        nu, paths, jitter, pivot = _solve(Y, Z, lam_eff)
     return nu, paths, lam_eff, jitter, pivot
 
 
@@ -277,11 +262,9 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
     """
     config = config or TvVarConfig()
     _check_panel(panel, config.q)
-    values = panel.values
-    n = values.shape[1]
     q = config.q
-    Y, Z = _lagged_design(values, q)
-    nu, paths, lam_eff, jitter, pivot = _fit_paths(Y, Z, config, _PathSolver(Y.shape[0], n, q))
+    Y, Z = _lagged_design(panel.values, q)
+    nu, paths, lam_eff, jitter, pivot = _fit_paths(Y, Z, config)
     resid = Y - nu[None, :] - np.einsum("sic,sc->si", paths, Z)
     return TvVarEstimate(
         dates=panel.dates[q:],

@@ -9,9 +9,10 @@ target equation. The two lag searches refit every candidate from scratch with
 lstsq on its own tall design, where the package reads all candidates off one
 factorization. A bootstrap replication is run the long way, through a null
 panel built as a new array and the public fit and degree-path functions, where
-the package refits on one reused workspace per process. The Hansen statistic
-is built from a list of per-equation score blocks, where the package fills one
-score matrix in place, and the banded normal equations are assembled and
+the package solves the lagged design and takes the degrees of a view of its
+paths, building none of the public objects. The Hansen statistic is built
+from a list of per-equation score blocks, where the package fills one score
+matrix in place, and the banded normal equations are assembled and
 factored and solved in upper band storage, where the package factors and
 solves them in lower storage, so the two agree to rounding. A price file is
 parsed row by row, with each date kept in a set, and series are joined on
@@ -255,42 +256,40 @@ def naive_hansen_lc(estimate: VarEstimate) -> float:
     return float(np.einsum("tm,mt->", S, np.linalg.solve(V, S.T)) / X.shape[0])
 
 
-class UpperBandSolver:
-    """``_PathSolver`` with the normal equations assembled and factored in upper
+def upper_band_solve(Y: np.ndarray, Z: np.ndarray, lam: float):
+    """``tv_var._solve`` with the normal equations assembled and factored in upper
     band storage: row m holds the diagonal, row m - d the d-th superdiagonal and
-    row 0 the coupling. Same ``solve`` contract, so ``_fit_paths`` accepts it."""
-
-    def solve(self, Y: np.ndarray, Z: np.ndarray, lam: float):
-        S, n = Y.shape
-        m = Z.shape[1]
-        border = Z.ravel()
-        ab = np.zeros((m + 1, S * m))
-        pen = np.full(S, 2.0 * lam)
-        pen[0] -= lam
-        pen[-1] -= lam
-        ab[m] = (Z * Z + pen[:, None]).ravel()
-        for d in range(1, m):
-            ab[m - d, d:] = border[:-d] * border[d:]
-            ab[m - d].reshape(S, m)[:, :d] = 0.0
-        ab[0, m:] = -lam
-        B = np.empty((S * m, n + 1), order="F")
-        B[:, 0] = border
-        for i in range(n):
-            B[:, 1 + i] = (Z * Y[:, i, None]).ravel()
+    row 0 the coupling. Same contract, so a test can put it in ``_solve``'s place."""
+    S, n = Y.shape
+    m = Z.shape[1]
+    border = Z.ravel()
+    ab = np.zeros((m + 1, S * m))
+    pen = np.full(S, 2.0 * lam)
+    pen[0] -= lam
+    pen[-1] -= lam
+    ab[m] = (Z * Z + pen[:, None]).ravel()
+    for d in range(1, m):
+        ab[m - d, d:] = border[:-d] * border[d:]
+        ab[m - d].reshape(S, m)[:, :d] = 0.0
+    ab[0, m:] = -lam
+    B = np.empty((S * m, n + 1), order="F")
+    B[:, 0] = border
+    for i in range(n):
+        B[:, 1 + i] = (Z * Y[:, i, None]).ravel()
+    cb, info = dpbtrf(ab)
+    jitter = 0.0
+    if info:
+        ab[m] += _RIDGE_JITTER
         cb, info = dpbtrf(ab)
-        jitter = 0.0
-        if info:
-            ab[m] += _RIDGE_JITTER
-            cb, info = dpbtrf(ab)
-            jitter = _RIDGE_JITTER
-        if info:
-            raise NumericalError("normal equations numerically singular")
-        sol, _ = dpbtrs(cb, B, overwrite_b=1)
-        u = sol[:, 0]
-        schur = S - border @ u
-        nu = np.array([(Y[:, i].sum() - border @ sol[:, 1 + i]) / schur for i in range(n)])
-        paths = np.stack([(sol[:, 1 + i] - nu[i] * u).reshape(S, m) for i in range(n)], axis=1)
-        return nu, paths, jitter, schur / S
+        jitter = _RIDGE_JITTER
+    if info:
+        raise NumericalError("normal equations numerically singular")
+    sol, _ = dpbtrs(cb, B, overwrite_b=1)
+    u = sol[:, 0]
+    schur = S - border @ u
+    nu = np.array([(Y[:, i].sum() - border @ sol[:, 1 + i]) / schur for i in range(n)])
+    paths = np.stack([(sol[:, 1 + i] - nu[i] * u).reshape(S, m) for i in range(n)], axis=1)
+    return nu, paths, jitter, schur / S
 
 
 @contextmanager

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from mkteff import (
     DgpSpec,
 )
 from mkteff.bootstrap import (
-    _draw, _fold_extremes, _null_rows, _run_replication, _sorted_quantiles, _workspace, replication_seed,
+    _draw, _fold_extremes, _null_rows, _run_replication, _sorted_quantiles, replication_seed,
 )
+from mkteff.efficiency import _path_degrees
 from mkteff.errors import ConfigError, DataError, NumericalError
+from mkteff.tv_var import _fit_paths, _lag_matrices, _lagged_design
 
 from conftest import traced_peak
 from oracles import naive_bands, naive_replication
@@ -35,7 +38,7 @@ def null_panel(seed=0, T=200, n=2):
 
 def null_draw(resid, nu, seed, T):
     """T rows drawn by the kernel from ``nu`` plus the centered residuals."""
-    return _draw(_null_rows(resid, nu), seed, np.empty((T, len(nu))))
+    return _draw(_null_rows(resid, nu), seed, T)
 
 
 class TestResample:
@@ -264,8 +267,9 @@ def same_bits(a, b):
     return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
 
 
-def workspace(fit, tv, master_seed):
-    return _workspace({"rows": _null_rows(fit.residuals, fit.nu), "master_seed": master_seed, "tv_config": tv})
+def replication(fit, tv, master_seed):
+    """``_run_replication`` with the arguments ``bootstrap_bands`` binds, a function of b."""
+    return partial(_run_replication, _null_rows(fit.residuals, fit.nu), master_seed, tv)
 
 
 REFITS = {
@@ -275,16 +279,16 @@ REFITS = {
 
 
 class TestReplicationOracle:
-    """The workspace kernel against a null panel -> fit_tv_var -> efficiency_path."""
+    """The replication kernel against a null panel -> fit_tv_var -> efficiency_path."""
 
     @pytest.mark.parametrize("refit", sorted(REFITS))
     def test_replications_match_the_naive_path(self, refit):
         panel = null_panel(seed=12, T=150, n=3)
         tv = REFITS[refit]
         fit = fit_tv_var(panel, tv)
-        work = workspace(fit, tv, 8)  # one workspace for every replication
+        run = replication(fit, tv, 8)
         for b in range(1, 31):
-            assert same_bits(_run_replication(b, work), naive_replication(panel, fit, tv, 8, b))
+            assert same_bits(run(b), naive_replication(panel, fit, tv, 8, b))
 
     @pytest.mark.parametrize("refit", sorted(REFITS))
     def test_chunked_degrees_match_the_naive_path(self, refit, monkeypatch):
@@ -292,27 +296,27 @@ class TestReplicationOracle:
         panel = null_panel(seed=13, T=150, n=3)
         tv = REFITS[refit]
         fit = fit_tv_var(panel, tv)
-        work = workspace(fit, tv, 5)
+        run = replication(fit, tv, 5)
         widths, degrees = [], mkteff.efficiency._degrees
         monkeypatch.setattr(mkteff.efficiency, "DEGREE_CHUNK", 32)
         monkeypatch.setattr(mkteff.efficiency, "_degrees", lambda M: widths.append(len(M)) or degrees(M))
         for b in range(1, 11):
             widths.clear()
-            z = _run_replication(b, work)
+            z = run(b)
             assert widths == [32] * 4 + [len(fit.dates) - 128]
             assert same_bits(z, naive_replication(panel, fit, tv, 5, b))
 
     def test_degree_temporaries_stay_one_chunk_wide(self, monkeypatch):
-        # n = 8, S = 3000: the banded normal equations (9/8 of an S x n x n stack), then
-        # the paths (one stack) are held. Degree temporaries one chunk of 256 dates wide
-        # add well under a stack to the paths; all S dates at once add about three
+        # n = 8, S = 3000: the degrees of a replication's lag matrices, one chunk of
+        # 256 dates at a time, take well under an S x n x n stack of temporaries;
+        # 2048 dates at a time take about two stacks, all S dates at once about three
         panel = null_panel(seed=17, T=3001, n=8)
         fit = fit_tv_var(panel, TvVarConfig(q=1, lam=1.0))
-        work = workspace(fit, fit.config, 3)
-        _run_replication(1, work)
+        x = _draw(_null_rows(fit.residuals, fit.nu), replication_seed(3, 2), len(fit.dates) + 1)
+        paths = _fit_paths(*_lagged_design(x, 1), fit.config)[1]
         monkeypatch.setattr(mkteff.efficiency, "DEGREE_CHUNK", 256)
         stack = len(fit.dates) * 8 * 8 * 8
-        assert traced_peak(_run_replication, 2, work) <= 1.6 * stack
+        assert traced_peak(_path_degrees, _lag_matrices(paths, 1)) <= 0.6 * stack
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("refit", sorted(REFITS))
@@ -335,10 +339,10 @@ class TestReplicationOracle:
         resid = fit.residuals.copy()
         resid[30], resid[70] = 1e160, -1e160
         fit = dataclasses.replace(fit, residuals=resid)
-        work = workspace(fit, tv, 9)
+        rows = _null_rows(fit.residuals, fit.nu)
         failed = []
         for b in range(1, 41):
-            z = _run_replication(b, work)
+            z = _run_replication(rows, 9, tv, b)
             assert same_bits(z, naive_replication(panel, fit, tv, 9, b))
             failed.append(bool(np.isnan(z).all()))
         assert any(failed[b] and not failed[b + 1] for b in range(39))  # a fit right after a failure

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkteff import DgpSpec, simulate
-from mkteff.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_config, load_returns_panel, main, run
-from mkteff.var_base import fit_var_ols
+from mkteff.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_config, load_returns_panel, main, run, var_table_text
+from mkteff.var_base import fit_var_ols, granger_causality, hansen_lc
 
 
 def write_price_csv(path, start_price, returns, start="2020-01-01"):
@@ -112,6 +113,20 @@ class TestVar:
     def test_zero_p_max_is_config_error(self, tmp_path, market_files):
         cfg = config_file(tmp_path, market_files, var={"p_max": 0})
         assert main(["var", "--config", cfg]) == EXIT_CONFIG
+
+    def test_lc_cell_stars_each_level_it_rejects_at(self, tmp_path, market_files):
+        # one star per level whose threshold the statistic exceeds: none at or below
+        # the 10% threshold, three above the 1% one
+        with open(config_file(tmp_path, market_files), encoding="utf-8") as fh:
+            returns = load_returns_panel(build_config(json.load(fh), argparse.Namespace()))
+        est = fit_var_ols(returns, 1)
+        granger = {a: granger_causality(est, a) for a in returns.asset_ids}
+        lc = hansen_lc(est)
+        t10, t05, t01 = (lc.thresholds[level] for level in (0.10, 0.05, 0.01))
+        for stat, stars in [(0.5 * t10, ""), (t10, ""), ((t10 + t05) / 2, "*"), (t05, "*"),
+                            ((t05 + t01) / 2, "**"), (t01, "**"), (t01 + 1.0, "***"), (math.nan, "")]:
+            text = var_table_text(est, granger, dataclasses.replace(lc, lc_statistic=stat))
+            assert text.splitlines()[-1].split() == ["Lc", f"{stat:.4f}{stars}"]
 
 
 class TestEfficiency:
@@ -363,6 +378,37 @@ class TestEntryPoint:
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["describe", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config file not found: {tmp_path / 'nope.json'}\n"
+
+    @pytest.mark.parametrize("command", ["all", "simulate"])
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind, command):
+        path = tmp_path / "config"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"output_dir": "caf\xe9"}')
+        argv = ["all", "--config"] if command == "all" else ["simulate", "--spec"]
+        assert main([*argv, str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"error: cannot read config file {path}: " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["config"]
+
+    @pytest.mark.parametrize("command", ["all", "simulate"])
+    @pytest.mark.parametrize("where", ["file", "below-a-file"])
+    def test_output_dir_that_cannot_be_made_is_config_error(self, tmp_path, market_files, capsys, where, command):
+        if command == "all":
+            argv = ["all", "--config", config_file(tmp_path, market_files)]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"kind": "white-noise", "n": 2, "T": 30}))
+            argv = ["simulate", "--spec", str(spec)]
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        before = sorted(os.listdir(tmp_path))
+        out = taken if where == "file" else taken / "out"
+        assert main([*argv, "--output-dir", str(out)]) == EXIT_CONFIG
+        assert f"error: cannot write to output directory {out}: " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before and taken.read_text() == "kept\n"
 
     def test_non_object_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -426,6 +472,8 @@ class TestErrors:
             pytest.param({"bootstrap": {"coverage": [1]}}, "bootstrap.coverage", id="list-coverage"),
             pytest.param({"csv": []}, "csv", id="non-object-section"),
             pytest.param({"tv": {"q": 1, "lambda": "x"}}, "tv.lambda", id="string-lambda"),
+            pytest.param({"tv": {"q": 1, "lambda": math.inf}}, "lam must be positive and finite, got inf",
+                         id="infinite-lambda"),
             pytest.param({"unit_root": {"max_lag": "z"}}, "unit_root.max_lag", id="string-max-lag"),
             pytest.param({"date_range": {"start": 20200101}}, "date_range.start", id="int-date"),
             pytest.param({"event_date": 5}, "event_date", id="int-event-date"),
@@ -450,9 +498,9 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "flag",
-        [["--lambda", "-1"], ["--coverage", "7"], ["--replications", "50"], ["--output-dir", ""],
+        [["--lambda", "-1"], ["--lambda", "inf"], ["--coverage", "7"], ["--replications", "50"], ["--output-dir", ""],
          ["--input", "a.csv:A", "--input", "b.csv:A", "--input", "c.csv:C"], ["--input", "a.csv:", "--input", "b.csv:B"]],
-        ids=["lambda", "coverage", "replications", "output-dir", "duplicate-input-id", "empty-input-id"],
+        ids=["lambda", "lambda-inf", "coverage", "replications", "output-dir", "duplicate-input-id", "empty-input-id"],
     )
     def test_out_of_range_flag_is_config_error(self, tmp_path, market_files, flag):
         cfg = config_file(tmp_path, market_files)

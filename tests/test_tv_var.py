@@ -16,10 +16,11 @@ from mkteff import (
     TvVarConfig, TvVarEstimate, efficiency_path, export_coefficient_paths, fit_tv_var, fit_var_ols,
 )
 from mkteff.errors import ConfigError, DataError, NumericalError
-from mkteff.tv_var import MAX_BAND_CELLS, _check_panel, _fit_paths, _load_flapack, _PathSolver
+from mkteff import tv_var
+from mkteff.tv_var import MAX_BAND_CELLS, _check_panel, _fit_paths, _load_flapack, _solve
 
 from conftest import make_panel
-from oracles import UpperBandSolver, build_stacked_system, penalized_objective, solve_dense
+from oracles import build_stacked_system, penalized_objective, solve_dense, upper_band_solve
 from test_var_base import bits, simulate_var, traced_peak
 
 
@@ -77,7 +78,7 @@ class TestFit:
             T = int(rng.integers(n * q + q + 5, 50))
             lam = float(10 ** rng.uniform(-1, 1))
             panel = make_panel(rng.standard_normal((T, n)))
-            # two-pass refits on the first pass's workspace at the re-estimated ratio
+            # two-pass refits the same design at the re-estimated ratio
             for mode in ("fixed", "two-pass"):
                 banded = fit_tv_var(panel, TvVarConfig(q=q, lam=lam, lambda_mode=mode))
                 dense_nu, dense_A = solve_dense(panel, q, banded.lambda_effective)
@@ -136,9 +137,8 @@ class TestFit:
         S = 60
         Z = rng.standard_normal((S, 1))
         y = 0.2 + 0.5 * Z[:, 0] + 0.1 * rng.standard_normal(S)
-        solver = _PathSolver(S, 1, 1)
-        c, path, _, _ = solver.solve(y[:, None], Z, 1.0)
-        c_rev, path_rev, _, _ = solver.solve(y[::-1, None], Z[::-1], 1.0)
+        c, path, _, _ = _solve(y[:, None], Z, 1.0)
+        c_rev, path_rev, _, _ = _solve(y[::-1, None], Z[::-1], 1.0)
         np.testing.assert_allclose(path_rev, path[::-1], atol=1e-6)
         assert c_rev[0] == pytest.approx(c[0], abs=1e-6)
 
@@ -209,48 +209,50 @@ UPPER_BAND_RTOL = {"fixed": 1e-13, "two-pass": 1e-8}
 
 
 class TestUpperBandOracle:
-    # m = n*q >= 33 takes LAPACK's blocked path; one solver serves three solves per
-    # case and gives the bits of a fresh one on each
+    # m = n*q >= 33 takes LAPACK's blocked path; a fit repeated gives its bits, and
+    # the upper-storage oracle put in _solve's place agrees with it
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_same_bits(self, n):
+    def test_same_bits(self, n, monkeypatch):
         for q in range(1, 6):
             gen = np.random.default_rng(10 * n + q)
             S = 3 * n * q + 20
             Y, Z = 0.01 * gen.standard_normal((S, n)), 0.01 * gen.standard_normal((S, n * q))
-            solver = _PathSolver(S, n, q)
             for mode in ("fixed", "two-pass"):
                 cfg = TvVarConfig(q=q, lam=0.7, lambda_mode=mode)
-                got = _fit_paths(Y, Z, cfg, solver)
-                assert_same_bits(got, _fit_paths(Y, Z, cfg, _PathSolver(S, n, q)))
-                assert_close(got, _fit_paths(Y, Z, cfg, UpperBandSolver()), UPPER_BAND_RTOL[mode])
+                got = _fit_paths(Y, Z, cfg)
+                assert_same_bits(got, _fit_paths(Y, Z, cfg))
+                with monkeypatch.context() as patch:
+                    patch.setattr(tv_var, "_solve", upper_band_solve)
+                    want = _fit_paths(Y, Z, cfg)
+                assert_close(got, want, UPPER_BAND_RTOL[mode])
 
     def test_factor_freed_before_the_paths(self, rng):
-        # the workspace is traced too: a solve holds the right-hand sides, then the
-        # band (factored in place), then the paths; a factor copy or a band kept
-        # next to the paths would each add about one band
+        # a solve holds the right-hand sides, then the band (factored in place), then
+        # the paths; a factor copy or a band kept next to the paths would each add
+        # about one band
         S, n = 3000, 8
         Y, Z = 0.01 * rng.standard_normal((S, n)), 0.01 * rng.standard_normal((S, n))
         band_bytes = (n + 1) * S * n * 8
         rhs_bytes = S * n * (n + 1) * 8
-        peak = traced_peak(lambda: _PathSolver(S, n, 1).solve(Y, Z, 1.0))
+        peak = traced_peak(_solve, Y, Z, 1.0)
         assert peak - rhs_bytes <= 1.3 * band_bytes
 
     def test_back_to_back_solves_leave_no_state(self):
-        # every solve factors a band of its own: what an earlier solve or its
-        # ridge fallback left behind changes no bit of the next
+        # every solve allocates its own buffers: what an earlier solve or its ridge
+        # fallback left behind changes no bit of the next, so the four solves,
+        # repeated in reverse order, give their bits again
         gen = np.random.default_rng(5)
         S, n, q = 40, 2, 2
         x = gen.standard_normal(S)
         singular = np.column_stack([x, x, x, x])  # equal regressors: the ridge fallback
-        solver = _PathSolver(S, n, q)
-        jitters = []
+        runs = []
         for Z, lam in [(gen.standard_normal((S, n * q)), 0.5), (singular, 1.0),
                        (gen.standard_normal((S, n * q)), 2.0), (singular, 1.0)]:
             Y = gen.standard_normal((S, n))
-            got = solver.solve(Y, Z, lam)
-            assert_same_bits(got, _PathSolver(S, n, q).solve(Y, Z, lam))
-            jitters.append(got[2])
-        assert [j > 0.0 for j in jitters] == [False, True, False, True]
+            runs.append(((Y, Z, lam), _solve(Y, Z, lam)))
+        for args, got in reversed(runs):
+            assert_same_bits(got, _solve(*args))
+        assert [got[2] > 0.0 for _, got in runs] == [False, True, False, True]
 
     def test_ridge_fallback(self):
         # two equal regressors with equal and opposite constant coefficients fit
@@ -258,9 +260,9 @@ class TestUpperBandOracle:
         gen = np.random.default_rng(2)
         x, Y = gen.standard_normal(40), gen.standard_normal((40, 2))
         Z = np.column_stack([x, x])
-        got = _PathSolver(40, 2, 1).solve(Y, Z, 1.0)
+        got = _solve(Y, Z, 1.0)
         assert got[2] > 0.0
-        want = UpperBandSolver().solve(Y, Z, 1.0)
+        want = upper_band_solve(Y, Z, 1.0)
         # only the ridge splits the coefficient between the equal regressors, so the
         # paths agree less closely than nu, jitter and pivot: 3.9e-8 against 2.1e-16
         assert_close([got[i] for i in (0, 2, 3)], [want[i] for i in (0, 2, 3)], 1e-13)
@@ -276,7 +278,7 @@ class TestUpperBandOracle:
         pen[[0, -1]] = 1.0
         want = re.escape(f"smallest diagonal {(Z * Z + pen[:, None]).min():.3e}")
         with pytest.raises(NumericalError, match=want):
-            _PathSolver(40, 2, 1).solve(Y, Z, 1.0)
+            _solve(Y, Z, 1.0)
 
     def test_same_bits_on_one_blas_thread_and_on_two(self):
         # S*n*q = 24 000 border terms: past the 10 000 at which OpenBLAS splits a
@@ -285,10 +287,10 @@ class TestUpperBandOracle:
 
         code = (
             "import hashlib, numpy as np\n"
-            "from mkteff.tv_var import _PathSolver\n"
+            "from mkteff.tv_var import _solve\n"
             "gen = np.random.default_rng(3)\n"
             "Y, Z = 0.01 * gen.standard_normal((3000, 8)), 0.01 * gen.standard_normal((3000, 8))\n"
-            "nu, paths, _, _ = _PathSolver(3000, 8, 1).solve(Y, Z, 1.0)\n"
+            "nu, paths, _, _ = _solve(Y, Z, 1.0)\n"
             "print(hashlib.sha256(nu.tobytes() + paths.tobytes()).hexdigest())"
         )
         src = os.path.dirname(os.path.dirname(mkteff.__file__))
@@ -316,7 +318,7 @@ class TestUpperBandOracle:
             "from scipy.linalg.lapack import dpbtrf, dpbtrs\n"
             "S, n, q = 30, 3, 2\n"
             "def calls(Y, Z, lam):\n"
-            "    return [*tv_var._factor_banded(Z, lam), *tv_var._PathSolver(S, n, q).solve(Y, Z, lam)]\n"
+            "    return [*tv_var._factor_banded(Z, lam), *tv_var._solve(Y, Z, lam)]\n"
             "gen = np.random.default_rng(4)\n"
             "x = gen.standard_normal(S)\n"
             "jitters = []\n"
