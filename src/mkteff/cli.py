@@ -209,14 +209,7 @@ def load_returns_panel(cfg: PipelineConfig) -> AlignedPanel:
     """Load, align, window, and difference the configured inputs."""
     if len(cfg.inputs) < 2:
         raise DataError("panel requires at least 2 assets; configure more inputs")
-    series = []
-    for path, asset in cfg.inputs:
-        try:
-            with open(path, "rb") as fh:
-                series.append(load_price_series(fh, asset, cfg.csv))
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-    prices = align(series)
+    prices = align([load_price_series(path, asset, cfg.csv) for path, asset in cfg.inputs])
     if cfg.date_start or cfg.date_end:
         prices = prices.window(cfg.date_start, cfg.date_end)
     return log_returns(prices)
@@ -241,23 +234,36 @@ def _staged(output_dir: str):
     normal exit each staged file is renamed into ``output_dir`` under its subpath; on an
     exception none is. Either way the staging directory is then removed.
 
-    The old ``manifest.json`` is removed before the first rename and the new one is
-    renamed last, so a directory that holds a manifest holds that run's complete output."""
+    Every destination is checked and its directory made first: one that is a directory,
+    or a directory that cannot be made, is a ``ConfigError`` before anything is changed.
+    Then the old ``manifest.json`` is removed and the new one is renamed last, so a
+    directory that holds a manifest holds that run's complete output."""
+    cannot_write = f"cannot write to output directory {output_dir}"
     try:
         os.makedirs(output_dir, exist_ok=True)
         stage = tempfile.mkdtemp(prefix=".mkteff-", dir=output_dir)
     except OSError as exc:
-        raise ConfigError(f"cannot write to output directory {output_dir}: {exc}") from exc
-    manifest = os.path.join(output_dir, "manifest.json")
+        raise ConfigError(f"{cannot_write}: {exc}") from exc
     try:
         yield stage
+        names = [
+            os.path.relpath(os.path.join(root, name), stage)
+            for root, _, files in os.walk(stage, topdown=False)  # the stage's own files last
+            for name in sorted(files, key=lambda f: f == "manifest.json")  # and its manifest after them
+        ]
+        for name in names:
+            if os.path.isdir(os.path.join(output_dir, name)):
+                raise ConfigError(f"{cannot_write}: {name} is a directory")
+        try:
+            for name in names:
+                os.makedirs(os.path.dirname(os.path.join(output_dir, name)), exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{cannot_write}: {exc}") from exc
+        manifest = os.path.join(output_dir, "manifest.json")
         if os.path.exists(manifest):
             os.unlink(manifest)
-        for root, _, files in os.walk(stage, topdown=False):  # the stage's own files last
-            dest = os.path.join(output_dir, os.path.relpath(root, stage))
-            os.makedirs(dest, exist_ok=True)
-            for name in sorted(files, key=lambda f: f == "manifest.json"):  # and its manifest after them
-                os.replace(os.path.join(root, name), os.path.join(dest, name))
+        for name in names:
+            os.replace(os.path.join(stage, name), os.path.join(output_dir, name))
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 

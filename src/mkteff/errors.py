@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package, and the typed read of JSON
 config values that raises ``ConfigError``.
 
-Each class carries the exit code the CLI ends with, so estimators should
-raise the most specific class that applies.
+Each class carries the exit code the CLI ends with, and there is one class per
+code: what went wrong (the asset, the line, the rule) is in the message.
 """
 
 from datetime import date

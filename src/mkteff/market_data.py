@@ -23,41 +23,11 @@ __all__ = [
     "PriceSeries",
     "AlignedPanel",
     "DescriptiveStats",
-    "RowParseError",
-    "NonPositivePriceError",
-    "DuplicateDateError",
-    "EmptyInputError",
-    "EmptyIntersectionError",
     "load_price_series",
     "align",
     "log_returns",
     "describe",
 ]
-
-
-class RowParseError(DataError):
-    """A row could not be parsed. Carries the 1-based line number; the message
-    starts with the asset id."""
-
-    def __init__(self, asset_id: str, line_number: int, message: str):
-        super().__init__(f"{asset_id}: line {line_number}: {message}")
-        self.line_number = line_number
-
-
-class NonPositivePriceError(DataError):
-    """A price was zero or negative; log differencing would be undefined."""
-
-
-class DuplicateDateError(DataError):
-    """The same calendar date appeared more than once in one series."""
-
-
-class EmptyInputError(DataError):
-    """No data rows were found."""
-
-
-class EmptyIntersectionError(DataError):
-    """No common dates remain across the input series (or after filtering)."""
 
 
 @dataclass(frozen=True)
@@ -115,11 +85,11 @@ class PriceSeries:
             i = int(np.argmax(step <= 0))
             cur = date.fromordinal(int(days[i + 1]))
             if step[i] == 0:
-                raise DuplicateDateError(f"{self.asset_id}: duplicate date {cur}")
+                raise DataError(f"{self.asset_id}: duplicate date {cur}")
             raise DataError(f"{self.asset_id}: dates not increasing at {cur}")
         if not np.all(prices > 0):
             bad = date.fromordinal(int(days[np.argmax(~(prices > 0))]))
-            raise NonPositivePriceError(f"{self.asset_id}: non-positive price on {bad}")
+            raise DataError(f"{self.asset_id}: non-positive price on {bad}")
 
     @property
     def dates(self) -> tuple[date, ...]:
@@ -154,7 +124,7 @@ class AlignedPanel:
         if not np.all(np.isfinite(values)):
             raise DataError("panel contains missing or non-finite cells")
         if self.kind == "prices" and values.size and not np.all(values > 0):
-            raise NonPositivePriceError("price panel contains non-positive cells")
+            raise DataError("price panel contains non-positive cells")
 
     @property
     def n_periods(self) -> int:
@@ -175,7 +145,7 @@ class AlignedPanel:
             if (start is None or d >= start) and (end is None or d <= end)
         ]
         if not keep:
-            raise EmptyIntersectionError("no dates remain after date-range filter")
+            raise DataError("no dates remain after date-range filter")
         return AlignedPanel(
             dates=tuple(self.dates[i] for i in keep),
             values=np.asfortranarray(self.values[keep]),  # the layout align built
@@ -230,13 +200,17 @@ class DescriptiveStats:
 def _read_lines(source, asset_id: str) -> list[str]:
     """The lines of ``source``, as iterating over a text view of it gives them.
 
-    A path is opened and closed here; a stream passed in is read to its end and
-    left open. Bytes are decoded as UTF-8 with universal newlines (CRLF and a lone
-    CR end a line too); bytes that are not UTF-8 abort with their line number.
+    A path is opened and closed here, and one that cannot be read aborts; a stream
+    passed in is read to its end and left open. Bytes are decoded as UTF-8 with
+    universal newlines (CRLF and a lone CR end a line too); bytes that are not
+    UTF-8 abort with their line number.
     """
     if not hasattr(source, "read"):
-        with open(source, "rb") as fh:
-            data = fh.read()
+        try:
+            with open(source, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise DataError(f"cannot read {source}: {exc}") from exc
     elif isinstance(source.read(0), str):
         return source.readlines()
     else:
@@ -304,28 +278,27 @@ def _parse_rows(body: list[str], fmt: CsvFormat, asset_id: str) -> tuple[np.ndar
         if len(parts) < ncol:
             if fmt.skip_bad_rows:
                 continue
-            raise RowParseError(asset_id, lineno, f"expected at least {ncol} columns, got {len(parts)}")
+            raise DataError(f"{asset_id}: line {lineno}: expected at least {ncol} columns, got {len(parts)}")
         try:
             day = next(fmt.parse_days((parts[fmt.date_column],)))
         except ValueError as exc:
             if fmt.skip_bad_rows:
                 continue
-            raise RowParseError(asset_id, lineno, f"bad date {parts[fmt.date_column]!r}: {exc}") from exc
+            raise DataError(f"{asset_id}: line {lineno}: bad date {parts[fmt.date_column]!r}: {exc}") from exc
         try:
             p = float(parts[fmt.price_column])
         except ValueError as exc:
             if fmt.skip_bad_rows:
                 continue
-            raise RowParseError(asset_id, lineno, f"bad price {parts[fmt.price_column]!r}") from exc
+            raise DataError(f"{asset_id}: line {lineno}: bad price {parts[fmt.price_column]!r}") from exc
         if not math.isfinite(p):
             if fmt.skip_bad_rows:
                 continue
-            raise RowParseError(asset_id, lineno, f"non-finite price {parts[fmt.price_column]!r}")
+            raise DataError(f"{asset_id}: line {lineno}: non-finite price {parts[fmt.price_column]!r}")
         if p <= 0:
-            raise NonPositivePriceError(
-                f"{asset_id}: non-positive price {p} on {date.fromordinal(day)} (line {lineno})")
+            raise DataError(f"{asset_id}: non-positive price {p} on {date.fromordinal(day)} (line {lineno})")
         if day in seen:
-            raise DuplicateDateError(f"{asset_id}: duplicate date {date.fromordinal(day)} (line {lineno})")
+            raise DataError(f"{asset_id}: duplicate date {date.fromordinal(day)} (line {lineno})")
         seen.add(day)
         days.append(day)
         prices.append(p)
@@ -335,7 +308,7 @@ def _parse_rows(body: list[str], fmt: CsvFormat, asset_id: str) -> tuple[np.ndar
 def _in_date_order(asset_id: str, days: np.ndarray, prices: np.ndarray) -> PriceSeries | None:
     """The series sorted by day number, or None if a day repeats."""
     if not days.size:
-        raise EmptyInputError(f"{asset_id}: no data rows")
+        raise DataError(f"{asset_id}: no data rows")
     order = np.argsort(days)
     days = days[order]
     if np.any(days[1:] == days[:-1]):
@@ -351,7 +324,8 @@ def load_price_series(source, asset_id: str, format_options: CsvFormat | None = 
     lines. Malformed rows abort with their line number unless
     ``format_options.skip_bad_rows`` is set; duplicate dates and non-positive
     prices always abort. The first bad row in file order is the one reported.
-    A path is closed after reading; a stream passed in is left open.
+    A path is closed after reading, and one that cannot be read raises DataError
+    too; a stream passed in is left open.
 
     Clean input is parsed a column at a time; any input that breaks a rule is
     parsed again row by row, which reports or skips the offending rows.
@@ -371,14 +345,12 @@ def align(series: Sequence[PriceSeries]) -> AlignedPanel:
         raise DataError("alignment requires at least 2 series")
     for s in series:
         if len(s) == 0:
-            raise EmptyInputError(f"{s.asset_id}: empty series")
+            raise DataError(f"{s.asset_id}: empty series")
     common = series[0].days
     for s in series[1:]:
         common = np.intersect1d(common, s.days, assume_unique=True)
     if not common.size:
-        raise EmptyIntersectionError(
-            "no common dates across series " + ", ".join(s.asset_id for s in series)
-        )
+        raise DataError("no common dates across series " + ", ".join(s.asset_id for s in series))
     cols = [s.prices[np.searchsorted(s.days, common)] for s in series]
     return AlignedPanel(
         dates=tuple(map(date.fromordinal, common.tolist())),

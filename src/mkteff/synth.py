@@ -91,8 +91,14 @@ class DgpSpec:
             raise ConfigError(f"unknown DGP kind {self.kind!r}")
         if self.n < 1 or self.T < 2 or self.q < 1:
             raise ConfigError("n, T must be positive and q at least 1")
-        if not self.innovation_sd > 0:
-            raise ConfigError("innovation_sd must be positive")
+        if not 0.0 < self.innovation_sd < np.inf:
+            raise ConfigError(f"innovation_sd must be positive and finite, got {self.innovation_sd!r}")
+        if not 0.0 <= self.coef_innovation_sd < np.inf:
+            raise ConfigError(f"coef_innovation_sd must be non-negative and finite, got {self.coef_innovation_sd!r}")
+        for name in ("intercept", "coefficients", "coefficients_end"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.kind == "constant-var":
             if self.coefficients is None:
                 raise ConfigError("constant-var needs coefficients")

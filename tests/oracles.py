@@ -38,10 +38,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from mkteff.bootstrap import BootstrapConfig, replication_seed
 from mkteff.efficiency import efficiency_path
 from mkteff.errors import DataError, NumericalError
-from mkteff.market_data import (
-    AlignedPanel, CsvFormat, DuplicateDateError, EmptyInputError, EmptyIntersectionError,
-    NonPositivePriceError, PriceSeries, RowParseError,
-)
+from mkteff.market_data import AlignedPanel, CsvFormat, PriceSeries
 from mkteff.tv_var import (
     _RIDGE_JITTER, TvVarConfig, TvVarEstimate, _check_panel, _lag_matrices, _lagged_design, fit_tv_var,
 )
@@ -333,32 +330,32 @@ def naive_load_price_series(source, asset_id: str, format_options: CsvFormat | N
             if len(parts) < ncol:
                 if fmt.skip_bad_rows:
                     continue
-                raise RowParseError(asset_id, lineno, f"expected at least {ncol} columns, got {len(parts)}")
+                raise DataError(f"{asset_id}: line {lineno}: expected at least {ncol} columns, got {len(parts)}")
             try:
                 d = _parse_date(fmt, parts[fmt.date_column])
             except ValueError as exc:
                 if fmt.skip_bad_rows:
                     continue
-                raise RowParseError(asset_id, lineno, f"bad date {parts[fmt.date_column]!r}: {exc}") from exc
+                raise DataError(f"{asset_id}: line {lineno}: bad date {parts[fmt.date_column]!r}: {exc}") from exc
             try:
                 p = float(parts[fmt.price_column])
             except ValueError as exc:
                 if fmt.skip_bad_rows:
                     continue
-                raise RowParseError(asset_id, lineno, f"bad price {parts[fmt.price_column]!r}") from exc
+                raise DataError(f"{asset_id}: line {lineno}: bad price {parts[fmt.price_column]!r}") from exc
             if not math.isfinite(p):
                 if fmt.skip_bad_rows:
                     continue
-                raise RowParseError(asset_id, lineno, f"non-finite price {parts[fmt.price_column]!r}")
+                raise DataError(f"{asset_id}: line {lineno}: non-finite price {parts[fmt.price_column]!r}")
             if p <= 0:
-                raise NonPositivePriceError(f"{asset_id}: non-positive price {p} on {d} (line {lineno})")
+                raise DataError(f"{asset_id}: non-positive price {p} on {d} (line {lineno})")
             if d in seen:
-                raise DuplicateDateError(f"{asset_id}: duplicate date {d} (line {lineno})")
+                raise DataError(f"{asset_id}: duplicate date {d} (line {lineno})")
             seen.add(d)
             dates.append(d)
             prices.append(p)
     if not dates:
-        raise EmptyInputError(f"{asset_id}: no data rows")
+        raise DataError(f"{asset_id}: no data rows")
     order = sorted(range(len(dates)), key=dates.__getitem__)
     return PriceSeries(
         asset_id=asset_id,
@@ -373,14 +370,12 @@ def naive_align(series: Sequence[PriceSeries]) -> AlignedPanel:
         raise DataError("alignment requires at least 2 series")
     for s in series:
         if len(s) == 0:
-            raise EmptyInputError(f"{s.asset_id}: empty series")
+            raise DataError(f"{s.asset_id}: empty series")
     common = set(series[0].dates)
     for s in series[1:]:
         common &= set(s.dates)
     if not common:
-        raise EmptyIntersectionError(
-            "no common dates across series " + ", ".join(s.asset_id for s in series)
-        )
+        raise DataError("no common dates across series " + ", ".join(s.asset_id for s in series))
     dates = tuple(sorted(common))
     cols = []
     for s in series:

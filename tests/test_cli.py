@@ -276,6 +276,19 @@ class TestSimulate:
         assert main(["simulate", "--spec", spec]) == EXIT_OK
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json", "panel.csv", "truth.csv"]
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [("white-noise", "innovation_sd", math.inf), ("white-noise", "intercept", [math.inf, 0.0]),
+         ("constant-var", "coefficients", math.inf), ("tv-var-random-walk-coeffs", "coef_innovation_sd", math.inf),
+         ("tv-var-linear-drift", "coefficients_end", math.nan)],
+        ids=["innovation_sd", "intercept", "coefficients", "coef_innovation_sd", "coefficients_end"],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, kind, field, value):
+        spec = self.spec_file(tmp_path, {"kind": kind, "n": 2, "T": 30, field: value})
+        assert main(["simulate", "--spec", spec, "--output-dir", str(tmp_path / "s")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+        assert not (tmp_path / "s").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         spec = self.spec_file(tmp_path, {"kind": "constant-var", "n": 1, "T": 30, "coefficients": 0.3, "seed": 12})
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -419,9 +432,14 @@ class TestErrors:
         cfg = config_file(tmp_path, market_files, plotting={"dpi": 300})
         assert main(["describe", "--config", cfg]) == EXIT_CONFIG
 
-    def test_missing_input_file(self, tmp_path):
-        cfg = config_file(tmp_path, [(str(tmp_path / "ghost.csv"), "G"), (str(tmp_path / "g2.csv"), "H")])
-        assert main(["describe", "--config", cfg]) == EXIT_DATA
+    def test_missing_input_file(self, tmp_path, market_files, capsys):
+        # a path that does not exist, and one that is a directory
+        (tmp_path / "folder.csv").mkdir()
+        for path in (tmp_path / "ghost.csv", tmp_path / "folder.csv"):
+            cfg = config_file(tmp_path, [market_files[0], (str(path), "G")])
+            assert main(["describe", "--config", cfg]) == EXIT_DATA
+            assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+            assert list((tmp_path / "out").iterdir()) == []
 
     def test_input_flag_format(self, tmp_path):
         assert main(["describe", "--input", "justapath"]) == EXIT_CONFIG
@@ -610,6 +628,25 @@ class TestAll:
         # q leaves fewer than q + 3 rows: the efficiency stage fails after describe and var wrote
         assert main(["all", "--config", cfg, "--dump-replications", "--q", "158"]) == EXIT_DATA
         assert snapshot(out) == before
+
+    @pytest.mark.parametrize("blocker", ["replications-file", "summary-directory"])
+    def test_blocked_destination_leaves_earlier_outputs(self, tmp_path, market_files, capsys, blocker):
+        cfg = config_file(tmp_path, market_files, bootstrap={"replications": 100, "master_seed": 1})
+        out = tmp_path / "out"
+        if blocker == "replications-file":
+            assert main(["all", "--config", cfg]) == EXIT_OK
+            (out / "replications").write_text("kept\n")
+            expected = f"error: cannot write to output directory {out}: "
+        else:
+            assert main(["all", "--config", cfg, "--dump-replications"]) == EXIT_OK
+            (out / "summary.txt").unlink()
+            (out / "summary.txt").mkdir()
+            expected = f"error: cannot write to output directory {out}: summary.txt is a directory\n"
+        before = _snapshot(out)
+        assert "manifest.json" in before
+        assert main(["all", "--config", cfg, "--dump-replications"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(expected)
+        assert _snapshot(out) == before
 
     def test_interrupted_commit_leaves_no_manifest(self, tmp_path, market_files, monkeypatch):
         # the old manifest goes before the first rename and the new one comes last,
