@@ -21,7 +21,9 @@ theirs bit for bit, with temporaries one chunk wide.
 Every replication b derives its generator from
 ``numpy.random.SeedSequence(master_seed, spawn_key=(b,))`` , a fixed, documented
 splittable-counter hash that is stable across platforms, so results are
-identical for any worker count or execution order.
+identical for any worker count or execution order. The picks come from
+``Generator.integers``, whose stream NEP 19 does not keep stable across numpy
+versions: bands repeat bit for bit on one numpy version only.
 """
 
 from __future__ import annotations

@@ -202,6 +202,8 @@ def build_config(doc: dict, args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError("bootstrap.n_jobs must be at least 1")
     if not cfg.output_dir:
         raise ConfigError("output_dir must not be empty")
+    if cfg.date_start and cfg.date_end and cfg.date_start > cfg.date_end:
+        raise ConfigError(f"date_range.start {cfg.date_start} is after date_range.end {cfg.date_end}")
     return cfg
 
 

@@ -9,6 +9,7 @@ forward-filling would fabricate zero returns on non-trading days.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import repeat
@@ -197,24 +198,19 @@ class DescriptiveStats:
         return "\n".join(lines) + "\n"
 
 
-def _read_lines(source, asset_id: str) -> list[str]:
-    """The lines of ``source``, as iterating over a text view of it gives them.
+def _read_lines(path, asset_id: str) -> list[str]:
+    """The lines of the file at ``path``, decoded as UTF-8 with universal newlines
+    (CRLF and a lone CR end a line too).
 
-    A path is opened and closed here, and one that cannot be read aborts; a stream
-    passed in is read to its end and left open. Bytes are decoded as UTF-8 with
-    universal newlines (CRLF and a lone CR end a line too); bytes that are not
-    UTF-8 abort with their line number.
+    A file that cannot be read aborts, and so do bytes that are not UTF-8, with
+    their line number. Anything but a path (a stream, or an int that ``open``
+    would take as a file descriptor and close) raises TypeError.
     """
-    if not hasattr(source, "read"):
-        try:
-            with open(source, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise DataError(f"cannot read {source}: {exc}") from exc
-    elif isinstance(source.read(0), str):
-        return source.readlines()
-    else:
-        data = source.read()
+    try:
+        with open(os.fspath(path), "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -316,22 +312,21 @@ def _in_date_order(asset_id: str, days: np.ndarray, prices: np.ndarray) -> Price
     return PriceSeries(asset_id, days, prices[order])
 
 
-def load_price_series(source, asset_id: str, format_options: CsvFormat | None = None) -> PriceSeries:
+def load_price_series(path, asset_id: str, format_options: CsvFormat | None = None) -> PriceSeries:
     """Parse one asset's (date, price) file into a validated PriceSeries.
 
-    ``source`` is a readable text or byte stream (or a path); bytes must be
-    UTF-8. The first line is treated as a header and skipped, and so are blank
-    lines. Malformed rows abort with their line number unless
-    ``format_options.skip_bad_rows`` is set; duplicate dates and non-positive
-    prices always abort. The first bad row in file order is the one reported.
-    A path is closed after reading, and one that cannot be read raises DataError
-    too; a stream passed in is left open.
+    ``path`` is a path (``str`` or ``os.PathLike``) to a UTF-8 file, which is
+    read whole and closed; one that cannot be read raises DataError. The first
+    line is treated as a header and skipped, and so are blank lines. Malformed
+    rows abort with their line number unless ``format_options.skip_bad_rows``
+    is set; duplicate dates and non-positive prices always abort. The first bad
+    row in file order is the one reported.
 
     Clean input is parsed a column at a time; any input that breaks a rule is
     parsed again row by row, which reports or skips the offending rows.
     """
     fmt = format_options or CsvFormat()
-    body = list(map(str.strip, _read_lines(source, asset_id)[1:]))  # line 1 is the header
+    body = list(map(str.strip, _read_lines(path, asset_id)[1:]))  # line 1 is the header
     columns = _parse_columns(list(filter(None, body)), fmt)
     series = None if columns is None else _in_date_order(asset_id, *columns)
     if series is None:

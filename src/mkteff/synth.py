@@ -185,9 +185,9 @@ def simulate(spec: DgpSpec) -> tuple[AlignedPanel, DgpTruth]:
     total = BURN_IN + T
     eps = rng.normal(0.0, spec.innovation_sd, size=(total, n))
 
-    if spec.kind == "white-noise":
-        A_full = np.zeros((total, q, n, n))
-    elif spec.kind == "constant-var":
+    if spec.kind == "white-noise":  # every lag matrix is zero: the recursion adds only zeros
+        return _panel_and_truth(nu, nu + eps[BURN_IN:], np.zeros((T, q, n, n)))
+    if spec.kind == "constant-var":
         A = _as_lag_matrices(spec.coefficients, n, q, "coefficients")
         A_full = np.broadcast_to(A, (total, q, n, n)).copy()
     elif spec.kind == "tv-var-linear-drift":

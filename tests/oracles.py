@@ -22,13 +22,11 @@ at a time and joins on day numbers.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
-from typing import IO, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -289,37 +287,21 @@ def upper_band_solve(Y: np.ndarray, Z: np.ndarray, lam: float):
     return nu, paths, jitter, schur / S
 
 
-@contextmanager
-def _text_stream(source) -> Iterator[IO[str]]:
-    """Text view of ``source``: a path is opened and closed here; a byte stream is
-    wrapped and detached afterwards, so the caller's stream stays open."""
-    if not hasattr(source, "read"):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield fh
-    elif isinstance(source.read(0), bytes):
-        wrapper = io.TextIOWrapper(source, encoding="utf-8")
-        try:
-            yield wrapper
-        finally:
-            wrapper.detach()
-    else:
-        yield source
-
-
 def _parse_date(fmt: CsvFormat, text: str) -> date:
     if fmt.date_format == "iso":
         return date.fromisoformat(text.strip())
     return datetime.strptime(text.strip(), fmt.date_format).date()
 
 
-def naive_load_price_series(source, asset_id: str, format_options: CsvFormat | None = None) -> PriceSeries:
-    """``load_price_series`` one row at a time: the same rows, errors and messages."""
+def naive_load_price_series(path, asset_id: str, format_options: CsvFormat | None = None) -> PriceSeries:
+    """``load_price_series`` one row at a time, through a text-mode file with
+    universal newlines: the same rows, errors and messages."""
     fmt = format_options or CsvFormat()
     dates: list[date] = []
     prices: list[float] = []
     seen: set[date] = set()
     ncol = max(fmt.date_column, fmt.price_column) + 1
-    with _text_stream(source) as stream:
+    with open(path, "r", encoding="utf-8") as stream:
         for lineno, raw in enumerate(stream, start=1):
             if lineno == 1:
                 continue  # header

@@ -441,6 +441,24 @@ class TestErrors:
             assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
             assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("source", ["json", "flags"])
+    def test_reversed_date_range_is_config_error(self, tmp_path, capsys, source):
+        # the input paths do not exist, so exit 2 here shows that no input was read
+        files = [(str(tmp_path / "a.csv"), "A"), (str(tmp_path / "b.csv"), "B")]
+        reversed_range = {"start": "2020-01-01", "end": "2010-01-01"}
+        if source == "json":
+            argv = ["all", "--config", config_file(tmp_path, files, date_range=reversed_range)]
+        else:
+            argv = ["all", "--config", config_file(tmp_path, files),
+                    "--date-start", reversed_range["start"], "--date-end", reversed_range["end"]]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: date_range.start 2020-01-01 is after date_range.end 2010-01-01\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_one_day_date_range_is_valid(self):
+        cfg = build_config({"date_range": {"start": "2020-01-01", "end": "2020-01-01"}}, argparse.Namespace())
+        assert cfg.date_start == cfg.date_end == date(2020, 1, 1)
+
     def test_input_flag_format(self, tmp_path):
         assert main(["describe", "--input", "justapath"]) == EXIT_CONFIG
 
@@ -554,6 +572,22 @@ class TestAll:
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[] True"
+
+    def test_run_without_bands_loads_no_random_or_pool_modules(self, tmp_path, market_files):
+        import mkteff
+
+        src = os.path.dirname(os.path.dirname(mkteff.__file__))
+        # the bands import numpy.random, which loads secrets and hashlib with it
+        unwanted = ("numpy.random", "secrets", "hashlib", "multiprocessing")
+        argv = ["all", "--config", config_file(tmp_path, market_files), "--replications", "0"]
+        code = (
+            f"import sys; from mkteff.cli import main; code = main({argv!r}); "
+            f"print(code, sorted(m for m in sys.modules if (m + '.').startswith(tuple(u + '.' for u in {unwanted!r}))))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "0 []"
+        assert (tmp_path / "out" / "efficiency.csv").exists()
 
     def test_loads_and_selects_once(self, tmp_path, market_files, monkeypatch):
         import mkteff.cli as cli_mod

@@ -1,7 +1,9 @@
 import gc
 import io
 import math
+import os
 import re
+import tempfile
 import tracemalloc
 import warnings
 from datetime import date, timedelta
@@ -20,7 +22,12 @@ from oracles import naive_align, naive_load_price_series
 
 
 def load(text, asset="X", fmt=None):
-    return load_price_series(io.StringIO(text), asset, fmt)
+    """Load ``text`` from a price file that holds it as UTF-8, line ends as given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prices.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        return load_price_series(path, asset, fmt)
 
 
 class TestLoad:
@@ -30,17 +37,25 @@ class TestLoad:
         assert s.dates == (date(2014, 9, 17), date(2014, 9, 18))
         assert s.prices.tolist() == [457.33, 424.44]
 
-    def test_byte_stream(self):
-        s = load_price_series(io.BytesIO(b"date,price\n2020-01-01,10\n"), "X")
-        assert s.prices.tolist() == [10.0]
+    @pytest.mark.parametrize(
+        "stream",
+        [io.StringIO("date,price\n2020-01-01,10\n"), io.BytesIO(b"date,price\n2020-01-01,10\n")],
+        ids=["text", "bytes"],
+    )
+    def test_stream_is_not_a_path(self, stream):
+        with pytest.raises(TypeError):
+            load_price_series(stream, "X")
 
-    def test_byte_stream_stays_open(self):
-        buf = io.BytesIO(b"date,price\n2020-01-01,10\n")
-        load_price_series(buf, "X")
-        gc.collect()  # a wrapper left attached would close buf when collected
-        assert not buf.closed
-        buf.seek(0)
-        assert buf.read(4) == b"date"
+    def test_file_descriptor_is_not_a_path(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("date,price\n2020-01-01,10\n")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(TypeError):
+                load_price_series(fd, "X")
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
 
     def test_path_is_closed(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -97,15 +112,16 @@ class TestLoad:
         with pytest.raises(ConfigError, match=name):
             load("date,price\n2020-01-01,1\n", fmt=CsvFormat(**fmt))
 
-    def test_loaded_series_holds_only_its_arrays(self):
+    def test_loaded_series_holds_only_its_arrays(self, tmp_path):
         # about one wide-panel file: the series keeps its day numbers and prices
         # and no date object per row (those alone took 2.5 times the two arrays)
         rows = [f"{date.fromordinal(730120 + t)},{100 + t % 97}.25\n" for t in range(8400)]
-        source = io.StringIO("date,close\n" + "".join(rows))
+        path = tmp_path / "x.csv"
+        path.write_text("date,close\n" + "".join(rows), encoding="utf-8")
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            s = load_price_series(source, "X")
+            s = load_price_series(path, "X")
             kept = tracemalloc.get_traced_memory()[0] - held
         finally:
             tracemalloc.stop()
@@ -125,9 +141,11 @@ class TestLoad:
         ],
         ids=["lf", "crlf", "cr"],
     )
-    def test_non_utf8_bytes_name_asset_and_line(self, data, line):
+    def test_non_utf8_bytes_name_asset_and_line(self, tmp_path, data, line):
+        path = tmp_path / "x.csv"
+        path.write_bytes(data)
         with pytest.raises(DataError, match=f"^X: line {line} is not valid UTF-8"):
-            load_price_series(io.BytesIO(data), "X")
+            load_price_series(path, "X")
 
     @pytest.mark.parametrize(
         "dates, message",
@@ -186,33 +204,41 @@ def price_files(draw):
         lines.append(delimiter.join(cells))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
-    return text, fmt, draw(st.booleans())
+    return text, fmt
 
 
-def _outcome(loader, text, fmt, as_bytes):
-    source = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+def _outcome(loader, path, fmt):
     try:
-        s = loader(source, "X", fmt)
+        s = loader(path, "X", fmt)
     except DataError as exc:
         return type(exc), str(exc)
     return s.dates, s.prices.view(np.int64).tolist()
+
+
+@pytest.fixture(scope="module")
+def drawn_file(tmp_path_factory):
+    """One path that each drawn price file is written to in turn."""
+    return tmp_path_factory.mktemp("drawn") / "prices.csv"
 
 
 class TestLoadOracle:
     @settings(max_examples=300, deadline=None)
     @given(price_files())
     # rows of mixed width whose cells, cut at a common width, would still parse
-    @example(("d,p\n2020-01-01,1\n2020-01-02,2,2020-01-03\n", CsvFormat(), False))
+    @example(("d,p\n2020-01-01,1\n2020-01-02,2,2020-01-03\n", CsvFormat()))
     # every row narrower than the price column
-    @example(("h\n1\n", CsvFormat(date_column=1, price_column=0), True))
+    @example(("h\n1\n", CsvFormat(date_column=1, price_column=0)))
     # a delimiter with a line break, which a match across two rows would cut wrongly
-    @example(("h\n20200101\n20200102\n", CsvFormat(delimiter="\n2", date_format="%Y%m%d", price_column=0), True))
-    def test_same_rows_and_errors_as_row_loop(self, case):
-        text, fmt, as_bytes = case
-        expected = _outcome(naive_load_price_series, text, fmt, as_bytes)
-        assert _outcome(load_price_series, text, fmt, as_bytes) == expected
+    @example(("h\n20200101\n20200102\n", CsvFormat(delimiter="\n2", date_format="%Y%m%d", price_column=0)))
+    # lone CR line ends: each ends a row
+    @example(("d,p\r2020-01-01,1\r2020-01-02,2\r", CsvFormat()))
+    def test_same_rows_and_errors_as_row_loop(self, drawn_file, case):
+        text, fmt = case
+        drawn_file.write_bytes(text.encode("utf-8"))
+        expected = _outcome(naive_load_price_series, drawn_file, fmt)
+        assert _outcome(load_price_series, drawn_file, fmt) == expected
         with mock.patch.object(market_data, "_BLOCK_ROWS", 3):  # several blocks per file
-            assert _outcome(load_price_series, text, fmt, as_bytes) == expected
+            assert _outcome(load_price_series, drawn_file, fmt) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 30), max_size=15, unique=True), min_size=1, max_size=4),

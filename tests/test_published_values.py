@@ -53,8 +53,7 @@ EXPECTED_GRANGER_SP500 = 2.2812
 def returns_panel():
     series = []
     for fname, asset in (("sp500.csv", "SP500"), ("bitcoin.csv", "BTC"), ("gold.csv", "GOLD")):
-        with open(os.path.join(DATA_DIR, fname), "rb") as fh:
-            series.append(load_price_series(fh, asset, CsvFormat()))
+        series.append(load_price_series(os.path.join(DATA_DIR, fname), asset, CsvFormat()))
     panel = align(series)
     from datetime import date
 

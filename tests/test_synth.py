@@ -4,6 +4,7 @@ import pytest
 from mkteff import DgpSpec, adf_gls_test, fit_var_ols, simulate
 from mkteff.efficiency import DEGREE_CHUNK, _degrees
 from mkteff.errors import ConfigError
+from mkteff.synth import BURN_IN, _recur
 from mkteff.var_base import _hac_cov
 
 
@@ -84,6 +85,18 @@ class TestSimulate:
         assert np.all(np.isfinite(panel.values))
         # the drifting path must actually move
         assert np.abs(np.diff(truth.A_path, axis=0)).max() > 0.0
+
+    @pytest.mark.parametrize("n, q, intercept", [(1, 1, ()), (3, 1, ()), (3, 2, (0.5, -0.25, 1e-3))])
+    def test_white_noise_has_the_recursion_bits(self, n, q, intercept):
+        # white noise skips the recursion; x_t = nu + eps_t must keep its bits
+        for seed in range(20):
+            spec = DgpSpec(kind="white-noise", n=n, T=60, q=q, seed=seed, intercept=intercept, innovation_sd=0.3)
+            panel, truth = simulate(spec)
+            eps = np.random.default_rng(seed).normal(0.0, 0.3, size=(BURN_IN + 60, n))
+            x = _recur(spec.intercept_vector(), np.zeros((BURN_IN + 60, q, n, n)), eps, q)
+            assert panel.values.view(np.int64).tolist() == x[BURN_IN:].view(np.int64).tolist()
+            assert panel.values.flags.c_contiguous
+            assert np.all(truth.A_path == 0.0) and truth.A_path.shape == (60, q, n, n)
 
     def test_white_noise_var_coefficients_small(self):
         hits = 0
