@@ -35,8 +35,8 @@ from .tv_var import (
     export_coefficient_paths,
     fit_tv_var,
 )
-from .efficiency import EfficiencyPath, efficiency_path
-from .bootstrap import BandPath, BootstrapConfig, bootstrap_bands
+from .efficiency import BandPath, EfficiencyPath, efficiency_path
+from .bootstrap import BootstrapConfig, bootstrap_bands
 from .synth import DgpSpec, DgpTruth, simulate
 
 __version__ = "0.1.0"

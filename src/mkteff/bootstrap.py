@@ -28,6 +28,7 @@ versions: bands repeat bit for bit on one numpy version only.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from contextlib import nullcontext
@@ -38,12 +39,11 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .efficiency import _path_degrees
+from .efficiency import BandPath, _path_degrees
 from .tv_var import TvVarConfig, TvVarEstimate, _fit_paths, _lag_matrices, _lagged_design
 
 __all__ = [
     "BootstrapConfig",
-    "BandPath",
     "replication_seed",
     "bootstrap_bands",
 ]
@@ -66,17 +66,6 @@ class BootstrapConfig:
             raise ConfigError("coverage must be strictly between 0 and 1")
         if self.replications < 0 or 0 < self.replications < 100:
             raise ConfigError(f"replications must be 0 or at least 100, got {self.replications}")
-
-
-@dataclass(frozen=True, eq=False)
-class BandPath:
-    """Pointwise null-distribution quantiles of the degree, per date of the fit."""
-
-    dates: tuple[date, ...]  # fit.dates; kept, with replications, for perfbench/tracer.py
-    lower: np.ndarray
-    upper: np.ndarray
-    replications: int
-    flagged_counts: np.ndarray  # singular/failed replications excluded per date
 
 
 def replication_seed(master_seed: int, b: int) -> np.random.SeedSequence:
@@ -113,24 +102,32 @@ def _run_replication(rows: np.ndarray, master_seed: int, config: TvVarConfig, b:
     return _path_degrees(_lag_matrices(paths, config.q))[0]
 
 
-def _dump_rows(dump_dir: str, days: list[str], B: int, done: int, rows: np.ndarray) -> None:
-    """Write replications ``done + 1``.. (NaN as a blank cell) to their files of ``DUMP_CHUNK``."""
+def _dumped(results, dump_dir: str, dates: tuple[date, ...], B: int):
+    """Yield the B degree rows of ``results`` as they arrive, each first written to its
+    file of ``DUMP_CHUNK`` replications in ``dump_dir``, a non-finite degree as a blank
+    cell. Each file is opened once and closed before its last row is yielded, so every
+    file is complete once the B-th row is."""
     os.makedirs(dump_dir, exist_ok=True)
-    for b, z in enumerate(rows.tolist(), done):
-        start = b - b % DUMP_CHUNK
-        name = os.path.join(dump_dir, f"replications_{start + 1:06d}_{min(start + DUMP_CHUNK, B):06d}.csv")
-        with open(name, "a" if b > start else "w", encoding="utf-8") as fh:
-            fh.write("" if b > start else "replication,date,zeta\n")
-            fh.write("".join(f"{b + 1}{day}{repr(v) if v == v else ''}\n" for day, v in zip(days, z)))
+    days = [f",{d.isoformat()}," for d in dates]
+    for start in range(0, B, DUMP_CHUNK):
+        end = min(start + DUMP_CHUNK, B)
+        with open(os.path.join(dump_dir, f"replications_{start + 1:06d}_{end:06d}.csv"), "w", encoding="utf-8") as fh:
+            fh.write("replication,date,zeta\n")
+            for b, z in zip(range(start + 1, end + 1), results):
+                fh.write("".join(f"{b}{day}{repr(v) if math.isfinite(v) else ''}\n" for day, v in zip(days, z.tolist())))
+                if b == end:
+                    break
+                yield z
+        yield z  # the file's last row, once the file is closed
 
 
-def _fold_extremes(results, B: int, S: int, K: int, C: int, dump=None) -> tuple[np.ndarray, np.ndarray]:
+def _fold_extremes(results, B: int, S: int, K: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     """Fold the B degree rows the iterator ``results`` yields into ``(ext, flagged)``.
 
     Column s of ``ext`` (K, 2S) holds date s's K smallest finite degrees, column
     S + s its K largest negated, both ascending, NaN last; ``flagged`` counts the
-    non-finite ones. Each chunk of C rows, cleaned to NaN and dumped, goes below
-    the K kept rows, and one partition keeps the K smallest of each column.
+    non-finite ones. Each chunk of C rows, cleaned to NaN, goes below the K kept
+    rows, and one partition keeps the K smallest of each column.
     """
     buf = np.full((K + C, 2 * S), np.nan)
     flagged = np.zeros(S, dtype=np.intp)
@@ -141,8 +138,6 @@ def _fold_extremes(results, B: int, S: int, K: int, C: int, dump=None) -> tuple[
         bad = ~np.isfinite(new)
         new[bad] = np.nan
         flagged += bad.sum(axis=0)
-        if dump is not None:
-            dump(done, new)
         np.negative(new, out=buf[K:K + len(new), S:])
         buf[:K + len(new)].partition(K - 1, axis=0)
     buf[:K].sort(axis=0)
@@ -190,10 +185,12 @@ def bootstrap_bands(
     boot_config : BootstrapConfig
         Replication count (at least 100), coverage, master seed.
     n_jobs : int
-        Worker processes. Output is identical for any value.
+        Worker processes, at most one per CPU this process may run on; at one the
+        replications run in this process. Output is identical for any value.
     dump_dir : str, optional
         If set, replication-level degree paths are written there in files of
-        ``DUMP_CHUNK`` replications for audit.
+        ``DUMP_CHUNK`` replications for audit. Files an earlier, larger dump left
+        there stay (``mkteff --dump-replications`` replaces the directory whole).
 
     Returns
     -------
@@ -207,20 +204,19 @@ def bootstrap_bands(
     rows = _null_rows(fit.residuals, fit.nu)
     lo_q = (1.0 - boot_config.coverage) / 2.0
     K = min(B, int(np.floor(lo_q * (B - 1))) + 3)  # one row more than the deepest read, for rounding
-    dump = None if dump_dir is None else partial(_dump_rows, dump_dir, [f",{d.isoformat()}," for d in fit.dates], B)
     run = partial(_run_replication, rows, boot_config.master_seed, fit.config)
     reps = range(1, B + 1)
-    pool = None
-    if n_jobs > 1:
+    # at most one worker per CPU this process may run on (macOS and Windows have no affinity call)
+    jobs = min(n_jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a serial run never loads multiprocessing
-        pool = ProcessPoolExecutor(n_jobs)
-    with pool or nullcontext():
-        if pool is None:
-            results = map(run, reps)
-        else:  # about four chunks per worker, so the last ones even out the load
-            results = pool.map(run, reps, chunksize=max(1, min(64, -(-B // (4 * n_jobs)))))
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        # about four chunks per worker, so the last ones even out the load
+        results = map(run, reps) if pool is None else pool.map(run, reps, chunksize=max(1, min(64, -(-B // (4 * jobs)))))
+        if dump_dir is not None:
+            results = _dumped(results, dump_dir, fit.dates, B)
         # chunks of 2K rows keep the partitions' cost per replication flat in B
-        ext, flagged_counts = _fold_extremes(results, B, len(fit.dates), K, max(32, 2 * K), dump)
+        ext, flagged_counts = _fold_extremes(results, B, len(fit.dates), K, max(32, 2 * K))
 
     if np.all(flagged_counts == B):
         msg = f"all {B} bootstrap replications failed or were flagged at every date; the bands are empty"

@@ -20,7 +20,7 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import date
 from types import SimpleNamespace
@@ -233,13 +233,12 @@ def _manifest_text(command: str, **fields) -> str:
 @contextmanager
 def _staged(output_dir: str):
     """A new staging directory in ``output_dir``, the one place a command writes. On a
-    normal exit each staged file is renamed into ``output_dir`` under its subpath; on an
-    exception none is. Either way the staging directory is then removed.
-
-    Every destination is checked and its directory made first: one that is a directory,
-    or a directory that cannot be made, is a ``ConfigError`` before anything is changed.
-    Then the old ``manifest.json`` is removed and the new one is renamed last, so a
-    directory that holds a manifest holds that run's complete output."""
+    normal exit each of its entries is renamed into ``output_dir``, a directory replacing
+    the earlier one whole (moved into the stage); on an exception none is. Either way the
+    stage is then removed. A file whose destination is a directory, or a directory whose
+    destination is a file, is a ``ConfigError`` before anything is changed. Then the old
+    ``manifest.json`` is removed and the new one is renamed last, so a directory that
+    holds a manifest holds that run's complete output."""
     cannot_write = f"cannot write to output directory {output_dir}"
     try:
         os.makedirs(output_dir, exist_ok=True)
@@ -248,24 +247,18 @@ def _staged(output_dir: str):
         raise ConfigError(f"{cannot_write}: {exc}") from exc
     try:
         yield stage
-        names = [
-            os.path.relpath(os.path.join(root, name), stage)
-            for root, _, files in os.walk(stage, topdown=False)  # the stage's own files last
-            for name in sorted(files, key=lambda f: f == "manifest.json")  # and its manifest after them
-        ]
+        names = sorted(os.listdir(stage), key=lambda name: (name == "manifest.json", name))  # the manifest last
         for name in names:
-            if os.path.isdir(os.path.join(output_dir, name)):
-                raise ConfigError(f"{cannot_write}: {name} is a directory")
-        try:
-            for name in names:
-                os.makedirs(os.path.dirname(os.path.join(output_dir, name)), exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"{cannot_write}: {exc}") from exc
-        manifest = os.path.join(output_dir, "manifest.json")
-        if os.path.exists(manifest):
-            os.unlink(manifest)
+            is_dir, dest = os.path.isdir(os.path.join(stage, name)), os.path.join(output_dir, name)
+            if os.path.lexists(dest) and os.path.isdir(dest) != is_dir:
+                raise ConfigError(f"{cannot_write}: {name} is {'a file' if is_dir else 'a directory'}")
+        with suppress(FileNotFoundError):
+            os.unlink(os.path.join(output_dir, "manifest.json"))
         for name in names:
-            os.replace(os.path.join(stage, name), os.path.join(output_dir, name))
+            dest = os.path.join(output_dir, name)
+            if os.path.isdir(dest):
+                os.replace(dest, os.path.join(stage, f".old-{name}"))
+            os.replace(os.path.join(stage, name), dest)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
@@ -398,7 +391,13 @@ def _efficiency_stage(run: PipelineRun) -> int:
     if q is None:
         q = run.var_order if run.var_order is not None else select_lag_bic(returns, cfg.p_max)
     fit = fit_tv_var(returns, TvVarConfig(q=q, lam=cfg.lam, lambda_mode=cfg.lambda_mode))
-    path = efficiency_path(fit)
+    bands = None
+    if cfg.replications > 0:
+        dump_dir = run.output("replications") if cfg.dump_replications else None
+        bands = bootstrap_bands(fit, cfg.bootstrap, n_jobs=cfg.n_jobs, dump_dir=dump_dir)
+        run.manifest["bootstrap_flagged_cells"] = int(bands.flagged_counts.sum())
+        run.manifest["bootstrap_flagged_max_per_date"] = int(bands.flagged_counts.max())
+    path = efficiency_path(fit, bands)
     run.manifest.update(
         tv_order=q,
         lambda_effective=fit.lambda_effective,
@@ -406,16 +405,10 @@ def _efficiency_stage(run: PipelineRun) -> int:
         ridge_jitter=fit.ridge_jitter,
         intercept_pivot=fit.intercept_pivot,
         seeds={"master_seed": cfg.master_seed},
-        bands=cfg.replications > 0,
+        bands=bands is not None,
         singular_dates=int(path.singular.sum()),
         max_frobenius_bound=path.max_frobenius_bound,
     )
-    if cfg.replications > 0:
-        dump_dir = run.output("replications") if cfg.dump_replications else None
-        bands = bootstrap_bands(fit, cfg.bootstrap, n_jobs=cfg.n_jobs, dump_dir=dump_dir)
-        path = path.with_bands(bands.lower, bands.upper)
-        run.manifest["bootstrap_flagged_cells"] = int(bands.flagged_counts.sum())
-        run.manifest["bootstrap_flagged_max_per_date"] = int(bands.flagged_counts.max())
     path.write_csv(run.output("efficiency.csv"))
     run.write(
         "efficiency.svg",

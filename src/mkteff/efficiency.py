@@ -10,7 +10,7 @@ sum approaches a unit root (flagged, not dropped).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
@@ -18,12 +18,24 @@ import numpy as np
 from .tv_var import TvVarEstimate
 
 __all__ = [
+    "BandPath",
     "CONDITION_LIMIT",
     "EfficiencyPath",
     "efficiency_path",
 ]
 
 CONDITION_LIMIT = 1e12
+
+
+@dataclass(frozen=True, eq=False)
+class BandPath:
+    """Pointwise null-distribution quantiles of the degree per date of the fit, as ``bootstrap_bands`` returns them."""
+
+    dates: tuple[date, ...]  # fit.dates; kept, with replications, for perfbench/tracer.py
+    lower: np.ndarray
+    upper: np.ndarray
+    replications: int
+    flagged_counts: np.ndarray  # singular/failed replications excluded per date
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,13 +63,6 @@ class EfficiencyPath:
             both = np.isfinite(self.band_low) & np.isfinite(self.band_high)
             if np.any(self.band_low[both] > self.band_high[both]):
                 raise ValueError("band_low must not exceed band_high")
-
-    def with_bands(self, band_low: np.ndarray, band_high: np.ndarray) -> "EfficiencyPath":
-        return replace(
-            self,
-            band_low=np.asarray(band_low, dtype=float),
-            band_high=np.asarray(band_high, dtype=float),
-        )
 
     def write_csv(self, path) -> None:
         """Columns: date, zeta, band_low, band_high, singular (0/1); blanks for NaN."""
@@ -222,8 +227,9 @@ def _path_degrees(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return zeta, bound
 
 
-def efficiency_path(estimate: TvVarEstimate) -> EfficiencyPath:
-    """Per-date degree along a fitted coefficient path.
+def efficiency_path(estimate: TvVarEstimate, bands: BandPath | None = None) -> EfficiencyPath:
+    """Per-date degree along a fitted coefficient path, with the band values of
+    ``bands`` (``bootstrap_bands`` of the same fit) if given.
 
     Dates where the lag sum is within ``CONDITION_LIMIT`` of singular are
     flagged and carry NaN instead of a clipped value.
@@ -231,4 +237,6 @@ def efficiency_path(estimate: TvVarEstimate) -> EfficiencyPath:
     zeta, bound = _path_degrees(estimate.A_path)
     bound = bound[np.isfinite(bound)]
     return EfficiencyPath(dates=estimate.dates, zeta=zeta,
+                          band_low=None if bands is None else bands.lower,
+                          band_high=None if bands is None else bands.upper,
                           max_frobenius_bound=float(bound.max()) if bound.size else None)

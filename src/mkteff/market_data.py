@@ -52,6 +52,8 @@ class CsvFormat:
             raise ConfigError(f"csv.delimiter must be a non-empty string, got {self.delimiter!r}")
         if self.date_column < 0 or self.price_column < 0:
             raise ConfigError("csv.date_column and csv.price_column must be non-negative")
+        if self.date_column == self.price_column:
+            raise ConfigError(f"csv.date_column and csv.price_column must differ, both are {self.date_column}")
 
     def parse_days(self, cells: Iterable[str]) -> Iterator[int]:
         """The day number (``date.toordinal``) of the date in each cell, ignoring

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from datetime import date
 from functools import partial
 
 import numpy as np
@@ -21,13 +22,13 @@ from mkteff import (
     DgpSpec,
 )
 from mkteff.bootstrap import (
-    _draw, _fold_extremes, _null_rows, _run_replication, _sorted_quantiles, replication_seed,
+    _draw, _dumped, _fold_extremes, _null_rows, _run_replication, _sorted_quantiles, replication_seed,
 )
 from mkteff.efficiency import _path_degrees
 from mkteff.errors import ConfigError, DataError, NumericalError
 from mkteff.tv_var import _fit_paths, _lag_matrices, _lagged_design
 
-from conftest import traced_peak
+from conftest import make_dates, traced_peak
 from oracles import naive_bands, naive_replication
 
 
@@ -114,6 +115,39 @@ class TestBands:
             assert np.array_equal(serial.lower, parallel.lower)
             assert np.array_equal(serial.upper, parallel.upper)
             assert np.array_equal(serial.flagged_counts, parallel.flagged_counts)
+
+    def test_workers_are_capped_by_the_usable_cpus(self, monkeypatch):
+        # a recording stand-in for the pool: it starts no process and maps in this one
+        import concurrent.futures
+
+        started, chunksizes = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                chunksizes.append(chunksize)
+                return map(fn, items)
+
+        fit = fit_tv_var(null_panel(seed=5, T=120), TvVarConfig(q=1, lam=1.0))
+        cfg = BootstrapConfig(replications=100, coverage=0.9, master_seed=21)
+        serial = bootstrap_bands(fit, cfg)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        capped = bootstrap_bands(fit, cfg, n_jobs=8)
+        assert started == [2] and chunksizes == [13]  # four chunks for each of 2 workers, not of 8
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_cpu = bootstrap_bands(fit, cfg, n_jobs=8)
+        assert started == [2]  # one usable CPU: no pool
+        for bands in (capped, one_cpu):
+            assert same_bits(bands.lower, serial.lower) and same_bits(bands.upper, serial.upper)
 
     def test_workers_started_fresh_give_the_same_bits(self):
         # spawned workers (and forkserver ones, Python 3.14's default on Linux)
@@ -390,13 +424,54 @@ class TestSortedQuantiles:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN dates stay NaN
             expected = np.nanquantile(finite, levels, axis=0)
-        dumped = []
-        ext, flagged = _fold_extremes(iter(z), B, S, K, chunk, lambda done, rows: dumped.append((done, rows.copy())))
+        ext, flagged = _fold_extremes(iter(z), B, S, K, chunk)
         np.testing.assert_array_equal(flagged, (~np.isfinite(z)).sum(axis=0))
         assert same_bits(_sorted_quantiles(ext, B - flagged, levels), expected)
-        # the dump sees every row once, in replication order, non-finite cells as NaN
-        assert [done for done, _ in dumped] == np.cumsum([0] + [len(rows) for _, rows in dumped[:-1]]).tolist()
-        assert same_bits(np.concatenate([rows for _, rows in dumped]), finite)
+
+
+class TestDumpWriter:
+    def test_rows_pass_in_order_and_non_finite_cells_are_blank(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mkteff.bootstrap, "DUMP_CHUNK", 2)
+        z = np.array([[0.25, np.nan, 1 / 3], [np.inf, 0.0, 2.0], [-np.inf, 1e-17, 0.5]])
+        given = list(z) + [np.zeros(3)]
+        rows = iter(given)  # a fourth row, past B, stays in the stream
+        out = tmp_path / "dump"
+        writer = _dumped(rows, str(out), make_dates(3, start=date(2021, 3, 1)), 3)
+        passed = [next(writer) for _ in range(3)]  # the files are complete before the writer ends
+        assert all(a is b for a, b in zip(passed, given))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "replications_000001_000002.csv", "replications_000003_000003.csv",
+        ]
+        assert (out / "replications_000001_000002.csv").read_bytes().decode("utf-8") == (
+            "replication,date,zeta\n"
+            "1,2021-03-01,0.25\n"
+            "1,2021-03-02,\n"
+            "1,2021-03-03,0.3333333333333333\n"
+            "2,2021-03-01,\n"
+            "2,2021-03-02,0.0\n"
+            "2,2021-03-03,2.0\n"
+        )
+        assert (out / "replications_000003_000003.csv").read_bytes().decode("utf-8") == (
+            "replication,date,zeta\n"
+            "3,2021-03-01,\n"
+            "3,2021-03-02,1e-17\n"
+            "3,2021-03-03,0.5\n"
+        )
+        assert next(writer, None) is None
+        assert len(list(rows)) == 1
+
+    def test_each_file_is_opened_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mkteff.bootstrap, "DUMP_CHUNK", 3)
+        opened = []
+
+        def counted_open(name, *args, **kwargs):
+            opened.append(os.path.basename(name))
+            return open(name, *args, **kwargs)
+
+        monkeypatch.setattr(mkteff.bootstrap, "open", counted_open, raising=False)
+        assert len(list(_dumped(iter(np.ones((5, 2))), str(tmp_path), make_dates(2), 5))) == 5
+        assert opened == ["replications_000001_000003.csv", "replications_000004_000005.csv"]
+        assert len((tmp_path / "replications_000001_000003.csv").read_text().splitlines()) == 1 + 3 * 2
 
 
 class TestSeeds:

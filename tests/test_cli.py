@@ -455,6 +455,15 @@ class TestErrors:
         assert capsys.readouterr().err == "error: date_range.start 2020-01-01 is after date_range.end 2010-01-01\n"
         assert not (tmp_path / "out").exists()
 
+    def test_equal_csv_columns_are_config_error(self, tmp_path, capsys):
+        # the input paths do not exist, so exit 2 here shows that no input was read
+        files = [(str(tmp_path / "a.csv"), "A"), (str(tmp_path / "b.csv"), "B")]
+        cfg = config_file(tmp_path, files, csv={"date_column": 1, "price_column": 1})
+        assert main(["all", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: csv.date_column and csv.price_column must differ, both are 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_one_day_date_range_is_valid(self):
         cfg = build_config({"date_range": {"start": "2020-01-01", "end": "2020-01-01"}}, argparse.Namespace())
         assert cfg.date_start == cfg.date_end == date(2020, 1, 1)
@@ -681,6 +690,27 @@ class TestAll:
         assert main(["all", "--config", cfg, "--dump-replications"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(expected)
         assert _snapshot(out) == before
+
+    def test_smaller_dump_rerun_leaves_only_its_own_files(self, tmp_path, market_files, monkeypatch):
+        # the rerun's replications/ replaces the earlier one whole: no file of the larger dump stays
+        import mkteff.bootstrap
+
+        monkeypatch.setattr(mkteff.bootstrap, "DUMP_CHUNK", 100)
+
+        def dump(name, replications):
+            cfg = config_file(tmp_path, market_files, bootstrap={"replications": replications, "master_seed": 1},
+                              output_dir=str(tmp_path / name))
+            assert main(["all", "--config", cfg, "--dump-replications"]) == EXIT_OK
+            files = _snapshot(tmp_path / name)
+            del files["manifest.json"]  # its config names the output directory
+            return files
+
+        assert "replications/replications_000101_000200.csv" in dump("rerun", 200)
+        rerun = dump("rerun", 100)
+        assert sorted(p for p in rerun if p.startswith("replications")) == [
+            "replications", "replications/replications_000001_000100.csv",
+        ]
+        assert rerun == dump("fresh", 100)
 
     def test_interrupted_commit_leaves_no_manifest(self, tmp_path, market_files, monkeypatch):
         # the old manifest goes before the first rename and the new one comes last,

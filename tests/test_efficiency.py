@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkteff import TvVarConfig, efficiency_path, fit_tv_var
+from mkteff import BandPath, TvVarConfig, efficiency_path, fit_tv_var
 from mkteff.efficiency import (
     COFACTOR_BOUND,
     CONDITION_LIMIT,
@@ -178,8 +178,12 @@ class TestPath:
         assert zeta.tobytes() == _degrees(M)[0].tobytes()
 
     def test_csv_round_trip(self, tmp_path):
-        path = efficiency_path(make_estimate(np.full((3, 1, 1, 1), 0.5)))
-        path = path.with_bands(np.array([0.1, 0.1, np.nan]), np.array([0.4, 0.5, np.nan]))
+        estimate = make_estimate(np.full((3, 1, 1, 1), 0.5))
+        bands = BandPath(dates=estimate.dates, lower=np.array([0.1, 0.1, np.nan]),
+                         upper=np.array([0.4, 0.5, np.nan]), replications=100, flagged_counts=np.array([0, 0, 100]))
+        path = efficiency_path(estimate, bands)
+        assert path.band_low is bands.lower and path.band_high is bands.upper
+        assert efficiency_path(estimate).zeta.tobytes() == path.zeta.tobytes()
         path.write_csv(tmp_path / "efficiency.csv")
         lines = (tmp_path / "efficiency.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "date,zeta,band_low,band_high,singular"
@@ -199,7 +203,8 @@ class TestPath:
             "2021-03-03,0.3333333333333333,,,0\n"
             "2021-03-04,2.0,,,0\n"
         )
-        banded = path.with_bands(np.array([0.1, np.nan, 0.2, 1e-17]), np.array([0.5, 0.7, np.nan, 3.0]))
+        banded = EfficiencyPath(dates=dates, zeta=path.zeta, band_low=np.array([0.1, np.nan, 0.2, 1e-17]),
+                                band_high=np.array([0.5, 0.7, np.nan, 3.0]))
         banded.write_csv(dest)
         assert dest.read_bytes().decode("utf-8") == (
             "date,zeta,band_low,band_high,singular\n"

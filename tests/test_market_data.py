@@ -105,8 +105,9 @@ class TestLoad:
 
     @pytest.mark.parametrize(
         "fmt, name",
-        [({"delimiter": ""}, "csv.delimiter"), ({"date_column": -1}, "csv.date_column")],
-        ids=["empty-delimiter", "negative-date-column"],
+        [({"delimiter": ""}, "csv.delimiter"), ({"date_column": -1}, "csv.date_column"),
+         ({"date_column": 1, "price_column": 1}, "csv.date_column and csv.price_column must differ, both are 1")],
+        ids=["empty-delimiter", "negative-date-column", "equal-columns"],
     )
     def test_invalid_format_is_config_error(self, fmt, name):
         with pytest.raises(ConfigError, match=name):
@@ -229,7 +230,8 @@ class TestLoadOracle:
     # every row narrower than the price column
     @example(("h\n1\n", CsvFormat(date_column=1, price_column=0)))
     # a delimiter with a line break, which a match across two rows would cut wrongly
-    @example(("h\n20200101\n20200102\n", CsvFormat(delimiter="\n2", date_format="%Y%m%d", price_column=0)))
+    @example(("h\n20200101\n20200102\n",
+              CsvFormat(delimiter="\n2", date_format="%Y%m%d", date_column=1, price_column=0)))
     # lone CR line ends: each ends a row
     @example(("d,p\r2020-01-01,1\r2020-01-02,2\r", CsvFormat()))
     def test_same_rows_and_errors_as_row_loop(self, drawn_file, case):
