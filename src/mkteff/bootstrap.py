@@ -18,12 +18,13 @@ initializer. A replication runs the arithmetic of a null draw and
 ``efficiency_path`` does, ``DEGREE_CHUNK`` dates at a time: its degrees equal
 theirs bit for bit, with temporaries one chunk wide.
 
-Every replication b derives its generator from
-``numpy.random.SeedSequence(master_seed, spawn_key=(b,))`` , a fixed, documented
-splittable-counter hash that is stable across platforms, so results are
-identical for any worker count or execution order. The picks come from
-``Generator.integers``, whose stream NEP 19 does not keep stable across numpy
-versions: bands repeat bit for bit on one numpy version only.
+Replication b draws its rows with the picks
+``numpy.random.default_rng(numpy.random.SeedSequence(master_seed, spawn_key=(b,)))
+.integers(0, n, size=T)`` would give, computed by ``pcg64.SpawnedIntegers``
+without importing ``numpy.random``; the test suite checks them against numpy's
+bit for bit. The stream depends only on the master seed and b, so results are
+identical for any worker count or execution order, on any platform and numpy
+version.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 from .efficiency import BandPath, _path_degrees
+from .pcg64 import SpawnedIntegers
 from .tv_var import TvVarConfig, TvVarEstimate, _fit_paths, _lag_matrices, _lagged_design
 
 __all__ = [
     "BootstrapConfig",
-    "replication_seed",
     "bootstrap_bands",
 ]
 
@@ -55,7 +56,7 @@ DUMP_CHUNK = 1000
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Replication count (0 for no bands, else at least 100), band coverage,
-    and the master seed."""
+    and the master seed, a non-negative integer."""
 
     replications: int = 10_000
     coverage: float = 0.95
@@ -66,11 +67,8 @@ class BootstrapConfig:
             raise ConfigError("coverage must be strictly between 0 and 1")
         if self.replications < 0 or 0 < self.replications < 100:
             raise ConfigError(f"replications must be 0 or at least 100, got {self.replications}")
-
-
-def replication_seed(master_seed: int, b: int) -> np.random.SeedSequence:
-    """Derived seed for replication b; independent of execution order."""
-    return np.random.SeedSequence(master_seed, spawn_key=(b,))
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 def _null_rows(resid: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -84,17 +82,10 @@ def _null_rows(resid: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _draw(rows: np.ndarray, seed, T: int) -> np.ndarray:
-    """T of ``rows`` drawn with replacement, (T, n)."""
-    picks = np.random.default_rng(seed).integers(0, rows.shape[0], size=T)
-    return np.take(rows, picks, axis=0)
-
-
-def _run_replication(rows: np.ndarray, master_seed: int, config: TvVarConfig, b: int) -> np.ndarray:
-    """Replication b's degree path, all NaN if the refit fails; its null panel
-    has the observed length, a row per row of ``rows`` plus ``config.q``."""
-    x = _draw(rows, replication_seed(master_seed, b), rows.shape[0] + config.q)
-    Y, Z = _lagged_design(x, config.q)
+def _run_replication(rows: np.ndarray, picks: SpawnedIntegers, config: TvVarConfig, b: int) -> np.ndarray:
+    """Replication b's degree path, all NaN if the refit fails; its null panel is
+    the rows ``picks(b)`` of ``rows``, the observed length (``config.q`` more)."""
+    Y, Z = _lagged_design(np.take(rows, picks(b), axis=0), config.q)
     try:
         paths = _fit_paths(Y, Z, config)[1]
     except NumericalError:
@@ -204,7 +195,9 @@ def bootstrap_bands(
     rows = _null_rows(fit.residuals, fit.nu)
     lo_q = (1.0 - boot_config.coverage) / 2.0
     K = min(B, int(np.floor(lo_q * (B - 1))) + 3)  # one row more than the deepest read, for rounding
-    run = partial(_run_replication, rows, boot_config.master_seed, fit.config)
+    # the master seed's hash and the stream's state tables, once for every replication
+    picks = SpawnedIntegers(boot_config.master_seed, len(rows), len(rows) + fit.config.q)
+    run = partial(_run_replication, rows, picks, fit.config)
     reps = range(1, B + 1)
     # at most one worker per CPU this process may run on (macOS and Windows have no affinity call)
     jobs = min(n_jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)

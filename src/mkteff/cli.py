@@ -231,14 +231,16 @@ def _manifest_text(command: str, **fields) -> str:
 
 
 @contextmanager
-def _staged(output_dir: str):
+def _staged(output_dir: str, opt_in: tuple[str, ...] = ()):
     """A new staging directory in ``output_dir``, the one place a command writes. On a
     normal exit each of its entries is renamed into ``output_dir``, a directory replacing
     the earlier one whole (moved into the stage); on an exception none is. Either way the
     stage is then removed. A file whose destination is a directory, or a directory whose
     destination is a file, is a ``ConfigError`` before anything is changed. Then the old
-    ``manifest.json`` is removed and the new one is renamed last, so a directory that
-    holds a manifest holds that run's complete output."""
+    ``manifest.json`` is removed, and so is each ``opt_in`` entry this run did not stage
+    (an earlier run's optional output, which the new manifest would not describe); the
+    new manifest is renamed last, so a directory that holds a manifest holds that run's
+    complete output."""
     cannot_write = f"cannot write to output directory {output_dir}"
     try:
         os.makedirs(output_dir, exist_ok=True)
@@ -254,6 +256,9 @@ def _staged(output_dir: str):
                 raise ConfigError(f"{cannot_write}: {name} is {'a file' if is_dir else 'a directory'}")
         with suppress(FileNotFoundError):
             os.unlink(os.path.join(output_dir, "manifest.json"))
+        for name in opt_in:
+            if name not in names and os.path.lexists(os.path.join(output_dir, name)):
+                os.replace(os.path.join(output_dir, name), os.path.join(stage, f".old-{name}"))
         for name in names:
             dest = os.path.join(output_dir, name)
             if os.path.isdir(dest):
@@ -432,9 +437,10 @@ def run_pipeline(cfg: PipelineConfig, command: str) -> int:
 
     A failed stationarity gate ends the run after the describe stage with
     ``EXIT_DATA``, its summary and the manifest committed. On an exception
-    nothing is committed.
+    nothing is committed. A commit removes an earlier run's ``replications``
+    and ``coefficients.csv`` when this run did not write them.
     """
-    with _staged(cfg.output_dir) as stage:
+    with _staged(cfg.output_dir, opt_in=("replications", "coefficients.csv")) as stage:
         run = PipelineRun(cfg, load_returns_panel(cfg), stage)
         code = EXIT_OK
         for step in STAGES[command]:

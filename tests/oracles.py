@@ -10,7 +10,10 @@ lstsq on its own tall design, where the package reads all candidates off one
 factorization. A bootstrap replication is run the long way, through a null
 panel built as a new array and the public fit and degree-path functions, where
 the package solves the lagged design and takes the degrees of a view of its
-paths, building none of the public objects. The Hansen statistic is built
+paths, building none of the public objects; its rows are picked by
+``numpy.random``, and the same picks are also generated one 32-bit word at a
+time in Python integers, where the package computes a block of PCG64 states
+at once from constant tables. The Hansen statistic is built
 from a list of per-equation score blocks, where the package fills one score
 matrix in place, and the banded normal equations are assembled and
 factored and solved in upper band storage, where the package factors and
@@ -33,7 +36,7 @@ import scipy.sparse as sp
 from scipy import stats
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from mkteff.bootstrap import BootstrapConfig, replication_seed
+from mkteff.bootstrap import BootstrapConfig
 from mkteff.efficiency import efficiency_path
 from mkteff.errors import DataError, NumericalError
 from mkteff.market_data import AlignedPanel, CsvFormat, PriceSeries
@@ -209,7 +212,7 @@ def naive_replication(
     centered residual rows drawn with replacement, a fresh fit and its degree path;
     all NaN where the refit fails."""
     resid = fit.residuals
-    gen = np.random.default_rng(replication_seed(master_seed, b))
+    gen = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(b,)))
     picks = gen.integers(0, len(resid), size=panel.n_periods)
     values = fit.nu + (resid - resid.mean(axis=0))[picks]
     sample = AlignedPanel(panel.dates, values, panel.asset_ids, "returns")
@@ -217,6 +220,79 @@ def naive_replication(
         return efficiency_path(fit_tv_var(sample, tv_config)).zeta
     except NumericalError:
         return np.full(panel.n_periods - tv_config.q, np.nan)
+
+
+def naive_spawned_integers(master_seed: int, b: int, n: int, size: int) -> list[int]:
+    """``default_rng(SeedSequence(master_seed, spawn_key=(b,))).integers(0, n, size)``
+    for 1 <= n <= 2**32, one Python integer at a time, as numpy's code runs: the
+    SeedSequence entropy mix and ``generate_state``, ``pcg64_set_seed``, one
+    128-bit LCG step and XSL-RR output per 64 bits, the high half kept for the
+    next 32-bit call, and ``buffered_bounded_lemire_uint32``."""
+    m32, m128 = 2**32 - 1, 2**128 - 1
+
+    def words(v):
+        out = [v & m32]
+        while v >> 32:
+            v >>= 32
+            out.append(v & m32)
+        return out
+
+    def hashmix(value, hc):
+        value ^= hc[0]
+        hc[0] = hc[0] * 0x931E8875 & m32
+        value = value * hc[0] & m32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
+        return r ^ (r >> 16)
+
+    run = words(master_seed)
+    entropy = run + [0] * max(0, 4 - len(run)) + words(b)
+    pool, hc = [0] * 4, [0x43B0D7E5]
+    for i in range(4):
+        pool[i] = hashmix(entropy[i], hc)
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src], hc))
+    for i_src in range(4, len(entropy)):
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src], hc))
+    state32, hc = [], 0x8B51F9DD
+    for i in range(8):
+        v = pool[i % 4] ^ hc
+        hc = hc * 0x58F38DED & m32
+        v = v * hc & m32
+        state32.append(v ^ (v >> 16))
+    seed64 = [state32[2 * i] | state32[2 * i + 1] << 32 for i in range(4)]
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((seed64[2] << 64 | seed64[3]) << 1 | 1) & m128
+    state = inc  # one step from zero
+    state = (state + (seed64[0] << 64 | seed64[1])) & m128
+    state = (state * mult + inc) & m128
+    high = None
+
+    def next32():
+        nonlocal state, high
+        if high is not None:
+            out, high = high, None
+            return out
+        state = (state * mult + inc) & m128
+        x, rot = (state >> 64) ^ (state & (2**64 - 1)), state >> 122
+        out64 = ((x >> rot) | (x << (64 - rot))) & (2**64 - 1)
+        high = out64 >> 32
+        return out64 & m32
+
+    picks = []
+    for _ in range(size):
+        m = next32() * n
+        if (m & m32) < n:
+            threshold = (m32 - (n - 1)) % n
+            while (m & m32) < threshold:
+                m = next32() * n
+        picks.append(m >> 32)
+    return picks
 
 
 def naive_bands(

@@ -21,15 +21,14 @@ from mkteff import (
     simulate,
     DgpSpec,
 )
-from mkteff.bootstrap import (
-    _draw, _dumped, _fold_extremes, _null_rows, _run_replication, _sorted_quantiles, replication_seed,
-)
+from mkteff.bootstrap import _dumped, _fold_extremes, _null_rows, _run_replication, _sorted_quantiles
 from mkteff.efficiency import _path_degrees
 from mkteff.errors import ConfigError, DataError, NumericalError
+from mkteff.pcg64 import SpawnedIntegers
 from mkteff.tv_var import _fit_paths, _lag_matrices, _lagged_design
 
 from conftest import make_dates, traced_peak
-from oracles import naive_bands, naive_replication
+from oracles import naive_bands, naive_replication, naive_spawned_integers
 
 
 def null_panel(seed=0, T=200, n=2):
@@ -37,9 +36,10 @@ def null_panel(seed=0, T=200, n=2):
     return panel
 
 
-def null_draw(resid, nu, seed, T):
-    """T rows drawn by the kernel from ``nu`` plus the centered residuals."""
-    return _draw(_null_rows(resid, nu), seed, T)
+def null_draw(resid, nu, master_seed, T, b=1):
+    """T rows drawn as replication b draws them from ``nu`` plus the centered residuals."""
+    rows = _null_rows(resid, nu)
+    return np.take(rows, SpawnedIntegers(master_seed, len(rows), T)(b), axis=0)
 
 
 class TestResample:
@@ -56,9 +56,9 @@ class TestResample:
         # bit for bit: nu + (e_k - mean e), with k from the seed's generator
         resid = rng.standard_normal((50, 3)) * 0.01 + 0.3
         nu = np.array([1e-3, -2e-4, 5.0])
-        picks = np.random.default_rng(replication_seed(4, 2)).integers(0, 50, size=80)
+        picks = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(2,))).integers(0, 50, size=80)
         expected = nu + (resid - resid.mean(axis=0))[picks]
-        got = null_draw(resid, nu, replication_seed(4, 2), 80)
+        got = null_draw(resid, nu, 4, 80, b=2)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_zero_residuals_reproduce_intercept(self):
@@ -294,6 +294,8 @@ class TestBands:
             BootstrapConfig(coverage=1.2)
         with pytest.raises(ConfigError):
             BootstrapConfig(replications=-1)
+        with pytest.raises(ConfigError, match="master_seed must be non-negative, got -1"):
+            BootstrapConfig(replications=100, master_seed=-1)
 
 
 def same_bits(a, b):
@@ -303,7 +305,8 @@ def same_bits(a, b):
 
 def replication(fit, tv, master_seed):
     """``_run_replication`` with the arguments ``bootstrap_bands`` binds, a function of b."""
-    return partial(_run_replication, _null_rows(fit.residuals, fit.nu), master_seed, tv)
+    rows = _null_rows(fit.residuals, fit.nu)
+    return partial(_run_replication, rows, SpawnedIntegers(master_seed, len(rows), len(rows) + tv.q), tv)
 
 
 REFITS = {
@@ -346,7 +349,7 @@ class TestReplicationOracle:
         # 2048 dates at a time take about two stacks, all S dates at once about three
         panel = null_panel(seed=17, T=3001, n=8)
         fit = fit_tv_var(panel, TvVarConfig(q=1, lam=1.0))
-        x = _draw(_null_rows(fit.residuals, fit.nu), replication_seed(3, 2), len(fit.dates) + 1)
+        x = null_draw(fit.residuals, fit.nu, 3, len(fit.dates) + 1, b=2)
         paths = _fit_paths(*_lagged_design(x, 1), fit.config)[1]
         monkeypatch.setattr(mkteff.efficiency, "DEGREE_CHUNK", 256)
         stack = len(fit.dates) * 8 * 8 * 8
@@ -373,10 +376,10 @@ class TestReplicationOracle:
         resid = fit.residuals.copy()
         resid[30], resid[70] = 1e160, -1e160
         fit = dataclasses.replace(fit, residuals=resid)
-        rows = _null_rows(fit.residuals, fit.nu)
+        run = replication(fit, tv, 9)
         failed = []
         for b in range(1, 41):
-            z = _run_replication(rows, 9, tv, b)
+            z = run(b)
             assert same_bits(z, naive_replication(panel, fit, tv, 9, b))
             failed.append(bool(np.isnan(z).all()))
         assert any(failed[b] and not failed[b + 1] for b in range(39))  # a fit right after a failure
@@ -474,12 +477,35 @@ class TestDumpWriter:
         assert len((tmp_path / "replications_000001_000003.csv").read_text().splitlines()) == 1 + 3 * 2
 
 
-class TestSeeds:
-    def test_replication_seed_is_spawn_key(self):
-        s = replication_seed(123, 7)
-        assert s.entropy == 123
-        assert s.spawn_key == (7,)
-        # distinct replications give distinct streams
-        a = np.random.default_rng(replication_seed(9, 1)).integers(0, 100, 5)
-        b = np.random.default_rng(replication_seed(9, 2)).integers(0, 100, 5)
-        assert not np.array_equal(a, b)
+class TestStream:
+    """The vectorised PCG64 picks against numpy's ``integers`` and a scalar loop."""
+
+    @pytest.mark.parametrize("master_seed", [0, 7, 2**40 + 3, 2**130 + 5])
+    @pytest.mark.parametrize(
+        "n, size", [(10, 40), (1686, 1687), (7500, 7501), (2**31 + 1, 600), (2**31, 300), (1, 5), (2**32, 50)]
+    )
+    def test_equals_numpy_and_the_scalar_loop(self, master_seed, n, size):
+        # 2**40 + 3 is two seed words and 2**130 + 5 five, more than the pool holds;
+        # b = 2**32 + 9 is two spawn-key words; n = 2**31 + 1 rejects half its candidates;
+        # at 2**31 every candidate is kept, half of them with a remainder equal to the
+        # threshold 0; numpy reads n = 1 and 2**32 with no rejection step, as its ends
+        stream = SpawnedIntegers(master_seed, n, size)
+        for b in (1, 2, 2**32 + 9):
+            got = stream(b)
+            numpy_picks = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(b,))).integers(
+                0, n, size=size
+            )
+            assert got.dtype == numpy_picks.dtype and np.array_equal(got, numpy_picks)
+            assert got.tolist() == naive_spawned_integers(master_seed, b, n, size)
+
+    @pytest.mark.parametrize("n", [1686, 2**31 + 1])
+    def test_a_draw_longer_than_the_tables_continues_the_stream(self, n):
+        # tables of three outputs give six candidates: 500 picks take the extension loop
+        stream = SpawnedIntegers(11, n, 500)
+        stream.tables = tuple(t[:, :3] for t in stream.tables)
+        for b in (1, 4):
+            assert stream(b).tolist() == naive_spawned_integers(11, b, n, 500)
+
+    def test_distinct_replications_give_distinct_streams(self):
+        stream = SpawnedIntegers(9, 100, 50)
+        assert not np.array_equal(stream(1), stream(2))

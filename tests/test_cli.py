@@ -544,8 +544,10 @@ class TestErrors:
     @pytest.mark.parametrize(
         "flag",
         [["--lambda", "-1"], ["--lambda", "inf"], ["--coverage", "7"], ["--replications", "50"], ["--output-dir", ""],
-         ["--input", "a.csv:A", "--input", "b.csv:A", "--input", "c.csv:C"], ["--input", "a.csv:", "--input", "b.csv:B"]],
-        ids=["lambda", "lambda-inf", "coverage", "replications", "output-dir", "duplicate-input-id", "empty-input-id"],
+         ["--input", "a.csv:A", "--input", "b.csv:A", "--input", "c.csv:C"], ["--input", "a.csv:", "--input", "b.csv:B"],
+         ["--master-seed", "-1"]],
+        ids=["lambda", "lambda-inf", "coverage", "replications", "output-dir", "duplicate-input-id", "empty-input-id",
+             "master-seed"],
     )
     def test_out_of_range_flag_is_config_error(self, tmp_path, market_files, flag):
         cfg = config_file(tmp_path, market_files)
@@ -563,6 +565,23 @@ class TestErrors:
         expected["csv"]["skip_bad_rows"] = False
         expected["allow_nonstationary"] = False
         assert build_config(doc, argparse.Namespace()).echo() == expected
+
+
+def unwanted_modules(tmp_path, files, replications):
+    """The modules of numpy.random, secrets, hashlib and multiprocessing a one-job
+    ``mkteff all`` with ``replications`` loads, in a new interpreter."""
+    import mkteff
+
+    src = os.path.dirname(os.path.dirname(mkteff.__file__))
+    unwanted = ("numpy.random", "secrets", "hashlib", "multiprocessing")
+    argv = ["all", "--config", config_file(tmp_path, files), "--replications", replications, "--n-jobs", "1"]
+    code = (
+        f"import json, sys; from mkteff.cli import main; assert main({argv!r}) == 0; "
+        f"print(json.dumps(sorted(m for m in sys.modules if (m + '.').startswith(tuple(u + '.' for u in {unwanted!r})))))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 class TestAll:
@@ -583,20 +602,13 @@ class TestAll:
         assert proc.stdout.strip() == "[] True"
 
     def test_run_without_bands_loads_no_random_or_pool_modules(self, tmp_path, market_files):
-        import mkteff
+        assert unwanted_modules(tmp_path, market_files, "0") == []
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["bands"] is False
 
-        src = os.path.dirname(os.path.dirname(mkteff.__file__))
-        # the bands import numpy.random, which loads secrets and hashlib with it
-        unwanted = ("numpy.random", "secrets", "hashlib", "multiprocessing")
-        argv = ["all", "--config", config_file(tmp_path, market_files), "--replications", "0"]
-        code = (
-            f"import sys; from mkteff.cli import main; code = main({argv!r}); "
-            f"print(code, sorted(m for m in sys.modules if (m + '.').startswith(tuple(u + '.' for u in {unwanted!r}))))"
-        )
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "0 []"
-        assert (tmp_path / "out" / "efficiency.csv").exists()
+    def test_run_with_bands_loads_no_random_or_pool_modules(self, tmp_path, market_files):
+        # the picks are drawn without numpy.random, which would load secrets and hashlib
+        assert unwanted_modules(tmp_path, market_files, "100") == []
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["bands"] is True
 
     def test_loads_and_selects_once(self, tmp_path, market_files, monkeypatch):
         import mkteff.cli as cli_mod
@@ -711,6 +723,21 @@ class TestAll:
             "replications", "replications/replications_000001_000100.csv",
         ]
         assert rerun == dump("fresh", 100)
+
+    def test_rerun_without_the_opt_in_outputs_removes_them(self, tmp_path, market_files):
+        # the manifest records neither flag, so their outputs must not outlive the run that made them
+        cfg = config_file(tmp_path, market_files, bootstrap={"replications": 100, "master_seed": 1})
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg, "--dump-replications", "--export-coefficients"]) == EXIT_OK
+        assert (out / "replications").is_dir() and (out / "coefficients.csv").is_file()
+        assert main(["all", "--config", cfg, "--replications", "0"]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "efficiency.csv", "efficiency.svg", "manifest.json", "summary.csv", "summary.json", "summary.txt",
+            "var_report.json", "var_report.txt",
+        ]
+        assert json.loads((out / "manifest.json").read_text())["bands"] is False
+        assert main(["all", "--config", cfg, "--export-coefficients"]) == EXIT_OK
+        assert (out / "coefficients.csv").is_file() and not (out / "replications").exists()
 
     def test_interrupted_commit_leaves_no_manifest(self, tmp_path, market_files, monkeypatch):
         # the old manifest goes before the first rename and the new one comes last,
