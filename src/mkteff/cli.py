@@ -20,7 +20,7 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from types import SimpleNamespace
@@ -230,17 +230,20 @@ def _manifest_text(command: str, **fields) -> str:
     return _json_text({"tool": "mkteff", "version": __version__, "command": command, **fields})
 
 
+# Every entry a command writes into its output directory; replications is the one directory.
+OUTPUTS = ("manifest.json", "summary.txt", "summary.json", "summary.csv", "var_report.txt", "var_report.json",
+           "efficiency.csv", "efficiency.svg", "coefficients.csv", "panel.csv", "truth.csv", "replications")
+
+
 @contextmanager
-def _staged(output_dir: str, opt_in: tuple[str, ...] = ()):
+def _staged(output_dir: str):
     """A new staging directory in ``output_dir``, the one place a command writes. On a
-    normal exit each of its entries is renamed into ``output_dir``, a directory replacing
-    the earlier one whole (moved into the stage); on an exception none is. Either way the
-    stage is then removed. A file whose destination is a directory, or a directory whose
-    destination is a file, is a ``ConfigError`` before anything is changed. Then the old
-    ``manifest.json`` is removed, and so is each ``opt_in`` entry this run did not stage
-    (an earlier run's optional output, which the new manifest would not describe); the
-    new manifest is renamed last, so a directory that holds a manifest holds that run's
-    complete output."""
+    normal exit the commit moves every ``OUTPUTS`` entry in ``output_dir``, whichever run
+    wrote it, into the stage (the old manifest first), then renames the stage's entries in
+    (the new manifest last): a directory that holds a manifest holds that run's output and
+    no other ``OUTPUTS`` entry. One of the wrong kind (a file named replications, a
+    directory at any other name) is a ``ConfigError`` before anything changes. On an
+    exception nothing is committed. Either way the stage is then removed."""
     cannot_write = f"cannot write to output directory {output_dir}"
     try:
         os.makedirs(output_dir, exist_ok=True)
@@ -249,21 +252,15 @@ def _staged(output_dir: str, opt_in: tuple[str, ...] = ()):
         raise ConfigError(f"{cannot_write}: {exc}") from exc
     try:
         yield stage
-        names = sorted(os.listdir(stage), key=lambda name: (name == "manifest.json", name))  # the manifest last
-        for name in names:
-            is_dir, dest = os.path.isdir(os.path.join(stage, name)), os.path.join(output_dir, name)
-            if os.path.lexists(dest) and os.path.isdir(dest) != is_dir:
-                raise ConfigError(f"{cannot_write}: {name} is {'a file' if is_dir else 'a directory'}")
-        with suppress(FileNotFoundError):
-            os.unlink(os.path.join(output_dir, "manifest.json"))
-        for name in opt_in:
-            if name not in names and os.path.lexists(os.path.join(output_dir, name)):
-                os.replace(os.path.join(output_dir, name), os.path.join(stage, f".old-{name}"))
-        for name in names:
-            dest = os.path.join(output_dir, name)
-            if os.path.isdir(dest):
-                os.replace(dest, os.path.join(stage, f".old-{name}"))
-            os.replace(os.path.join(stage, name), dest)
+        new = sorted(os.listdir(stage), key=lambda name: (name == "manifest.json", name))
+        old = [name for name in OUTPUTS if os.path.lexists(os.path.join(output_dir, name))]
+        for name in old:
+            if os.path.isdir(os.path.join(output_dir, name)) != (name == "replications"):
+                raise ConfigError(f"{cannot_write}: {name} is {'a file' if name == 'replications' else 'a directory'}")
+        for name in old:
+            os.replace(os.path.join(output_dir, name), os.path.join(stage, f".old-{name}"))
+        for name in new:
+            os.replace(os.path.join(stage, name), os.path.join(output_dir, name))
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
@@ -437,10 +434,9 @@ def run_pipeline(cfg: PipelineConfig, command: str) -> int:
 
     A failed stationarity gate ends the run after the describe stage with
     ``EXIT_DATA``, its summary and the manifest committed. On an exception
-    nothing is committed. A commit removes an earlier run's ``replications``
-    and ``coefficients.csv`` when this run did not write them.
+    nothing is committed.
     """
-    with _staged(cfg.output_dir, opt_in=("replications", "coefficients.csv")) as stage:
+    with _staged(cfg.output_dir) as stage:
         run = PipelineRun(cfg, load_returns_panel(cfg), stage)
         code = EXIT_OK
         for step in STAGES[command]:

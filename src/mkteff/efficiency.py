@@ -57,6 +57,8 @@ class EfficiencyPath:
         object.__setattr__(self, "singular", ~np.isfinite(zeta))
         if len(self.dates) != zeta.shape[0]:
             raise ValueError("dates and zeta must align")
+        if any(band is not None and len(band) != len(self.dates) for band in (self.band_low, self.band_high)):
+            raise ValueError("band_low and band_high must have one value per date")
         if np.any(zeta[~self.singular] < 0):
             raise ValueError("degree must be non-negative where defined")
         if self.band_low is not None and self.band_high is not None:

@@ -124,6 +124,8 @@ class AlignedPanel:
             raise DataError("row count does not match date count")
         if values.shape[1] != len(self.asset_ids):
             raise DataError("column count does not match asset count")
+        if len(set(self.asset_ids)) < len(self.asset_ids):
+            raise DataError(f"asset ids repeat: {', '.join(map(repr, self.asset_ids))}")
         if not np.all(np.isfinite(values)):
             raise DataError("panel contains missing or non-finite cells")
         if self.kind == "prices" and values.size and not np.all(values > 0):

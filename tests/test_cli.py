@@ -625,20 +625,19 @@ class TestAll:
         assert calls == {"load_returns_panel": 1, "select_lag_bic": 1}
 
     def test_same_bytes_as_the_three_stages(self, tmp_path, market_files):
+        # each subcommand commits into its own directory: a commit keeps only its own run's outputs
         tv = {"q": None, "lambda": 1.0}
         bootstrap = {"replications": 100, "master_seed": 5}
-        one = config_file(tmp_path, market_files, tv=tv, bootstrap=bootstrap, output_dir=str(tmp_path / "one"))
-        assert main(["all", "--config", one]) == EXIT_OK
-        three = config_file(tmp_path, market_files, tv=tv, bootstrap=bootstrap, output_dir=str(tmp_path / "three"))
-        for command in ("describe", "var", "efficiency"):
-            assert main([command, "--config", three]) == EXIT_OK
-        names = sorted(p.name for p in (tmp_path / "one").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "three").iterdir())
-        for name in names:
-            if name != "manifest.json":
-                assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes(), name
-        manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
-        report = json.loads((tmp_path / "one" / "var_report.json").read_text())
+        files = {}
+        for command in ("all", "describe", "var", "efficiency"):
+            cfg = config_file(tmp_path, market_files, tv=tv, bootstrap=bootstrap, output_dir=str(tmp_path / command))
+            assert main([command, "--config", cfg]) == EXIT_OK
+            files[command] = {p.name: p.read_bytes() for p in (tmp_path / command).iterdir() if p.name != "manifest.json"}
+        three = {**files["describe"], **files["var"], **files["efficiency"]}
+        assert len(three) == sum(len(files[c]) for c in ("describe", "var", "efficiency"))
+        assert files["all"] == three
+        manifest = json.loads((tmp_path / "all" / "manifest.json").read_text())
+        report = json.loads(files["all"]["var_report.json"])
         assert manifest["command"] == "all"
         assert manifest["n_obs"] == 160
         assert manifest["selected_var_order"] == report["selected_p"] == manifest["tv_order"]
@@ -794,6 +793,87 @@ class TestAll:
         ]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "all" and manifest["n_obs"] == 200
+
+
+def listing(out):
+    return sorted(p.name for p in out.iterdir())
+
+
+class TestCommit:
+    """A commit leaves the output directory holding exactly what its manifest describes."""
+
+    SUMMARY = ["manifest.json", "summary.csv", "summary.json", "summary.txt"]
+    ALL = sorted(SUMMARY + ["efficiency.csv", "efficiency.svg", "var_report.json", "var_report.txt"])
+
+    def simulate_into(self, tmp_path, out):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "white-noise", "n": 2, "T": 40, "seed": 5}))
+        assert main(["simulate", "--spec", str(spec), "--output-dir", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command, names", [
+        ("describe", SUMMARY),
+        ("var", ["manifest.json", "var_report.json", "var_report.txt"]),
+        ("efficiency", ["efficiency.csv", "efficiency.svg", "manifest.json"]),
+    ])
+    def test_one_stage_into_an_all_directory_leaves_only_its_own_files(self, tmp_path, market_files, command, names):
+        cfg = config_file(tmp_path, market_files, bootstrap={"replications": 100, "master_seed": 1})
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg, "--dump-replications", "--export-coefficients"]) == EXIT_OK
+        assert main([command, "--config", cfg]) == EXIT_OK
+        assert listing(out) == names
+        assert json.loads((out / "manifest.json").read_text())["command"] == command
+
+    def test_failed_gate_into_an_all_directory_leaves_the_summary(self, tmp_path):
+        rng = np.random.default_rng(5)
+        files = []
+        for name in ("one", "two"):  # returns that are random walks fail the gate
+            write_price_csv(tmp_path / f"{name}.csv", 50.0, np.cumsum(rng.normal(0, 0.002, 200)))
+            files.append((str(tmp_path / f"{name}.csv"), name))
+        cfg = config_file(tmp_path, files)
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg, "--allow-nonstationary", "--export-coefficients"]) == EXIT_OK
+        assert listing(out) == sorted(self.ALL + ["coefficients.csv"])
+        assert main(["all", "--config", cfg]) == EXIT_DATA
+        assert listing(out) == self.SUMMARY
+        assert "selected_var_order" not in json.loads((out / "manifest.json").read_text())
+
+    def test_simulate_and_pipeline_replace_each_other(self, tmp_path, market_files):
+        cfg = config_file(tmp_path, market_files)
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg]) == EXIT_OK
+        self.simulate_into(tmp_path, out)
+        assert listing(out) == ["manifest.json", "panel.csv", "truth.csv"]
+        assert main(["all", "--config", cfg]) == EXIT_OK
+        assert listing(out) == self.ALL
+
+    @pytest.mark.parametrize("blocker, flags", [
+        ("coefficients.csv", []),  # a directory at a file's name, though this run writes no coefficients
+        ("replications", ["--replications", "0"]),  # a file at the directory's name, though this run dumps none
+    ])
+    def test_an_entry_of_the_wrong_kind_is_config_error(self, tmp_path, market_files, capsys, blocker, flags):
+        cfg = config_file(tmp_path, market_files)
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg]) == EXIT_OK
+        if blocker == "replications":
+            (out / blocker).write_text("kept\n")
+        else:
+            (out / blocker).mkdir()
+            (out / blocker / "notes.txt").write_text("kept\n")
+        before = _snapshot(out)
+        assert main(["all", "--config", cfg, *flags]) == EXIT_CONFIG
+        kind = "a file" if blocker == "replications" else "a directory"
+        assert capsys.readouterr().err == f"error: cannot write to output directory {out}: {blocker} is {kind}\n"
+        assert _snapshot(out) == before
+
+    def test_the_writers_stage_exactly_the_outputs(self, tmp_path, market_files):
+        from mkteff.cli import OUTPUTS
+
+        cfg = config_file(tmp_path, market_files, bootstrap={"replications": 100, "master_seed": 1})
+        assert main(["all", "--config", cfg, "--dump-replications", "--export-coefficients"]) == EXIT_OK
+        self.simulate_into(tmp_path, tmp_path / "sim")
+        written = listing(tmp_path / "out") + listing(tmp_path / "sim")
+        assert sorted(set(written)) == sorted(OUTPUTS)
+        assert [p.name for p in (tmp_path / "out").iterdir() if p.is_dir()] == ["replications"]
 
 
 def test_panel_and_regressors_are_f_ordered(tmp_path, market_files):

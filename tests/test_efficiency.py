@@ -220,6 +220,14 @@ class TestPath:
         with pytest.raises(TypeError):
             EfficiencyPath(dates=make_dates(1), zeta=np.zeros(1), singular=np.zeros(1, dtype=bool))
 
+    def test_bands_of_another_fit_are_refused(self):
+        # zip would cut the csv to the shorter band's rows
+        short = BandPath(make_dates(4), np.zeros(4), np.ones(4), 100, np.zeros(4, dtype=np.int64))
+        with pytest.raises(ValueError, match="one value per date"):
+            efficiency_path(make_estimate(np.zeros((5, 1, 2, 2))), short)
+        with pytest.raises(ValueError, match="one value per date"):
+            EfficiencyPath(dates=make_dates(2), zeta=np.zeros(2), band_low=np.zeros(2), band_high=np.ones(3))
+
     def test_band_order_validated(self):
         with pytest.raises(ValueError):
             EfficiencyPath(

@@ -284,6 +284,12 @@ class TestAlign:
         with pytest.raises(DataError, match="^no common dates across series a, b$"):
             align([a, b])
 
+    def test_repeated_asset_id_is_data_error(self):
+        # per-asset results are keyed by id: a repeated one would collapse them
+        dates = [date(2020, 1, d) for d in (1, 2, 3)]
+        with pytest.raises(DataError, match="^asset ids repeat: 'X', 'X'$"):
+            align([make_series("X", dates, [1, 2, 3]), make_series("X", dates, [4, 5, 6])])
+
     def test_needs_two_series(self):
         a = make_series("a", [date(2020, 1, 1)], [1])
         with pytest.raises(DataError):
