@@ -29,18 +29,19 @@ version.
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import date
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 from .efficiency import BandPath, _path_degrees
+from .market_data import csv_lines, float_cells
 from .pcg64 import SpawnedIntegers
 from .tv_var import TvVarConfig, TvVarEstimate, _fit_paths, _lag_matrices, _lagged_design
 
@@ -99,13 +100,13 @@ def _dumped(results, dump_dir: str, dates: tuple[date, ...], B: int):
     cell. Each file is opened once and closed before its last row is yielded, so every
     file is complete once the B-th row is."""
     os.makedirs(dump_dir, exist_ok=True)
-    days = [f",{d.isoformat()}," for d in dates]
+    days = [d.isoformat() for d in dates]
     for start in range(0, B, DUMP_CHUNK):
         end = min(start + DUMP_CHUNK, B)
         with open(os.path.join(dump_dir, f"replications_{start + 1:06d}_{end:06d}.csv"), "w", encoding="utf-8") as fh:
-            fh.write("replication,date,zeta\n")
+            fh.writelines(csv_lines([("replication", "date", "zeta")]))
             for b, z in zip(range(start + 1, end + 1), results):
-                fh.write("".join(f"{b}{day}{repr(v) if math.isfinite(v) else ''}\n" for day, v in zip(days, z.tolist())))
+                fh.writelines(csv_lines(zip(repeat(str(b)), days, float_cells(z))))
                 if b == end:
                     break
                 yield z

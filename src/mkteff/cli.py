@@ -26,8 +26,6 @@ from datetime import date
 from types import SimpleNamespace
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_bands
 from .efficiency import efficiency_path
@@ -36,7 +34,9 @@ from .market_data import (
     AlignedPanel,
     CsvFormat,
     align,
+    csv_lines,
     describe,
+    float_cells,
     load_price_series,
     log_returns,
 )
@@ -351,7 +351,7 @@ def _describe_stage(run: PipelineRun) -> int:
     doc = stats.to_dict()
     doc["unit_root"] = {a: r.to_dict() for a, r in adf_results.items()}
     run.write("summary.json", _json_text(doc))
-    run.write("summary.csv", stats.to_csv_text())
+    stats.write_csv(run.output("summary.csv"))
     run.manifest["n_obs"] = stats.n_obs
     failing = [a for a, r in adf_results.items() if not r.rejects_at(0.01)]
     if failing:
@@ -454,20 +454,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = DgpSpec.from_dict(doc)
     panel, truth = simulate(spec)
     with _staged(args.output_dir) as stage:
-        lines = ["date," + ",".join(panel.asset_ids)]
-        for i, d in enumerate(panel.dates):
-            lines.append(d.isoformat() + "," + ",".join(repr(float(v)) for v in panel.values[i]))
-        _write(os.path.join(stage, "panel.csv"), "\n".join(lines) + "\n")
-
-        q, n = spec.q, spec.n
-        coef_names = [f"a{l + 1}_{i}_{j}" for l in range(q) for i in range(n) for j in range(n)]
-        lines = ["date,zeta," + ",".join(coef_names)]
-        for t, d in enumerate(panel.dates):
-            z = truth.zeta[t]
-            zcell = repr(float(z)) if np.isfinite(z) else ""
-            flat = truth.A_path[t].ravel()
-            lines.append(d.isoformat() + f",{zcell}," + ",".join(repr(float(v)) for v in flat))
-        _write(os.path.join(stage, "truth.csv"), "\n".join(lines) + "\n")
+        days = [d.isoformat() for d in panel.dates]
+        rows = ((day, *float_cells(v)) for day, v in zip(days, panel.values))
+        _write(os.path.join(stage, "panel.csv"), "".join(csv_lines([("date", *panel.asset_ids), *rows])))
+        coef_names = [f"a{l + 1}_{i}_{j}" for l in range(spec.q) for i in range(spec.n) for j in range(spec.n)]
+        rows = ((day, z, *float_cells(a)) for day, z, a in zip(days, float_cells(truth.zeta), truth.A_path))
+        _write(os.path.join(stage, "truth.csv"), "".join(csv_lines([("date", "zeta", *coef_names), *rows])))
         _write(os.path.join(stage, "manifest.json"), _manifest_text("simulate", spec=doc, seeds={"seed": spec.seed}))
     return EXIT_OK
 

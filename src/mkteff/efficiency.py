@@ -9,12 +9,12 @@ sum approaches a unit root (flagged, not dropped).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
 
+from .market_data import csv_lines, float_cells
 from .tv_var import TvVarEstimate
 
 __all__ = [
@@ -67,22 +67,13 @@ class EfficiencyPath:
                 raise ValueError("band_low must not exceed band_high")
 
     def write_csv(self, path) -> None:
-        """Columns: date, zeta, band_low, band_high, singular (0/1); blanks for NaN."""
-
-        def cells(values) -> list[str]:
-            if values is None:
-                return [""] * len(self.dates)
-            return [repr(x) if math.isfinite(x) else "" for x in np.asarray(values, dtype=float).tolist()]
-
+        """Columns: date, zeta, band_low, band_high, singular (0/1); blanks where not finite."""
+        blank = [""] * len(self.dates)
+        low, high = (blank if band is None else float_cells(band) for band in (self.band_low, self.band_high))
+        rows = zip([d.isoformat() for d in self.dates], float_cells(self.zeta), low, high,
+                   ["1" if flag else "0" for flag in self.singular.tolist()])
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("date,zeta,band_low,band_high,singular\n")
-            fh.writelines(
-                f"{d.isoformat()},{z},{lo},{hi},{int(flag)}\n"
-                for d, z, lo, hi, flag in zip(
-                    self.dates, cells(self.zeta), cells(self.band_low), cells(self.band_high),
-                    self.singular.tolist(),
-                )
-            )
+            fh.writelines(csv_lines([("date", "zeta", "band_low", "band_high", "singular"), *rows]))
 
 
 # Dates per batch of ``_path_degrees``: no date's degree depends on the other

@@ -184,22 +184,24 @@ class DescriptiveStats:
             },
         }
 
-    def to_csv_text(self) -> str:
-        lines = ["asset,mean,sd,min,max,n_obs"]
-        for i, a in enumerate(self.asset_ids):
-            lines.append(
-                ",".join(
-                    [
-                        a,
-                        repr(float(self.mean[i])),
-                        repr(float(self.sd[i])),
-                        repr(float(self.minimum[i])),
-                        repr(float(self.maximum[i])),
-                        str(self.n_obs),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+    def write_csv(self, path) -> None:
+        """Columns: asset, mean, sd, min, max, n_obs; one row per asset."""
+        stats = np.column_stack([self.mean, self.sd, self.minimum, self.maximum])
+        rows = [(a, *float_cells(row), str(self.n_obs)) for a, row in zip(self.asset_ids, stats)]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(csv_lines([("asset", "mean", "sd", "min", "max", "n_obs"), *rows]))
+
+
+def float_cells(values) -> list[str]:
+    """Each float of ``values``, flattened, as a CSV cell: its shortest ``repr``, which
+    reads back as the same float, or a blank where it is not finite. Every float an
+    output CSV file holds is written by this rule."""
+    return [repr(x) if math.isfinite(x) else "" for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def csv_lines(rows: Iterable[Iterable[str]]) -> Iterator[str]:
+    """Each row of cells as one line of CSV text: the cells joined by commas, then a newline."""
+    return (",".join(row) + "\n" for row in rows)
 
 
 def _read_lines(path, asset_id: str) -> list[str]:

@@ -91,6 +91,8 @@ class DgpSpec:
             raise ConfigError(f"unknown DGP kind {self.kind!r}")
         if self.n < 1 or self.T < 2 or self.q < 1:
             raise ConfigError("n, T must be positive and q at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.innovation_sd < np.inf:
             raise ConfigError(f"innovation_sd must be positive and finite, got {self.innovation_sd!r}")
         if not 0.0 <= self.coef_innovation_sd < np.inf:

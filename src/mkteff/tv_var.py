@@ -30,7 +30,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .market_data import AlignedPanel
+from .market_data import AlignedPanel, csv_lines, float_cells
 
 
 def _load_flapack():
@@ -281,10 +281,10 @@ def fit_tv_var(panel: AlignedPanel, config: TvVarConfig | None = None) -> TvVarE
 
 def export_coefficient_paths(estimate: TvVarEstimate, path) -> None:
     """Write the path in long form: date, lag, row, col, value."""
+    _, q, n, _ = estimate.A_path.shape
+    keys = [(str(l + 1), str(i), str(j)) for l in range(q) for i in range(n) for j in range(n)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("date,lag,row,col,value\n")
-        S, q, n, _ = estimate.A_path.shape
-        cells = [f",{l + 1},{i},{j}," for l in range(q) for i in range(n) for j in range(n)]
-        for d, row in zip(estimate.dates, estimate.A_path.reshape(S, -1).tolist()):
+        fh.writelines(csv_lines([("date", "lag", "row", "col", "value")]))
+        for d, values in zip(estimate.dates, estimate.A_path):  # one date's q n^2 lines at a time
             day = d.isoformat()
-            fh.write("".join(f"{day}{cell}{v!r}\n" for cell, v in zip(cells, row)))
+            fh.writelines(csv_lines((day, *key, v) for key, v in zip(keys, float_cells(values))))

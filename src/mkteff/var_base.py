@@ -164,29 +164,6 @@ def _bic(sigma: np.ndarray, teff: int, k: int) -> float:
     return float((logdet if sign > 0 else -np.inf) + (sigma.shape[0] * k) * math.log(teff) / teff)
 
 
-def _ols(
-    values: np.ndarray, p: int, start: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """OLS core of the fit.
-
-    Returns targets, regressors, coefficients, residuals, the ML residual
-    covariance and BIC, for targets starting at row ``start``.
-    """
-    if p < 1:
-        raise DataError("lag order must be at least 1")
-    T, n = values.shape
-    k = 1 + n * p
-    _check_rows(T, start, k)
-    Y, X = values[start:], np.column_stack(_design_columns(values, p, start))
-    beta, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
-    if rank < k:
-        raise NumericalError("rank-deficient regressor matrix")
-    resid = Y - X @ beta
-    teff = Y.shape[0]
-    sigma = resid.T @ resid / teff
-    return Y, X, beta, resid, sigma, _bic(sigma, teff, k)
-
-
 def _nested_rss(XY: np.ndarray, K: int, ks: Iterable[int]) -> Iterator[tuple[np.ndarray, int]]:
     """Residual cross products and ranks of regressing Y on each column prefix X[:, :k].
 
@@ -225,9 +202,19 @@ def fit_var_ols(panel: AlignedPanel, p: int) -> VarEstimate:
         With residuals, ML residual covariance, BIC, adjusted R-squared, and
         HAC standard errors at the automatic bandwidth.
     """
-    Y, X, beta, resid, sigma, bic = _ols(panel.values, p, p)
-    teff, k = X.shape
-    n = panel.n_assets
+    if p < 1:
+        raise DataError("lag order must be at least 1")
+    values = panel.values
+    T, n = values.shape
+    k = 1 + n * p
+    _check_rows(T, p, k)
+    Y, X = values[p:], np.column_stack(_design_columns(values, p, p))
+    beta, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
+    if rank < k:
+        raise NumericalError("rank-deficient regressor matrix")
+    resid = Y - X @ beta
+    teff = Y.shape[0]
+    sigma = resid.T @ resid / teff
     tss = ((Y - Y.mean(axis=0)) ** 2).sum(axis=0)
     rss = (resid**2).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -245,7 +232,7 @@ def fit_var_ols(panel: AlignedPanel, p: int) -> VarEstimate:
         regressors=X,
         sigma=sigma,
         robust_se=robust_se,
-        bic=bic,
+        bic=_bic(sigma, teff, k),
         adj_r2=np.asarray(adj_r2, dtype=float),
         nobs=teff,
     )

@@ -44,7 +44,7 @@ from mkteff.tv_var import (
     _RIDGE_JITTER, TvVarConfig, TvVarEstimate, _check_panel, _lag_matrices, _lagged_design, fit_tv_var,
 )
 from mkteff.unit_root import _adf_columns
-from mkteff.var_base import GrangerResult, VarEstimate, _ols, _stacked_rss
+from mkteff.var_base import GrangerResult, VarEstimate, _stacked_rss
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,13 +192,31 @@ def adf_lag_search(yt: np.ndarray, dy: np.ndarray, max_lag: int) -> tuple[int, l
 
 
 def var_lag_search(panel: AlignedPanel, p_max: int) -> tuple[int, list[float]]:
-    """BIC order pick of ``select_lag_bic`` by one lstsq per candidate: (order, BIC)."""
+    """BIC order pick of ``select_lag_bic`` by one lstsq per candidate: (order, BIC).
+
+    Each candidate p regresses the rows after p_max on a constant and lags 1..p,
+    and scores log det of the ML residual covariance (-inf if not positive) plus
+    n k log(T') / T'. Too few rows, or a rank-deficient design, ends the search
+    with the package's error.
+    """
     if p_max < 1:
         raise DataError("p_max must be at least 1")
+    values = panel.values
+    T, n = values.shape
     best_p, best_bic = 1, np.inf
     bics = []
     for p in range(1, p_max + 1):
-        bic = _ols(panel.values, p, p_max)[5]
+        k = 1 + n * p
+        if T - p_max <= k:
+            raise DataError(f"too few rows: need more than {k + p_max}, got {T}")
+        Y = values[p_max:]
+        X = np.hstack([np.ones((T - p_max, 1))] + [values[p_max - l : T - l] for l in range(1, p + 1)])
+        beta, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
+        if rank < k:
+            raise NumericalError("rank-deficient regressor matrix")
+        resid = Y - X @ beta
+        sign, logdet = np.linalg.slogdet(resid.T @ resid / (T - p_max))
+        bic = (logdet if sign > 0 else -np.inf) + n * k * math.log(T - p_max) / (T - p_max)
         bics.append(bic)
         if bic < best_bic:
             best_p, best_bic = p, bic

@@ -254,7 +254,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "field, value",
         [("n", "2"), ("T", "40"), ("seed", "x"), ("n", 2.5), ("intercept", 5), ("innovation_sd", "a"),
-         ("coefficients", "abc"), ("coefficients_end", [[1.0], [2.0, 3.0]])],
+         ("coefficients", "abc"), ("coefficients_end", [[1.0], [2.0, 3.0]]), ("seed", -1)],
     )
     def test_mistyped_field_is_config_error(self, tmp_path, capsys, field, value):
         spec = self.spec_file(tmp_path, {"kind": "white-noise", "n": 1, "T": 40, field: value})
@@ -874,6 +874,92 @@ class TestCommit:
         written = listing(tmp_path / "out") + listing(tmp_path / "sim")
         assert sorted(set(written)) == sorted(OUTPUTS)
         assert [p.name for p in (tmp_path / "out").iterdir() if p.is_dir()] == ["replications"]
+
+
+def read_cells(path):
+    """The rows of a CSV file as lists of cells, header first."""
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def read_floats(rows):
+    """Cells read back as floats, a blank as NaN."""
+    return np.array([[float(cell) if cell else np.nan for cell in row] for row in rows])
+
+
+def assert_read_back(got, want):
+    """Blank exactly where ``want`` is not finite, and the same bits everywhere else."""
+    want = np.asarray(want, dtype=float)
+    finite = np.isfinite(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), ~finite)
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+
+class TestCsvRoundTrip:
+    """Every CSV output, read back cell by cell, holds the bits of the arrays it was written from."""
+
+    def recorded(self, monkeypatch, module, name, seen):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: seen.setdefault(name, fn(*args)))
+
+    def test_pipeline_outputs(self, tmp_path, market_files, monkeypatch):
+        import mkteff.bootstrap
+        import mkteff.cli as cli_mod
+
+        seen, rows = {}, []
+        for name in ("describe", "fit_tv_var", "efficiency_path"):
+            self.recorded(monkeypatch, cli_mod, name, seen)
+        dumped = mkteff.bootstrap._dumped
+        monkeypatch.setattr(mkteff.bootstrap, "_dumped",
+                            lambda results, *args: (rows.append(z.copy()) or z for z in dumped(results, *args)))
+        cfg = config_file(tmp_path, market_files, bootstrap={"replications": 100, "master_seed": 9})
+        assert main(["all", "--config", cfg, "--export-coefficients", "--dump-replications"]) == EXIT_OK
+        out = tmp_path / "out"
+        stats, fit, path = seen["describe"], seen["fit_tv_var"], seen["efficiency_path"]
+        dates = [d.isoformat() for d in fit.dates]
+
+        header, *cells = read_cells(out / "summary.csv")
+        assert [row[0] for row in cells] == list(stats.asset_ids) and {row[5] for row in cells} == {str(stats.n_obs)}
+        assert_read_back(read_floats(row[1:5] for row in cells),
+                         np.column_stack([stats.mean, stats.sd, stats.minimum, stats.maximum]))
+
+        header, *cells = read_cells(out / "efficiency.csv")
+        assert [row[0] for row in cells] == dates and [row[4] for row in cells] == ["0"] * len(dates)
+        assert path.band_low is not None
+        assert_read_back(read_floats(row[1:4] for row in cells),
+                         np.column_stack([path.zeta, path.band_low, path.band_high]))
+
+        header, *cells = read_cells(out / "coefficients.csv")
+        assert [row[0] for row in cells] == [d for d in dates for _ in range(4)]
+        assert_read_back(read_floats(row[4:] for row in cells), fit.A_path.reshape(-1, 1))
+
+        header, *cells = read_cells(out / "replications" / "replications_000001_000100.csv")
+        assert [row[:2] for row in cells] == [[str(b), d] for b in range(1, 101) for d in dates]
+        assert len(rows) == 100
+        assert_read_back(read_floats(row[2:] for row in cells), np.concatenate(rows)[:, None])
+
+    def test_simulate_outputs(self, tmp_path, monkeypatch):
+        # the drift ends at A = 1, where I - A is singular: the last zeta is blank
+        import mkteff.cli as cli_mod
+
+        seen = {}
+        self.recorded(monkeypatch, cli_mod, "simulate", seen)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"kind": "tv-var-linear-drift", "n": 1, "T": 40, "coefficients": 0.0, "coefficients_end": 1.0}))
+        assert main(["simulate", "--spec", str(spec), "--output-dir", str(tmp_path / "sim")]) == EXIT_OK
+        panel, truth = seen["simulate"]
+        dates = [d.isoformat() for d in panel.dates]
+
+        header, *cells = read_cells(tmp_path / "sim" / "panel.csv")
+        assert header == ["date", *panel.asset_ids] and [row[0] for row in cells] == dates
+        assert_read_back(read_floats(row[1:] for row in cells), panel.values)
+
+        header, *cells = read_cells(tmp_path / "sim" / "truth.csv")
+        assert header == ["date", "zeta", "a1_0_0"] and [row[0] for row in cells] == dates
+        assert cells[-1][1] == "" and not np.isfinite(truth.zeta[-1])
+        assert_read_back(read_floats(row[1:] for row in cells),
+                         np.column_stack([truth.zeta, truth.A_path.reshape(len(dates), -1)]))
 
 
 def test_panel_and_regressors_are_f_ordered(tmp_path, market_files):

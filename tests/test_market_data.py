@@ -363,12 +363,13 @@ class TestDescribe:
         stats = describe(make_panel(values))
         assert np.all(np.abs(stats.mean) < 1e-12)
 
-    def test_serialization(self):
+    def test_serialization(self, tmp_path):
         stats = describe(make_panel([[-1.0, 2.0], [1.0, 4.0]]))
         doc = stats.to_dict()
         assert doc["n_obs"] == 2
         assert doc["assets"]["A1"]["mean"] == 3.0
-        text = stats.to_csv_text()
+        stats.write_csv(tmp_path / "summary.csv")
+        text = (tmp_path / "summary.csv").read_text(encoding="utf-8")
         assert text.splitlines()[0] == "asset,mean,sd,min,max,n_obs"
         assert len(text.splitlines()) == 3
 

@@ -16,7 +16,8 @@ from mkteff import (
 from mkteff import var_base
 from mkteff.errors import DataError, MktEffError, NumericalError
 from mkteff.var_base import (
-    _SOLVE_BLOCK, HANSEN_LC_CRITICAL, _auto_bandwidth, _bic, _bic_path, _f_pvalue, _hac_cov, _nested_rss, _ols,
+    _SOLVE_BLOCK, HANSEN_LC_CRITICAL, _auto_bandwidth, _bic, _bic_path, _design_columns, _f_pvalue, _hac_cov,
+    _nested_rss,
 )
 
 from conftest import make_panel, traced_peak
@@ -229,7 +230,7 @@ class TestLagSelection:
         # the one [1, lags | targets] array holds the design of the full fit
         values = rng.standard_normal((400, 3))
         p_max = 4
-        Y, X = _ols(values, p_max, p_max)[:2]
+        Y, X = values[p_max:], np.column_stack(_design_columns(values, p_max, p_max))
         ks = [1 + 3 * p for p in range(1, p_max + 1)]
         nested = _nested_rss(np.column_stack([X, Y]), ks[-1], ks)
         want = [_bic(c / Y.shape[0], Y.shape[0], k) for k, (c, _) in zip(ks, nested)]
