@@ -268,45 +268,38 @@ def select_lag_bic(panel: AlignedPanel, p_max: int) -> int:
     return 1 + int(np.argmin(_bic_path(panel.values, p_max)))
 
 
-def _stacked_rss(Y: np.ndarray, X: np.ndarray, drop_cols: dict[int, list[int]]) -> float:
-    """Total RSS over equations, dropping the given columns per equation."""
-    total = 0.0
-    for i in range(Y.shape[1]):
-        drop = drop_cols.get(i, [])
-        keep = [c for c in range(X.shape[1]) if c not in drop]
-        Xi = X[:, keep]
-        beta, _, rank, _ = np.linalg.lstsq(Xi, Y[:, i], rcond=None)
-        if rank < len(keep):
-            raise NumericalError("singular restricted system")
-        r = Y[:, i] - Xi @ beta
-        total += float(r @ r)
-    return total
-
-
 def granger_causality(est: VarEstimate, source: str) -> GrangerResult:
     """Test whether the source asset's lags predict all other equations of the fit jointly.
 
     The unrestricted model stacks the n OLS equations into one block-diagonal
-    system; the restriction zeroes the source's lag coefficients in every other
-    equation (p*(n-1) restrictions). The classical F comes from the restricted
-    and unrestricted residual sums.
+    system; the restriction zeroes the source's lag coefficients b_i in every
+    other equation i (p*(n-1) restrictions). Dropping those p columns X_s from
+    equation i raises its residual sum by exactly b_i' (X_s' M X_s) b_i, M the
+    annihilator of the kept columns: the Wald form of the classical F. With
+    the source's columns moved last, the QR of the design orthogonalizes X_s
+    against the kept columns, so the trailing p x p block R22 of its R factor
+    has R22'R22 = X_s' M X_s, and the rise is the sum of ||R22 b_i||^2 over
+    the other equations. No restricted model is refit, and no small
+    difference of two residual sums is taken.
     """
     n, p = est.n_assets, est.p
+    if n < 2:
+        raise DataError("the Granger test needs at least 2 assets")
     k = est.coefficients.shape[0]
     if source not in est.asset_ids:
         raise DataError(f"unknown source asset {source!r}; the fit has {', '.join(map(repr, est.asset_ids))}")
     src = est.asset_ids.index(source)
     src_cols = [1 + l * n + src for l in range(p)]
-    others = [i for i in range(n) if i != src]
+    keep = [c for c in range(k) if c not in src_cols]
+    R22 = np.linalg.qr(est.regressors[:, keep + src_cols], mode="r")[k - p :, k - p :]
+    b = est.coefficients[src_cols][:, [i for i in range(n) if i != src]]
     r = p * (n - 1)
     df_den = n * est.nobs - n * k
-    Y = est.regressors @ est.coefficients + est.residuals
     rss_u = float((est.residuals**2).sum())
-    rss_r = _stacked_rss(Y, est.regressors, {i: src_cols for i in others})
-    f_stat = ((rss_r - rss_u) / r) / (rss_u / df_den)
+    f_stat = (float(((R22 @ b) ** 2).sum()) / r) / (rss_u / df_den)
     return GrangerResult(
         source_asset=source,
-        f_statistic=float(f_stat),
+        f_statistic=f_stat,
         df_num=r,
         df_den=df_den,
         p_value=_f_pvalue(f_stat, r, df_den),

@@ -3,14 +3,18 @@
 None of these run in the pipeline. The dense time-varying solver materializes
 the full stacked design and calls lstsq (the banded Cholesky must agree with
 it); the penalized objective evaluates the fit-plus-smoothness criterion at
-any parameters, so a fitted path can be checked for optimality; the Wald form of the Granger F is the restriction-matrix counterpart of
-the package's residual-sum form; the pairwise Granger test restricts a single
-target equation. The two lag searches refit every candidate from scratch with
-lstsq on its own tall design, where the package reads all candidates off one
-factorization. A bootstrap replication is run the long way, through a null
-panel built as a new array and the public fit and degree-path functions, where
-the package solves the lagged design and takes the degrees of a view of its
-paths, building none of the public objects; its rows are picked by
+any parameters, so a fitted path can be checked for optimality. The package
+takes the Granger F from the unrestricted fit alone, through the R factor of
+the design with the source's lags moved last; its restriction-matrix (Wald)
+form inverts X'X, and its refit form refits every restricted equation with
+lstsq and takes the rise in the residual sum. The pairwise Granger test
+restricts a single target equation. The two lag searches refit every
+candidate from scratch with lstsq on its own tall design, where the package
+reads all candidates off one factorization. A bootstrap replication is run
+the long way, through a null panel built as a new array and the public fit
+and degree-path functions, where the package solves the lagged design and
+takes the degrees of a view of its paths, building none of the public
+objects; its rows are picked by
 ``numpy.random``, and the same picks are also generated one 32-bit word at a
 time in Python integers, where the package computes a block of PCG64 states
 at once from constant tables. The Hansen statistic is built
@@ -44,7 +48,7 @@ from mkteff.tv_var import (
     _RIDGE_JITTER, TvVarConfig, TvVarEstimate, _check_panel, _lag_matrices, _lagged_design, fit_tv_var,
 )
 from mkteff.unit_root import _adf_columns
-from mkteff.var_base import GrangerResult, VarEstimate, _stacked_rss
+from mkteff.var_base import GrangerResult, VarEstimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,6 +153,35 @@ def granger_wald_f(est: VarEstimate, source: str) -> float:
             b = est.coefficients[src_cols, i]
             wald += float(b @ np.linalg.solve(sub, b)) / s2
     return wald / (p * (n - 1))
+
+
+def _stacked_rss(Y: np.ndarray, X: np.ndarray, drop_cols: dict[int, list[int]]) -> float:
+    """Total RSS over equations, dropping the given columns per equation."""
+    total = 0.0
+    for i in range(Y.shape[1]):
+        drop = drop_cols.get(i, [])
+        keep = [c for c in range(X.shape[1]) if c not in drop]
+        Xi = X[:, keep]
+        beta, _, rank, _ = np.linalg.lstsq(Xi, Y[:, i], rcond=None)
+        if rank < len(keep):
+            raise NumericalError("singular restricted system")
+        r = Y[:, i] - Xi @ beta
+        total += float(r @ r)
+    return total
+
+
+def granger_refit_f(est: VarEstimate, source: str) -> float:
+    """Refit form of ``granger_causality``'s F statistic: every other equation is
+    refit without the source's lags, and F is taken from the rise in the stacked
+    residual sum, ``rss_r - rss_u``."""
+    n, p = est.n_assets, est.p
+    k = est.coefficients.shape[0]
+    src = est.asset_ids.index(source)
+    src_cols = [1 + l * n + src for l in range(p)]
+    Y = est.regressors @ est.coefficients + est.residuals
+    rss_u = float((est.residuals**2).sum())
+    rss_r = _stacked_rss(Y, est.regressors, {i: src_cols for i in range(n) if i != src})
+    return ((rss_r - rss_u) / (p * (n - 1))) / (rss_u / (n * est.nobs - n * k))
 
 
 def granger_causality_pairwise(est: VarEstimate, source: str, target: str) -> GrangerResult:

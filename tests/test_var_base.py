@@ -21,7 +21,9 @@ from mkteff.var_base import (
 )
 
 from conftest import make_panel, traced_peak
-from oracles import granger_causality_pairwise, granger_wald_f, naive_hansen_lc, var_lag_search
+from oracles import (
+    granger_causality_pairwise, granger_refit_f, granger_wald_f, naive_hansen_lc, var_lag_search,
+)
 
 
 # The F(df_num, df_den) upper tail at the exact binary value of F, to 40
@@ -353,6 +355,75 @@ class TestGranger:
         teff = 200 - 2
         assert res.df_num == 2 * (3 - 1)
         assert res.df_den == 3 * teff - 3 * (1 + 3 * 2)
+
+    def test_one_asset_fit_is_refused(self, rng):
+        est = fit_var_ols(make_panel(rng.standard_normal((200, 1))), 1)
+        with pytest.raises(DataError, match="needs at least 2 assets"):
+            granger_causality(est, "A0")
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_agrees_with_the_wald_and_refit_oracles(self, n, p):
+        values = np.random.default_rng(10 * n + p).standard_normal((300, n))
+        est = fit_var_ols(make_panel(values), p)
+        for src in est.asset_ids:
+            f = granger_causality(est, src).f_statistic
+            assert f == pytest.approx(granger_wald_f(est, src), rel=1e-13, abs=0)
+            assert f == pytest.approx(granger_refit_f(est, src), rel=1e-10, abs=0)
+        # a near-null source: its fitted lag terms are taken out of the other
+        # assets once, which leaves F below 0.03 (down to 8e-5) on these panels
+        for i in range(1, n):
+            for l in range(p):
+                values[p:, i] -= est.coefficients[1 + l * n, i] * values[p - 1 - l : -1 - l, 0]
+        null = fit_var_ols(make_panel(values), p)
+        res = granger_causality(null, "A0")
+        f, wald, refit = res.f_statistic, granger_wald_f(null, "A0"), granger_refit_f(null, "A0")
+        assert f < 0.05
+        assert f == pytest.approx(wald, rel=1e-13, abs=0)
+        assert abs(f - wald) <= abs(refit - wald)
+        # the refit form's rss_r - rss_u carries rounding of order eps * rss_u;
+        # 1e-14 * rss_u is 1e-14 * df_den / df_num in F
+        assert abs(f - refit) <= 1e-10 * refit + 1e-14 * res.df_den / res.df_num
+
+    def test_refits_nothing(self, rng, monkeypatch):
+        est = fit_var_ols(simulate_var(rng, 0.2 * np.eye(3), 300), 2)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refused)
+        for src in est.asset_ids:
+            granger_causality(est, src)
+
+    def test_peak_memory_is_two_designs(self, rng):
+        est = fit_var_ols(simulate_var(rng, 0.1 * np.eye(4), 4000), 3)
+        for src in est.asset_ids:
+            assert traced_peak(granger_causality, est, src) <= 2.2 * est.regressors.nbytes
+
+
+class TestGrangerInvariance:
+    # F below 1 is compared to 1e-12 absolute: the fitted lag weights of a
+    # near-null source sit at their own rounding level
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), log_c=st.floats(-3.0, 3.0), p=st.integers(1, 2))
+    def test_scaling_returns_changes_nothing(self, seed, log_c, p):
+        values = np.random.default_rng(seed).standard_normal((150, 3))
+        base = fit_var_ols(make_panel(values), p)
+        scaled = fit_var_ols(make_panel(10.0**log_c * values), p)
+        for src in base.asset_ids:
+            a, b = granger_causality(base, src), granger_causality(scaled, src)
+            assert abs(b.f_statistic - a.f_statistic) <= 1e-12 * max(a.f_statistic, 1.0)
+            assert abs(b.p_value - a.p_value) <= 1e-12 * a.p_value
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), perm=st.permutations(range(1, 4)), p=st.integers(1, 2))
+    def test_permuting_the_other_assets_changes_nothing(self, seed, perm, p):
+        values = np.random.default_rng(seed).standard_normal((150, 4))
+        base = fit_var_ols(make_panel(values), p)
+        moved = fit_var_ols(make_panel(values[:, [0, *perm]]), p)
+        a, b = granger_causality(base, "A0"), granger_causality(moved, "A0")
+        assert abs(b.f_statistic - a.f_statistic) <= 1e-12 * max(a.f_statistic, 1.0)
+        assert abs(b.p_value - a.p_value) <= 1e-12 * a.p_value
 
 
 class TestHansenLc:
